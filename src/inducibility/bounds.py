@@ -22,7 +22,7 @@ from typing import Any
 
 from .brightness import BRIGHTNESS_EXACT_LIMIT, brightness_exact, brightness_lower_bounds
 from .errors import InputError, InternalCheckError, PreconditionError
-from .graphs import Graph, canonical_key, complement, degree_profile, induced_subgraph, non_isolated_core
+from .graphs import Graph, canonical_key, complement, degree_profile, non_isolated_core
 
 E = math.e
 
@@ -140,28 +140,6 @@ def find_degree_gap(h: Graph, eps: float | Fraction, C: float | Fraction) -> Deg
     raise InternalCheckError(
         "no degree gap found although the preconditions hold; impossible"
     )
-
-
-def high_degree_split(h: Graph, b: float | Fraction) -> tuple[frozenset[int], frozenset[int], Graph]:
-    """S = vertices of degree >= b*k, T = outside vertices only partially
-    attached to S, and the graph induced away from S."""
-    b_f = _as_fraction(b)
-    if not 0 < b_f < 1:
-        raise InputError("b must be in (0, 1)")
-    k = h.n
-    threshold = b_f * k
-    s_mask = 0
-    for v in range(k):
-        if h.adj[v].bit_count() >= threshold:
-            s_mask |= 1 << v
-    S = frozenset(v for v in range(k) if (s_mask >> v) & 1)
-    T = frozenset(
-        v
-        for v in range(k)
-        if not (s_mask >> v) & 1 and (h.adj[v] & s_mask) != s_mask
-    )
-    hprime = induced_subgraph(h, [v for v in range(k) if not (s_mask >> v) & 1])
-    return S, T, hprime
 
 
 def sparse_regime_bound(alpha: float, nu: float) -> float:

@@ -8,7 +8,9 @@ byte-identical across runs and thread counts for fixed flags and seeds;
 wall-clock timing is therefore only included when --timing is passed.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
-precondition or size-limit violation.
+precondition or size-limit violation.  A reader that closes stdout before
+the document is written (`... | head -c 1`) gets no traceback: the command
+still exits with its own code, 0 on success and 1 on a failed verification.
 
 The worker count for Monte-Carlo substreams comes from the
 INDUCIBILITY_THREADS environment variable (default: available cores);
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -112,7 +115,14 @@ def _emit(command: str, inputs: dict, outputs: dict, timing_ms: int | None) -> N
     }
     if timing_ms is not None:
         doc["elapsed_ms"] = timing_ms
-    print(json.dumps(doc, sort_keys=True, separators=(", ", ": ")))
+    try:
+        print(json.dumps(doc, sort_keys=True, separators=(", ", ": ")), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the interpreter's
+        # final flush of what is still buffered cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _read_graph(arg: str) -> Graph:
@@ -447,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact induced-density toolkit for small graphs"
         " (graphs in and out as graph6; '-' reads one line from stdin).",
     )
-    parser.add_argument("--json", action="store_true",
-                        help="emit JSON (the default and only output format)")
     parser.add_argument("--timing", action="store_true",
                         help="include elapsed_ms in the output JSON")
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .density import induced_density
 from .errors import InputError, PreconditionError
-from .graphs import Graph, with_isolated
+from .graphs import MAX_VERTICES, Graph, with_isolated
 from .structure import is_tamed_by
 
 DENSITY_BUDGET = 2_000_000
@@ -101,6 +101,8 @@ def gnp_construction(k: int, n: int, seed: int) -> ConstructionReport:
     full-density twin (seed recorded)."""
     if not 2 <= k <= n:
         raise InputError("need 2 <= k <= n")
+    if n > MAX_VERTICES:
+        raise InputError(f"gnp host has {n} vertices, above the {MAX_VERTICES}-vertex limit")
     pairs = math.comb(k, 2)
     p = Fraction(1, pairs)
     rng = random.Random(seed)

@@ -1,8 +1,11 @@
 """Exact and Monte-Carlo induced density of a pattern graph in a host graph.
 
-The exact counter walks k-subsets in lexicographic order, filters by the
-sorted degree sequence inside the subset, and only then pays for a
-canonical-code comparison.  All densities are exact rationals.
+One matcher, `_count_matches`, answers "which k-subsets of the host induce
+h?" for every caller.  It walks increasing vertex subsets depth-first,
+extends the prefix's induced rows one vertex at a time, and prunes every
+prefix whose canonical key is not the key of an induced subgraph of h.  On
+the last level that test is the isomorphism test itself, so counts are
+exact.  All densities are exact rationals.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from typing import Sequence
 
 from .errors import InputError, UnsupportedSizeError
-from .graphs import Graph, _induced_rows, canonical_key
+from .graphs import Graph, _canon_cached, _induced_rows
 from .mc import MCEstimate, run_bernoulli_streams
 
 DEFAULT_SUBSET_BUDGET = 10**8
@@ -32,6 +35,72 @@ def _check_sizes(h: Graph, g: Graph) -> None:
         raise InputError(f"pattern has {h.n} vertices but host only {g.n}")
 
 
+class _Pattern:
+    """Canonical keys of the induced subgraphs of h, one dict per size.
+
+    The level of size j is derived on first use from the level of size j + 1
+    by deleting each vertex of each class representative, so a caller that
+    only tests whole k-subsets never derives the lower levels.
+    """
+
+    def __init__(self, h: Graph) -> None:
+        self.k = h.n
+        self._levels = [{_canon_cached(h.n, h.adj): h.adj}]  # sizes k, k - 1, ...
+
+    def levels(self, j: int) -> list[dict[bytes, tuple[int, ...]]]:
+        """The levels of sizes j, j + 1, ..., k, in that order."""
+        while len(self._levels) <= self.k - j:
+            m = self.k - len(self._levels) + 1
+            below: dict[bytes, tuple[int, ...]] = {}
+            for rows in self._levels[-1].values():
+                for v in range(m):
+                    low = (1 << v) - 1
+                    sub = tuple((r & low) | ((r >> 1) & ~low) for r in rows[:v] + rows[v + 1 :])
+                    below.setdefault(_canon_cached(m - 1, sub), sub)
+            self._levels.append(below)
+        return self._levels[self.k - j :: -1]
+
+
+def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] = ()) -> int:
+    """Number of k-subsets of the host `adj` that contain every vertex of
+    `forced` and induce the pattern."""
+    k, f = pattern.k, len(forced)
+    if f > k:
+        return 0
+    keys = pattern.levels(f)
+    rows = _induced_rows(adj, forced)
+    if _canon_cached(f, rows) not in keys[0]:
+        return 0
+    if f == k:
+        return 1
+    free = [w for w in range(len(adj)) if w not in forced]
+
+    def walk(start: int, prefix: tuple[int, ...], mask: int, rows: tuple[int, ...]) -> int:
+        j = len(prefix)
+        level, top, complete = keys[j + 1 - f], 1 << j, j + 1 == k
+        extended: dict[int, tuple[int, ...] | None] = {}  # by neighbours in the prefix
+        copies = 0
+        for idx, w in enumerate(free[start : len(free) - (k - j) + 1], start):
+            nbrs = adj[w] & mask
+            if nbrs not in extended:
+                grown, last = [], 0
+                for i, p in enumerate(prefix):
+                    if (nbrs >> p) & 1:
+                        grown.append(rows[i] | top)
+                        last |= 1 << i
+                    else:
+                        grown.append(rows[i])
+                grown.append(last)
+                ext = tuple(grown)
+                extended[nbrs] = ext if _canon_cached(j + 1, ext) in level else None
+            ext = extended[nbrs]
+            if ext is not None:
+                copies += 1 if complete else walk(idx + 1, prefix + (w,), mask | (1 << w), ext)
+        return copies
+
+    return walk(0, tuple(forced), sum(1 << v for v in forced), rows)
+
+
 def count_induced(h: Graph, g: Graph, budget: int | None = None) -> int:
     """Number of |V(h)|-subsets of g inducing a copy of h."""
     _check_sizes(h, g)
@@ -42,19 +111,7 @@ def count_induced(h: Graph, g: Graph, budget: int | None = None) -> int:
         raise UnsupportedSizeError(
             f"C({n},{k}) = {total} subsets exceeds the work budget {limit}"
         )
-    if k == 0:
-        return 1
-    target_key = canonical_key(h)
-    target_degs = sorted(h.degrees())
-    adj = g.adj
-    copies = 0
-    for verts in combinations(range(n), k):
-        rows = _induced_rows(adj, verts)
-        if sorted(r.bit_count() for r in rows) != target_degs:
-            continue
-        if canonical_key(Graph(k, rows)) == target_key:
-            copies += 1
-    return copies
+    return _count_matches(_Pattern(h), g.adj)
 
 
 def induced_density(h: Graph, g: Graph, budget: int | None = None) -> DensityResult:
@@ -80,11 +137,10 @@ def induced_density_mc(
     if samples < 1:
         raise InputError("samples must be >= 1")
     k, n = h.n, g.n
-    target_key = canonical_key(h)
+    pattern = _Pattern(h)
     adj = g.adj
 
     def trial(rng: random.Random) -> bool:
-        verts = sample_k_subset(rng, n, k)
-        return canonical_key(Graph(k, _induced_rows(adj, verts))) == target_key
+        return _count_matches(pattern, adj, sample_k_subset(rng, n, k)) == 1
 
     return run_bernoulli_streams(trial, samples, seed)

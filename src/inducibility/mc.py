@@ -13,7 +13,7 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 THREADS_ENV = "INDUCIBILITY_THREADS"
 
@@ -102,12 +102,3 @@ def run_bernoulli_streams(
         successes=successes,
     )
 
-
-def aggregate_counters(
-    per_stream: Sequence[dict[str, int]]
-) -> dict[str, int]:
-    total: dict[str, int] = {}
-    for counters in per_stream:
-        for key, val in counters.items():
-            total[key] = total.get(key, 0) + val
-    return total

@@ -6,11 +6,11 @@ deduplicated by canonical code, which is exact) and takes the maximum
 density, breaking ties by smallest canonical code so outputs are stable.
 
 The local search is simulated annealing over single edge flips with
-geometric cooling.  Density is maintained incrementally (a flip only
-affects subsets containing both endpoints) and every run is resumable
-bit-exactly from a versioned JSON checkpoint; a checkpoint whose stored
-density disagrees with a recount is rejected rather than silently
-restarted.
+geometric cooling.  Density is maintained incrementally: flipping (u, v)
+changes the count by the copies through both endpoints after the flip
+minus those before, each counted by the density module's forced walk.
+Every run is resumable bit-exactly from a versioned JSON checkpoint; a
+malformed or stale checkpoint is rejected rather than silently restarted.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 
-from .density import induced_density
+from .density import _count_matches, _Pattern, count_induced, induced_density
 from .errors import CheckpointError, InputError, UnsupportedSizeError
-from .graphs import Graph, _induced_rows, canonical_key, parse_graph6, to_graph6
+from .graphs import Graph, canonical_key, parse_graph6, to_graph6
 
 ENUM_LIMIT = 9
 
@@ -72,78 +71,31 @@ def enumerate_graphs(n: int):
 
 
 def ind_exact(h: Graph, n: int) -> IndResult:
-    """Maximum induced density of h over all n-vertex hosts, with witness."""
+    """Maximum induced density of h over all n-vertex hosts, with witness.
+
+    Hosts come in canonical-code order, so the first host reaching the
+    maximum is the tie-break witness: the one with the smallest code.
+    """
     if h.n > n:
         raise InputError(f"pattern has {h.n} vertices but n = {n}")
     if n > ENUM_LIMIT:
         raise UnsupportedSizeError(f"ind_exact supports n <= {ENUM_LIMIT}, got {n}")
-    k = h.n
-    total = math.comb(n, k)
-    target_key = canonical_key(h)
-    target_degs = sorted(h.degrees())
-    best_copies = -1
-    best_key: bytes | None = None
-    best_graph: Graph | None = None
-    for g in _classes(n):
-        adj = g.adj
-        copies = 0
-        for verts in combinations(range(n), k):
-            rows = _induced_rows(adj, verts)
-            if sorted(r.bit_count() for r in rows) != target_degs:
-                continue
-            if canonical_key(Graph(k, rows)) == target_key:
-                copies += 1
-        if copies > best_copies:
-            best_copies, best_key, best_graph = copies, canonical_key(g), g
-        elif copies == best_copies:
-            key = canonical_key(g)
-            if best_key is None or key < best_key:
-                best_key, best_graph = key, g
-    assert best_graph is not None
-    return IndResult(value=Fraction(best_copies, total), witness=best_graph, mode="exact")
+    pattern = _Pattern(h)
+    hosts = _classes(n)
+    counts = [_count_matches(pattern, g.adj) for g in hosts]
+    best = counts.index(max(counts))
+    return IndResult(Fraction(counts[best], math.comb(n, h.n)), hosts[best], "exact")
 
 
 # -- local search ----------------------------------------------------------
 
 
-def _count_exact(h: Graph, g: Graph) -> int:
-    target_key = canonical_key(h)
-    copies = 0
-    for verts in combinations(range(g.n), h.n):
-        if canonical_key(Graph(h.n, _induced_rows(g.adj, verts))) == target_key:
-            copies += 1
-    return copies
-
-
-def _flip_delta(adj: list[int], n: int, k: int, u: int, v: int, target_key: bytes) -> int:
-    """Change in copy count caused by flipping edge (u, v).
-
-    Only subsets containing both endpoints are affected; each is classified
-    before and after the flip.
-    """
-    others = [w for w in range(n) if w != u and w != v]
-    delta = 0
-    for rest in combinations(others, k - 2):
-        verts = tuple(sorted(rest + (u, v)))
-        rows = list(_induced_rows(adj, verts))
-        iu = verts.index(u)
-        iv = verts.index(v)
-        was = canonical_key(Graph(k, tuple(rows))) == target_key
-        rows[iu] ^= 1 << iv
-        rows[iv] ^= 1 << iu
-        now = canonical_key(Graph(k, tuple(rows))) == target_key
-        delta += int(now) - int(was)
-    return delta
-
-
-def _rng_state_to_json(state) -> list:
-    version, internal, gauss = state
-    return [version, list(internal), None if gauss is None else float.hex(gauss)]
-
-
-def _rng_state_from_json(blob) -> tuple:
-    version, internal, gauss = blob
-    return (version, tuple(internal), None if gauss is None else float.fromhex(gauss))
+def _flip_delta(pattern: _Pattern, adj: list[int], u: int, v: int) -> int:
+    """Change in copy count from flipping (u, v); only subsets holding both change."""
+    flipped = list(adj)
+    flipped[u] ^= 1 << v
+    flipped[v] ^= 1 << u
+    return _count_matches(pattern, flipped, (u, v)) - _count_matches(pattern, adj, (u, v))
 
 
 @dataclass
@@ -172,13 +124,14 @@ def _seed_graph(rng: random.Random, n: int) -> list[int]:
 
 def save_checkpoint(path: str | Path, state: _SearchState) -> None:
     total = math.comb(state.n, state.h.n)
+    version, internal, gauss = state.rng.getstate()
     doc = {
         "version": CHECKPOINT_VERSION,
         "h_code": to_graph6(state.h),
         "n": state.n,
         "iteration": state.iteration,
         "temperature": float.hex(state.temperature),
-        "rng_state": _rng_state_to_json(state.rng.getstate()),
+        "rng_state": [version, list(internal), None if gauss is None else float.hex(gauss)],
         "current_graph": to_graph6(Graph(state.n, tuple(state.current))),
         "best_graph": to_graph6(Graph(state.n, state.best_adj)),
         "best_density": f"{state.best_copies}/{total}",
@@ -190,8 +143,10 @@ def save_checkpoint(path: str | Path, state: _SearchState) -> None:
 def load_checkpoint(path: str | Path, h: Graph, n: int) -> _SearchState:
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
     try:
@@ -200,24 +155,28 @@ def load_checkpoint(path: str | Path, h: Graph, n: int) -> _SearchState:
         best = parse_graph6(doc["best_graph"])
         iteration = int(doc["iteration"])
         temperature = float.fromhex(doc["temperature"])
-        rng_blob = doc["rng_state"]
-        density_str = doc["best_density"]
         since_improve = int(doc["since_improve"])
         stored_n = int(doc["n"])
+        stored = Fraction(doc["best_density"])
+        version, internal, gauss = doc["rng_state"]
+        rng = random.Random()
+        rng.setstate((version, tuple(internal), None if gauss is None else float.fromhex(gauss)))
     except KeyError as exc:
         raise CheckpointError(f"checkpoint missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
+        raise CheckpointError(f"malformed checkpoint field: {exc}") from None
     if stored_h != h or stored_n != n:
         raise CheckpointError("checkpoint was produced for different inputs")
-    num, den = density_str.split("/")
-    stored = Fraction(int(num), int(den))
+    if current.n != n or best.n != n:
+        raise CheckpointError(f"checkpoint graphs do not have n = {n} vertices")
+    if iteration < 0 or since_improve < 0 or not temperature >= 0:
+        raise CheckpointError("checkpoint has a negative counter or temperature")
     recount = induced_density(h, best).density
     if recount != stored:
         raise CheckpointError(
             f"stored best density {stored} disagrees with recount {recount};"
             " refusing to resume from a stale witness"
         )
-    rng = random.Random()
-    rng.setstate(_rng_state_from_json(rng_blob))
     return _SearchState(
         h=h,
         n=n,
@@ -225,7 +184,7 @@ def load_checkpoint(path: str | Path, h: Graph, n: int) -> _SearchState:
         temperature=temperature,
         rng=rng,
         current=list(current.adj),
-        current_copies=_count_exact(h, current),
+        current_copies=count_induced(h, current),
         best_adj=best.adj,
         best_copies=int(recount * math.comb(n, h.n)),
         since_improve=since_improve,
@@ -252,15 +211,13 @@ def ind_local_search(
         raise UnsupportedSizeError(
             f"ind_local_search supports n <= {LOCAL_SEARCH_LIMIT}, got {n}"
         )
-    k = h.n
-    target_key = canonical_key(h)
-
+    pattern = _Pattern(h)
     if checkpoint is not None and Path(checkpoint).exists():
         st = load_checkpoint(checkpoint, h, n)
     else:
         rng = random.Random(seed)
         current = _seed_graph(rng, n)
-        copies = _count_exact(h, Graph(n, tuple(current)))
+        copies = _count_matches(pattern, current)
         st = _SearchState(
             h=h,
             n=n,
@@ -274,7 +231,7 @@ def ind_local_search(
             since_improve=0,
         )
 
-    total = math.comb(n, k)
+    total = math.comb(n, h.n)
     while st.iteration < iters:
         u = st.rng.randrange(n)
         v = st.rng.randrange(n)
@@ -282,7 +239,7 @@ def ind_local_search(
             v = st.rng.randrange(n)
         if u > v:
             u, v = v, u
-        delta = _flip_delta(st.current, n, k, u, v, target_key)
+        delta = _flip_delta(pattern, st.current, u, v)
         accept = delta >= 0
         if not accept:
             prob = math.exp((delta / total) / st.temperature)

@@ -11,16 +11,10 @@ non-isolated core) and exists to cross-check the cheap characterization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
+from .density import _count_matches, _Pattern
 from .errors import InputError, PreconditionError, UnsupportedSizeError
-from .graphs import (
-    Graph,
-    _induced_rows,
-    canonical_key,
-    induced_subgraph,
-    non_isolated_core,
-)
+from .graphs import Graph, _induced_rows, induced_subgraph, non_isolated_core
 
 TAMING_EXACT_LIMIT = 16
 
@@ -172,8 +166,8 @@ def is_obscure_oracle(h: Graph, v: int) -> bool:
     v (non-isolated) is obscure when some pair of distinct non-isolated
     vertices v1, v2 with v2 still non-isolated after deleting v1 leaves an
     induced subgraph of h - v1 - v2 isomorphic to the non-isolated core of
-    h - v.  Only subsets of exactly the core's size can match, which prunes
-    the subset search.
+    h - v.  Each pair's copies of the core are counted by the density
+    module's prefix-pruned subset walk.
     """
     if not 0 <= v < h.n:
         raise InputError(f"vertex {v} out of range for n={h.n}")
@@ -184,23 +178,15 @@ def is_obscure_oracle(h: Graph, v: int) -> bool:
             f"is_obscure_oracle supports n <= {OBSCURE_ORACLE_LIMIT}, got {h.n}"
         )
     core = non_isolated_core(induced_subgraph(h, [u for u in range(h.n) if u != v]))
-    core_key = canonical_key(core)
-    core_degs = sorted(core.degrees())
-    msize = core.n
+    if core.n > h.n - 2:
+        return False  # h - v1 - v2 is too small to hold the core
+    pattern = _Pattern(core)
     non_isolated = [u for u in range(h.n) if h.adj[u]]
-    for v1 in non_isolated:
-        for v2 in non_isolated:
-            if v2 == v1:
-                continue
-            if h.adj[v2] & ~(1 << v1) == 0:
-                continue  # v2 isolated once v1 is removed
+    for i, v1 in enumerate(non_isolated):
+        for v2 in non_isolated[i + 1 :]:
+            if h.adj[v1] | h.adj[v2] == (1 << v1) | (1 << v2):
+                continue  # an isolated edge: deleting either end isolates the other
             rest = [u for u in range(h.n) if u != v1 and u != v2]
-            if len(rest) < msize:
-                continue
-            for subset in combinations(rest, msize):
-                rows = _induced_rows(h.adj, subset)
-                if sorted(r.bit_count() for r in rows) != core_degs:
-                    continue
-                if canonical_key(Graph(msize, rows)) == core_key:
-                    return True
+            if _count_matches(pattern, _induced_rows(h.adj, rest)):
+                return True
     return False

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import inducibility
 from inducibility.cli import main
 from inducibility.graphs import Graph, is_isomorphic, parse_graph6, to_graph6
 
@@ -198,6 +204,27 @@ class TestOtherCommands:
             "--n", "8",
         )
         assert code == 3
+
+    def test_construct_gnp_oversized_exit_2(self, capsys):
+        start = time.monotonic()
+        code, _ = run_cli(capsys, "construct", "gnp", "--k", "4", "--n", "100000")
+        assert code == 2
+        assert time.monotonic() - start < 5  # rejected before any host is built
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(inducibility.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "inducibility", "construct", "gnp", "--k", "4",
+                 "--n", "30", "--seed", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
     def test_timing_flag(self, capsys):
         code, out = run_cli(capsys, "--timing", "bounds", "phi", "--s", "1")

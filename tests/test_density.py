@@ -27,7 +27,12 @@ class TestCountInduced:
         assert count_induced(Graph.complete(2), Graph.complete(4)) == 6
         assert count_induced(Graph.complete(3), Graph.complete_bipartite(3, 3)) == 0
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, classes_by_n):
+        for k in range(5):
+            for h in classes_by_n[k]:
+                for n in range(k, 7):
+                    for g in classes_by_n[n]:
+                        assert count_induced(h, g) == brute_count_induced(h, g), (h, g)
         rng = random.Random(31)
         for _ in range(80):
             k = rng.randint(1, 4)

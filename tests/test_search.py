@@ -1,12 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from inducibility.density import induced_density
+from inducibility.density import _Pattern, count_induced, induced_density
 from inducibility.errors import CheckpointError, InputError, UnsupportedSizeError
 from inducibility.graphs import Graph, canonical_key, complement, is_isomorphic
 from inducibility.search import (
+    _flip_delta,
     enumerate_graphs,
     ind_exact,
     ind_local_search,
@@ -158,9 +160,26 @@ class TestLocalSearch:
         with pytest.raises(CheckpointError):
             ind_local_search(p3, 6, 100, seed=1, checkpoint=cp)
 
-    def test_stale_density_rejected(self, p3, tmp_path):
-        import json
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda doc: {**doc, "best_density": "abc"}, id="density-abc"),
+            pytest.param(lambda doc: {**doc, "best_density": "1/0"}, id="density-1/0"),
+            pytest.param(lambda doc: {**doc, "iteration": "x"}, id="iteration-x"),
+            pytest.param(
+                lambda doc: {**doc, "rng_state": [3, [0] * 10, None]}, id="rng-state-size"
+            ),
+            pytest.param(lambda doc: [doc], id="top-level-list"),
+        ],
+    )
+    def test_malformed_checkpoint_rejected(self, p3, tmp_path, corrupt):
+        cp = tmp_path / "run.json"
+        ind_local_search(p3, 6, 50, seed=1, checkpoint=cp)
+        cp.write_text(json.dumps(corrupt(json.loads(cp.read_text()))))
+        with pytest.raises(CheckpointError):
+            ind_local_search(p3, 6, 100, seed=1, checkpoint=cp)
 
+    def test_stale_density_rejected(self, p3, tmp_path):
         cp = tmp_path / "run.json"
         ind_local_search(p3, 6, 50, seed=1, checkpoint=cp)
         doc = json.loads(cp.read_text())
@@ -169,3 +188,27 @@ class TestLocalSearch:
         cp.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="refusing to resume"):
             ind_local_search(p3, 6, 100, seed=1, checkpoint=cp)
+
+
+class TestFlipDelta:
+    def test_matches_recount(self, classes_by_n):
+        """The forced walk over subsets holding both endpoints agrees with
+        unforced recounts before and after every possible flip."""
+        rng = random.Random(43)
+        patterns = [h for k in range(1, 5) for h in classes_by_n[k]] + [Graph.cycle(5)]
+        for n in (5, 7, 9):
+            adj = list(
+                Graph.from_edges(
+                    n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+                ).adj
+            )
+            for h in patterns:
+                pattern = _Pattern(h)
+                before = count_induced(h, Graph(n, tuple(adj)))
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        flipped = list(adj)
+                        flipped[u] ^= 1 << v
+                        flipped[v] ^= 1 << u
+                        after = count_induced(h, Graph(n, tuple(flipped)))
+                        assert _flip_delta(pattern, adj, u, v) == after - before, (h, n, u, v)
