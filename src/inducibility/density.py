@@ -3,9 +3,9 @@
 One matcher, `_count_matches`, answers "which k-subsets of the host induce
 h?" for every caller.  It walks increasing vertex subsets depth-first,
 extends the prefix's induced rows one vertex at a time, and prunes every
-prefix whose canonical key is not the key of an induced subgraph of h.  On
-the last level that test is the isomorphism test itself, so counts are
-exact.  All densities are exact rationals.
+prefix whose sorted degree sequence is not that of an induced subgraph of h
+of its size.  A whole k-subset that passes is compared with h by canonical
+key, so counts are exact.  All densities are exact rationals.
 """
 
 from __future__ import annotations
@@ -35,30 +35,44 @@ def _check_sizes(h: Graph, g: Graph) -> None:
         raise InputError(f"pattern has {h.n} vertices but host only {g.n}")
 
 
-class _Pattern:
-    """Canonical keys of the induced subgraphs of h, one dict per size.
+def _degrees(rows: Sequence[int]) -> int:
+    return sum(1 << 7 * r.bit_count() for r in rows)  # 7-bit count per degree
 
-    The level of size j is derived on first use from the level of size j + 1
-    by deleting each vertex of each class representative, so a caller that
-    only tests whole k-subsets never derives the lower levels.
+
+class _Pattern:
+    """What the walk tests a prefix of the host against, derived from h.
+
+    `key` is h's canonical key.  Level j is the set of degree multisets
+    (`_degrees`) of h's induced j-vertex subgraphs, derived from the distinct
+    rows of level j + 1 by deleting each vertex.  That nears C(k, j) rows
+    for an asymmetric h, so levels are derived only while the deletions made
+    stay within the subsets the calling walk covers; a level not derived
+    prunes nothing.
     """
 
     def __init__(self, h: Graph) -> None:
         self.k = h.n
-        self._levels = [{_canon_cached(h.n, h.adj): h.adj}]  # sizes k, k - 1, ...
+        self.key = _canon_cached(h.n, h.adj)
+        self._levels = [{_degrees(h.adj)}]  # sizes k, k - 1, ...
+        self._rows = {h.adj}  # distinct induced rows of the lowest level derived
+        self._spent = 0
 
-    def levels(self, j: int) -> list[dict[bytes, tuple[int, ...]]]:
+    def levels(self, j: int, subsets: int) -> list[set[int] | None]:
         """The levels of sizes j, j + 1, ..., k, in that order."""
         while len(self._levels) <= self.k - j:
             m = self.k - len(self._levels) + 1
-            below: dict[bytes, tuple[int, ...]] = {}
-            for rows in self._levels[-1].values():
+            if self._spent + m * len(self._rows) > subsets:
+                break
+            self._spent += m * len(self._rows)
+            below: set[tuple[int, ...]] = set()
+            for rows in self._rows:
                 for v in range(m):
-                    low = (1 << v) - 1
-                    sub = tuple((r & low) | ((r >> 1) & ~low) for r in rows[:v] + rows[v + 1 :])
-                    below.setdefault(_canon_cached(m - 1, sub), sub)
-            self._levels.append(below)
-        return self._levels[self.k - j :: -1]
+                    low = (1 << v) - 1  # delete v: keep the bits below it, shift those above down
+                    below.add(tuple((r & low) | ((r >> 1) & ~low) for r in rows[:v] + rows[v + 1 :]))
+            self._rows = below
+            self._levels.append({_degrees(rows) for rows in self._rows})
+        known = self._levels[self.k - j :: -1]
+        return [None] * (self.k - j + 1 - len(known)) + known
 
 
 def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] = ()) -> int:
@@ -67,49 +81,58 @@ def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] 
     k, f = pattern.k, len(forced)
     if f > k:
         return 0
-    keys = pattern.levels(f)
+    keys = pattern.levels(f, math.comb(len(adj) - f, k - f))
     rows = _induced_rows(adj, forced)
-    if _canon_cached(f, rows) not in keys[0]:
+    if keys[0] is not None and _degrees(rows) not in keys[0]:
         return 0
     if f == k:
-        return 1
+        return int(_canon_cached(k, rows) == pattern.key)
     free = [w for w in range(len(adj)) if w not in forced]
 
-    def walk(start: int, prefix: tuple[int, ...], mask: int, rows: tuple[int, ...]) -> int:
+    def walk(
+        start: int, prefix: tuple[int, ...], mask: int, rows: tuple[int, ...], degs: int
+    ) -> int:
         j = len(prefix)
         level, top, complete = keys[j + 1 - f], 1 << j, j + 1 == k
-        extended: dict[int, tuple[int, ...] | None] = {}  # by neighbours in the prefix
+        # rows and degree multiset of each extension, by its neighbours in the prefix
+        extended: dict[int, tuple[tuple[int, ...], int] | None] = {}
         copies = 0
         for idx, w in enumerate(free[start : len(free) - (k - j) + 1], start):
             nbrs = adj[w] & mask
             if nbrs not in extended:
-                grown, last = [], 0
+                grown, last, grown_degs = [], 0, degs
                 for i, p in enumerate(prefix):
                     if (nbrs >> p) & 1:
                         grown.append(rows[i] | top)
                         last |= 1 << i
+                        grown_degs += 127 << 7 * rows[i].bit_count()  # one count up a degree
                     else:
                         grown.append(rows[i])
                 grown.append(last)
+                grown_degs += 1 << 7 * last.bit_count()
                 ext = tuple(grown)
-                extended[nbrs] = ext if _canon_cached(j + 1, ext) in level else None
-            ext = extended[nbrs]
-            if ext is not None:
-                copies += 1 if complete else walk(idx + 1, prefix + (w,), mask | (1 << w), ext)
+                if level is not None and grown_degs not in level:
+                    extended[nbrs] = None
+                elif complete and _canon_cached(k, ext) != pattern.key:
+                    extended[nbrs] = None
+                else:
+                    extended[nbrs] = ext, grown_degs
+            found = extended[nbrs]
+            if found is not None:
+                copies += 1 if complete else walk(idx + 1, prefix + (w,), mask | (1 << w), *found)
         return copies
 
-    return walk(0, tuple(forced), sum(1 << v for v in forced), rows)
+    return walk(0, tuple(forced), sum(1 << v for v in forced), rows, _degrees(rows))
 
 
 def count_induced(h: Graph, g: Graph, budget: int | None = None) -> int:
     """Number of |V(h)|-subsets of g inducing a copy of h."""
     _check_sizes(h, g)
-    k, n = h.n, g.n
-    total = math.comb(n, k)
+    total = math.comb(g.n, h.n)
     limit = DEFAULT_SUBSET_BUDGET if budget is None else budget
     if total > limit:
         raise UnsupportedSizeError(
-            f"C({n},{k}) = {total} subsets exceeds the work budget {limit}"
+            f"C({g.n},{h.n}) = {total} subsets exceeds the work budget {limit}"
         )
     return _count_matches(_Pattern(h), g.adj)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .density import _count_matches, _Pattern, count_induced, induced_density
+from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, UnsupportedSizeError
 from .graphs import Graph, canonical_key, parse_graph6, to_graph6
 
@@ -140,7 +140,11 @@ def save_checkpoint(path: str | Path, state: _SearchState) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="ascii")
 
 
-def load_checkpoint(path: str | Path, h: Graph, n: int) -> _SearchState:
+def load_checkpoint(
+    path: str | Path, h: Graph, n: int, pattern: _Pattern | None = None
+) -> _SearchState:
+    """The search state stored at `path`, recounted with h's `pattern`."""
+    pattern = pattern or _Pattern(h)
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
     except (OSError, ValueError) as exc:
@@ -171,7 +175,8 @@ def load_checkpoint(path: str | Path, h: Graph, n: int) -> _SearchState:
         raise CheckpointError(f"checkpoint graphs do not have n = {n} vertices")
     if iteration < 0 or since_improve < 0 or not temperature >= 0:
         raise CheckpointError("checkpoint has a negative counter or temperature")
-    recount = induced_density(h, best).density
+    best_copies = _count_matches(pattern, best.adj)
+    recount = Fraction(best_copies, math.comb(n, h.n))
     if recount != stored:
         raise CheckpointError(
             f"stored best density {stored} disagrees with recount {recount};"
@@ -184,9 +189,9 @@ def load_checkpoint(path: str | Path, h: Graph, n: int) -> _SearchState:
         temperature=temperature,
         rng=rng,
         current=list(current.adj),
-        current_copies=count_induced(h, current),
+        current_copies=_count_matches(pattern, current.adj),
         best_adj=best.adj,
-        best_copies=int(recount * math.comb(n, h.n)),
+        best_copies=best_copies,
         since_improve=since_improve,
     )
 
@@ -213,7 +218,7 @@ def ind_local_search(
         )
     pattern = _Pattern(h)
     if checkpoint is not None and Path(checkpoint).exists():
-        st = load_checkpoint(checkpoint, h, n)
+        st = load_checkpoint(checkpoint, h, n, pattern)
     else:
         rng = random.Random(seed)
         current = _seed_graph(rng, n)
@@ -242,7 +247,8 @@ def ind_local_search(
         delta = _flip_delta(pattern, st.current, u, v)
         accept = delta >= 0
         if not accept:
-            prob = math.exp((delta / total) / st.temperature)
+            # at temperature 0 every downhill move is rejected
+            prob = math.exp((delta / total) / st.temperature) if st.temperature > 0 else 0.0
             accept = st.rng.random() < prob
         if accept:
             st.current[u] ^= 1 << v
@@ -267,8 +273,6 @@ def ind_local_search(
 
     if checkpoint is not None:
         save_checkpoint(checkpoint, st)
-    witness = Graph(n, st.best_adj)
-    value = induced_density(h, witness).density
-    if value != Fraction(st.best_copies, total):
+    if _count_matches(pattern, st.best_adj) != st.best_copies:
         raise AssertionError("incremental copy count drifted; implementation bug")
-    return IndResult(value=value, witness=witness, mode="lower_bound")
+    return IndResult(Fraction(st.best_copies, total), Graph(n, st.best_adj), "lower_bound")

@@ -47,28 +47,16 @@ def _vertex_set_mask(h: Graph, vs) -> int:
 
 def _mask_tames(h: Graph, v0_mask: int) -> bool:
     rest = ((1 << h.n) - 1) ^ v0_mask
-    clique = True
-    stable = True
-    r = rest
-    while r:
-        low = r & -r
-        v = low.bit_length() - 1
-        r ^= low
-        inside = h.adj[v] & rest
-        if inside:
-            stable = False
-        if inside != rest ^ low:
-            clique = False
-        if not (clique or stable):
-            return False
-    m = v0_mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        inside = h.adj[v] & rest
-        if inside != 0 and inside != rest:
-            return False
+    clique = stable = True
+    for v, row in enumerate(h.adj):
+        inside = row & rest
+        if (rest >> v) & 1:
+            stable = stable and not inside
+            clique = clique and inside == rest ^ (1 << v)
+            if not (clique or stable):
+                return False
+        elif inside and inside != rest:
+            return False  # a V0 vertex attached to part of the rest
     return True
 
 
@@ -94,8 +82,7 @@ def tame_witness_from(h: Graph, s) -> TameWitness:
         if h.adj[v] & rest:
             v0_mask |= low  # has a neighbor outside s
     v0 = frozenset(v for v in range(h.n) if (v0_mask >> v) & 1)
-    valid = _mask_tames(h, v0_mask)
-    if not valid:
+    if not _mask_tames(h, v0_mask):
         raise AssertionError("closure witness failed to tame; implementation bug")
     return TameWitness(v0=v0, valid=True, source="closure")
 
@@ -133,23 +120,9 @@ def classify_vertices(h: Graph) -> VertexClassification:
     happy or degree one; obscure = the remaining non-isolated vertices.
     Isolated vertices belong to none of the classes."""
     degs = h.degrees()
-    happy = set()
-    degree_one = set()
-    for v in range(h.n):
-        if degs[v] == 0:
-            continue
-        if degs[v] == 1:
-            degree_one.add(v)
-        row = h.adj[v]
-        all_ge2 = True
-        while row:
-            low = row & -row
-            if degs[low.bit_length() - 1] < 2:
-                all_ge2 = False
-                break
-            row ^= low
-        if all_ge2:
-            happy.add(v)
+    below_two = sum(1 << u for u in range(h.n) if degs[u] < 2)
+    degree_one = {v for v in range(h.n) if degs[v] == 1}
+    happy = {v for v in range(h.n) if degs[v] > 0 and not h.adj[v] & below_two}
     detectable = happy | degree_one
     obscure = {v for v in range(h.n) if degs[v] > 0} - detectable
     return VertexClassification(

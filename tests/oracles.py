@@ -44,13 +44,30 @@ def edge_set(g: Graph) -> set[frozenset[int]]:
 
 
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Scan the vertex permutations for one carrying the edges of g1 onto
+    those of g2.  A partial permutation is abandoned as soon as it maps a
+    vertex to one of another degree or a pair to a pair of the other kind,
+    so that 20-vertex graphs stay affordable."""
     if g1.n != g2.n:
         return False
-    e2 = edge_set(g2)
-    for p in permutations(range(g1.n)):
-        if {frozenset((p[u], p[v])) for u, v in g1.edges()} == e2:
+    e1, e2 = edge_set(g1), edge_set(g2)
+    n = g1.n
+    a1 = [[frozenset((u, v)) in e1 for v in range(n)] for u in range(n)]
+    a2 = [[frozenset((u, v)) in e2 for v in range(n)] for u in range(n)]
+
+    def extend(p: list[int]) -> bool:
+        i = len(p)
+        if i == n:
             return True
-    return False
+        return any(
+            extend(p + [x])
+            for x in range(n)
+            if x not in p
+            and sum(a1[i]) == sum(a2[x])
+            and all(a1[u][i] == a2[p[u]][x] for u in range(i))
+        )
+
+    return extend([])
 
 
 def brute_automorphisms(g: Graph) -> int:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from inducibility.density import (
     sample_k_subset,
 )
 from inducibility.errors import InputError, UnsupportedSizeError
-from inducibility.graphs import Graph, automorphism_count, complement
+from inducibility.graphs import Graph, automorphism_count, canonical_key, complement, induced_subgraph
 from oracles import brute_count_induced, brute_injective_maps
 
 
@@ -40,6 +41,24 @@ class TestCountInduced:
             h = random_graph(rng, k)
             g = random_graph(rng, n)
             assert count_induced(h, g) == brute_count_induced(h, g)
+
+    def test_large_asymmetric_pattern(self):
+        """A 20-vertex pattern with a trivial automorphism group has close to
+        2^20 induced subgraphs; counting it in a 22-vertex host must cost
+        about the 231 subsets, not the pattern's subgraphs."""
+        rng = random.Random(5)
+        h = random_graph(rng, 20)
+        # no two one-vertex deletions are isomorphic, so no automorphism moves a vertex
+        assert len({canonical_key(induced_subgraph(h, set(range(20)) - {v})) for v in range(20)}) == 20
+        twin = h.adj[0] & ~1  # vertex 20 copies vertex 0's neighbourhood
+        extra = rng.getrandbits(20)
+        rows = [r | (((twin >> v) & 1) << 20) | (((extra >> v) & 1) << 21) for v, r in enumerate(h.adj)]
+        g = Graph(22, (*rows, twin, extra))
+        start = time.perf_counter()
+        copies = count_induced(h, g)
+        assert time.perf_counter() - start < 10
+        assert copies >= 2  # h on 0..19, and again with 20 in place of 0
+        assert copies == brute_count_induced(h, g)
 
     def test_pattern_larger_than_host(self):
         with pytest.raises(InputError):

@@ -179,6 +179,17 @@ class TestLocalSearch:
         with pytest.raises(CheckpointError):
             ind_local_search(p3, 6, 100, seed=1, checkpoint=cp)
 
+    def test_resume_at_temperature_zero(self, p3, tmp_path):
+        """Temperature 0 rejects every downhill move instead of dividing by it."""
+        cp = tmp_path / "run.json"
+        ind_local_search(p3, 6, 50, seed=1, checkpoint=cp)
+        doc = json.loads(cp.read_text())
+        doc["temperature"] = float.hex(0.0)
+        cp.write_text(json.dumps(doc))
+        res = ind_local_search(p3, 6, 300, seed=1, checkpoint=cp)
+        assert res.value == induced_density(p3, res.witness).density
+        assert json.loads(cp.read_text())["temperature"] == float.hex(0.0)
+
     def test_stale_density_rejected(self, p3, tmp_path):
         cp = tmp_path / "run.json"
         ind_local_search(p3, 6, 50, seed=1, checkpoint=cp)
