@@ -4,17 +4,14 @@ Every command prints exactly one JSON document with the fields `command`,
 `inputs`, `outputs`, and `version`.  Exact rationals are rendered as "p/q"
 strings, approximate values as decimals with 12 significant digits, and
 graphs as graph6, so commands pipe into each other losslessly.  Output is
-byte-identical across runs and thread counts for fixed flags and seeds;
-wall-clock timing is therefore only included when --timing is passed.
+byte-identical across runs for fixed flags and seeds; wall-clock timing
+is therefore only included when --timing is passed, before or after the
+subcommand.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 precondition or size-limit violation.  A reader that closes stdout before
 the document is written (`... | head -c 1`) gets no traceback: the command
 still exits with its own code, 0 on success and 1 on a failed verification.
-
-The worker count for Monte-Carlo substreams comes from the
-INDUCIBILITY_THREADS environment variable (default: available cores);
-results do not depend on it.
 """
 
 from __future__ import annotations
@@ -451,14 +448,22 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
 # -- argument parsing --------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every (sub)command parser takes --timing, so the flag may follow the
+    subcommand; it stays unset unless given, so a subparser never resets it."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
+                          help="include elapsed_ms in the output JSON")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="inducibility",
         description="Exact induced-density toolkit for small graphs"
         " (graphs in and out as graph6; '-' reads one line from stdin).",
     )
-    parser.add_argument("--timing", action="store_true",
-                        help="include elapsed_ms in the output JSON")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("classify", help="degree stats, vertex classes, taming, brightness")
@@ -602,7 +607,8 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, UnsupportedSizeError) as exc:
         print(json.dumps({"error": str(exc), "exit": EXIT_LIMIT}), file=sys.stderr)
         return EXIT_LIMIT
-    elapsed = int((time.monotonic() - start) * 1000) if args.timing else None
+    timing = getattr(args, "timing", False)
+    elapsed = int((time.monotonic() - start) * 1000) if timing else None
     _emit(args.cmd, inputs, outputs, elapsed)
     return code
 

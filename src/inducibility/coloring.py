@@ -32,7 +32,7 @@ from .graphs import (
     induced_subgraph,
     non_isolated_core,
 )
-from .mc import map_streams, split_samples, stream_seed
+from .mc import split_samples, stream_seed
 from .structure import classify_vertices
 
 BLACK = "black"
@@ -266,7 +266,6 @@ def simulate(
     limit = 50 * g.n * h.n if max_steps is None else max_steps
     if limit < h.n:
         raise InputError("max_steps must allow at least k draws")
-    counts_per_trial = split_samples(trials)
     keys = (
         "truncated",
         "e_km2",
@@ -283,34 +282,26 @@ def simulate(
         "e_bad",
         "iso_bad",
     )
-
-    def run_stream(idx: int) -> dict[str, int]:
-        rng = random.Random(stream_seed(seed, idx))
-        c = dict.fromkeys(keys, 0)
-        for _ in range(counts_per_trial[idx]):
-            tr = _run(ctx, rng, limit)
-            c["truncated"] += tr.truncated
-            c["e_km2"] += tr.prefix_match_km2
-            c["e_km1"] += tr.prefix_match_km1
-            c["e_k"] += tr.prefix_match_k
-            c["e"] += tr.full_match
-            c["a1"] += tr.two_green
-            c["a2"] += tr.one_red
-            c["b"] += tr.consecutive_nonblack
-            c["a1_e"] += tr.two_green and tr.full_match
-            c["a2_e"] += tr.one_red and tr.full_match
-            c["b_e"] += tr.consecutive_nonblack and tr.full_match
-            c["a1_not_b"] += tr.two_green and not tr.consecutive_nonblack
-            if tr.full_match and not tr.truncated:
-                c["e_bad"] += not (tr.two_green or tr.one_red)
-            c["iso_bad"] += tr.isolated_nonblack_violations
-        return c
-
-    per_stream = map_streams(run_stream, len(counts_per_trial))
     total = dict.fromkeys(keys, 0)
-    for c in per_stream:
-        for key in keys:
-            total[key] += c[key]
+    for idx, count in enumerate(split_samples(trials)):
+        rng = random.Random(stream_seed(seed, idx))
+        for _ in range(count):
+            tr = _run(ctx, rng, limit)
+            total["truncated"] += tr.truncated
+            total["e_km2"] += tr.prefix_match_km2
+            total["e_km1"] += tr.prefix_match_km1
+            total["e_k"] += tr.prefix_match_k
+            total["e"] += tr.full_match
+            total["a1"] += tr.two_green
+            total["a2"] += tr.one_red
+            total["b"] += tr.consecutive_nonblack
+            total["a1_e"] += tr.two_green and tr.full_match
+            total["a2_e"] += tr.one_red and tr.full_match
+            total["b_e"] += tr.consecutive_nonblack and tr.full_match
+            total["a1_not_b"] += tr.two_green and not tr.consecutive_nonblack
+            if tr.full_match and not tr.truncated:
+                total["e_bad"] += not (tr.two_green or tr.one_red)
+            total["iso_bad"] += tr.isolated_nonblack_violations
     return ColoringSummary(
         trials=trials,
         seed=seed,

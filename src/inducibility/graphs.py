@@ -382,14 +382,17 @@ def _canonical_columns(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
             return
         # one branch per orbit of the target cell: a colored automorphism
         # fixes every earlier individualized vertex (each is a singleton
-        # cell), so equivalent candidates explore identical subtrees
-        reps: list[list[int]] = []
+        # cell), so equivalent candidates explore identical subtrees; a twin
+        # of a kept representative is in its orbit without a search
+        reps: list[tuple[int, list[int]]] = []
         for u in target:
-            cu = _refine(n, adj, _individualize(n, colors, u))
-            if any(_colored_iso_exists(n, adj, cr, cu) for cr in reps):
+            if any(_twins(adj, u, r) for r, _ in reps):
                 continue
-            reps.append(cu)
-        for cu in reps:
+            cu = _refine(n, adj, _individualize(n, colors, u))
+            if any(_colored_iso_exists(n, adj, cr, cu) for _, cr in reps):
+                continue
+            reps.append((u, cu))
+        for _, cu in reps:
             rec(cu)
 
     rec(base)
@@ -435,6 +438,12 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return False
     return _canon_cached(g1.n, g1.adj) == _canon_cached(g2.n, g2.adj)
+
+
+def _twins(adj: Sequence[int], u: int, v: int) -> bool:
+    """Same neighbors apart from each other: swapping u and v is an
+    automorphism that fixes every other vertex."""
+    return not (adj[u] ^ adj[v]) & ~((1 << u) | (1 << v))
 
 
 def _colored_iso_exists(
@@ -500,12 +509,13 @@ def _aut_order(n: int, adj: tuple[int, ...], colors: list[int]) -> int:
     v = target[0]
     cv = _refine(n, adj, _individualize(n, colors, v))
     stab = _aut_order(n, adj, cv)
-    orbit = 1
+    orbit = [v]
     for u in target[1:]:
-        cu = _refine(n, adj, _individualize(n, colors, u))
-        if _colored_iso_exists(n, adj, cv, cu):
-            orbit += 1
-    return orbit * stab
+        if any(_twins(adj, u, w) for w in orbit) or _colored_iso_exists(
+            n, adj, cv, _refine(n, adj, _individualize(n, colors, u))
+        ):
+            orbit.append(u)
+    return len(orbit) * stab
 
 
 def automorphism_count(g: Graph) -> int:

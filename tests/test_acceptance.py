@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, not configured elsewhere.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -220,24 +221,33 @@ def test_criterion_09_coloring_simulation():
               " and caps hold", f"{ne} matching traces in {elapsed:.1f}s")
 
 
-def test_criterion_10_cli_determinism(capsys, monkeypatch):
+def test_criterion_10_cli_determinism(capsys):
+    # each command's stdout SHA-256, recorded before the Monte-Carlo
+    # substreams stopped running on a thread pool
     commands = [
-        ["classify", "Bg"],
-        ["brightness", "Bg", "--mc", "3000", "--seed", "1"],
-        ["density", "Bg", "DQc", "--mc", "1500", "--seed", "5"],
-        ["ind", "Bg", "--n", "5", "--search", "--iters", "200", "--seed", "2"],
-        ["construct", "gnp", "--k", "4", "--n", "10", "--seed", "8"],
-        ["simulate-coloring", "Dg?", "Cg", "--trials", "600", "--seed", "6"],
-        ["proba", "lambda", "--y", "0.5", "--z", "0.5"],
+        (["classify", "Bg"],
+         "11304c10d46376b55cd314a685198b14258a33b24880b0eda06ec8583b353a30"),
+        (["brightness", "Bg", "--mc", "3000", "--seed", "1"],
+         "069170f3ca4d7dc74cac7c93bc7369291596854ee878f31aaa51ebf440b3c32a"),
+        (["density", "Bg", "DQc", "--mc", "1500", "--seed", "5"],
+         "22a022a9b95709b5f3ff8d8a81ca1bd7aacf99bae7059356c893d7ff72e0f031"),
+        (["ind", "Bg", "--n", "5", "--search", "--iters", "200", "--seed", "2"],
+         "482653966ed9593356320d3e71aed48ca10b10f1603ea0f88d301ef78397d205"),
+        (["construct", "gnp", "--k", "4", "--n", "10", "--seed", "8"],
+         "1e38439253fd14d5f075847c3b17dea40f4778e5e85596e27ed9ac685b849004"),
+        (["simulate-coloring", "Dg?", "Cg", "--trials", "600", "--seed", "6"],
+         "3bbefa4cbed06227a93ce4631a90a0d992d42a9bd94e443fdf568b150ec22818"),
+        (["proba", "lambda", "--y", "0.5", "--z", "0.5"],
+         "bca40f8197b8f4f6a56f2637f05d5bcb878c53c07fa0c41743f8a06053d5797d"),
     ]
-    for argv in commands:
+    for argv, digest in commands:
         outputs = []
-        for threads in ("1", "1", "8"):
-            monkeypatch.setenv("INDUCIBILITY_THREADS", threads)
+        for _ in range(3):
             code = cli_main(list(argv))
             out = capsys.readouterr().out
             assert code == 0, (argv, out)
             outputs.append(out.encode())
         assert outputs[0] == outputs[1] == outputs[2], argv
+        assert hashlib.sha256(outputs[0]).hexdigest() == digest, argv
         json.loads(outputs[0])  # well-formed single JSON document
-    report(10, "seeded CLI output byte-identical across runs and 1 vs 8 threads")
+    report(10, "seeded CLI output byte-identical across runs and pinned")

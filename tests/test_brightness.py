@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -12,7 +13,7 @@ from inducibility.brightness import (
     is_bright,
 )
 from inducibility.errors import InputError, PreconditionError, UnsupportedSizeError
-from inducibility.graphs import Graph, with_isolated
+from inducibility.graphs import Graph, relabel, with_isolated
 from inducibility.structure import classify_vertices
 from oracles import brute_brightness, brute_detectable_last_two
 
@@ -64,6 +65,50 @@ class TestExact:
             g = random_graph(rng, n)
             detectable = set(classify_vertices(g).detectable)
             assert brightness_exact(g) == brute_brightness(g, detectable)
+
+    def test_matches_oracle_on_every_class_to_n6(self, classes_by_n):
+        for n in range(2, 7):
+            for g in classes_by_n[n]:
+                if g.edge_count() == 0:
+                    continue
+                detectable = set(classify_vertices(g).detectable)
+                assert brightness_exact(g) == brute_brightness(g, detectable), g
+
+    def test_matches_oracle_with_scattered_isolated_vertices(self):
+        rng = random.Random(24)
+        for n, graphs in ((7, 10), (8, 3)):
+            for _ in range(graphs):
+                g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+                detectable = set(classify_vertices(g).detectable)
+                # isolated vertices never have an earlier neighbor and give
+                # none to anyone, so orderings of g alone decide brightness
+                expected = brute_brightness(g, detectable)
+                extra = rng.randint(0, 2)
+                perm = list(range(n + extra))
+                rng.shuffle(perm)
+                padded = relabel(with_isolated(g, extra), perm)
+                assert brightness_exact(padded) == expected, (g, extra, perm)
+
+    def test_matches_oracle_over_all_vertices_when_padded(self):
+        rng = random.Random(25)
+        for _ in range(10):
+            n = rng.randint(3, 5)
+            extra = rng.randint(1, 7 - n)
+            perm = list(range(n + extra))
+            rng.shuffle(perm)
+            g = relabel(with_isolated(random_graph(rng, n), extra), perm)
+            detectable = set(classify_vertices(g).detectable)
+            assert brightness_exact(g) == brute_brightness(g, detectable), g
+
+    def test_pinned_values_at_the_size_limit(self):
+        caterpillar = Graph.from_edges(
+            10, [(i, i + 1) for i in range(5)] + [(1, 6), (2, 7), (3, 8), (4, 9)]
+        )
+        assert brightness_exact(Graph.path(10)) == Fraction(28, 45)
+        assert brightness_exact(caterpillar) == Fraction(1, 3)
+        start = time.perf_counter()
+        assert brightness_exact(Graph.cycle(10)) == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_isolated_invariance(self, p3):
         base = brightness_exact(p3)
@@ -121,12 +166,11 @@ class TestMC:
         b = brightness_mc(p4, 5000, seed=42)
         assert a == b
 
-    def test_thread_count_does_not_change_result(self, p4, monkeypatch):
-        monkeypatch.setenv("INDUCIBILITY_THREADS", "1")
+    def test_seeded_result_is_pinned(self, p4):
         a = brightness_mc(p4, 4000, seed=5)
-        monkeypatch.setenv("INDUCIBILITY_THREADS", "8")
         b = brightness_mc(p4, 4000, seed=5)
         assert a == b
+        assert a.successes == 651
 
 
 class TestReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -231,6 +232,26 @@ class TestOtherCommands:
         assert code == 0
         assert "elapsed_ms" in json.loads(out)
 
+    @pytest.mark.parametrize("argv", [
+        ("density", "Bg", "DQc"),
+        ("bounds", "phi", "--s", "1"),
+        ("construct", "split", "--k", "4", "--r", "1", "--n", "6", "--sigma", "0.5"),
+    ], ids=lambda a: a[0])
+    def test_timing_after_subcommand(self, capsys, argv):
+        code, before = run_cli(capsys, "--timing", *argv)
+        assert code == 0
+        code, after = run_cli(capsys, *argv, "--timing")
+        assert code == 0
+        before, after = json.loads(before), json.loads(after)
+        assert isinstance(before.pop("elapsed_ms"), int)
+        assert isinstance(after.pop("elapsed_ms"), int)
+        assert before == after
+
+    def test_no_timing_by_default(self, capsys):
+        code, out = run_cli(capsys, "density", "Bg", "DQc")
+        assert code == 0
+        assert "elapsed_ms" not in json.loads(out)
+
 
 class TestDeterminism:
     COMMANDS = [
@@ -242,12 +263,22 @@ class TestDeterminism:
         ("simulate-coloring", "DQc", "Cl", "--trials", "400", "--seed", "6"),
         ("bounds", "alpha"),
     ]
+    # SHA-256 of each command's stdout, recorded before the Monte-Carlo
+    # substreams stopped running on a thread pool
+    STDOUT_SHA256 = {
+        "classify": "11304c10d46376b55cd314a685198b14258a33b24880b0eda06ec8583b353a30",
+        "brightness": "a9a0bccea67922ca47b5f8557468b7b306ef2ad630e4dec0230844dba2fd5065",
+        "density": "0b80c61495b29fba8679fbc115a95d49a0e4821f8098b0e25ce7d543d18545fb",
+        "ind": "60e4b1c1dcab7cbb982bd777a0728220425f20e6759e077c4f38e8e7c14b9fee",
+        "construct": "1e38439253fd14d5f075847c3b17dea40f4778e5e85596e27ed9ac685b849004",
+        "simulate-coloring": "6d6ac16b4071d2053f56dc74ad2ee867ba3c79538d591ec4bf311f6bd19f7438",
+        "bounds": "df72745c0820f68a64d9604a7efc086020802e38ca214533a0f69dd3800169ac",
+    }
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
-    def test_byte_identical_across_runs_and_threads(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("INDUCIBILITY_THREADS", "1")
+    def test_byte_identical_across_runs_and_threads(self, capsys, argv):
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
-        monkeypatch.setenv("INDUCIBILITY_THREADS", "8")
-        _, third = run_cli(capsys, *argv)
-        assert first == second == third
+        assert first == second
+        digest = hashlib.sha256(first.encode()).hexdigest()
+        assert digest == self.STDOUT_SHA256[argv[0]]

