@@ -9,8 +9,11 @@ is therefore only included when --timing is passed, before or after the
 subcommand.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
-precondition or size-limit violation.  A reader that closes stdout before
-the document is written (`... | head -c 1`) gets no traceback: the command
+precondition or size-limit violation, 4 internal error.  Errors are one JSON
+line `{"error", "exit"}` on stderr.  Exit 4 is any other exception, which is
+a bug; its error names the exception type, message and innermost source
+line, and no traceback is printed.  A reader that closes stdout before the
+document is written (`... | head -c 1`) gets no traceback: the command
 still exits with its own code, 0 on success and 1 on a failed verification.
 """
 
@@ -76,6 +79,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 def _fmt(value: Any) -> Any:
@@ -607,6 +611,16 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, UnsupportedSizeError) as exc:
         print(json.dumps({"error": str(exc), "exit": EXIT_LIMIT}), file=sys.stderr)
         return EXIT_LIMIT
+    except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        error = (
+            f"internal error: {type(exc).__name__}: {exc}"
+            f" ({os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno})"
+        )
+        print(json.dumps({"error": error, "exit": EXIT_INTERNAL}), file=sys.stderr)
+        return EXIT_INTERNAL
     timing = getattr(args, "timing", False)
     elapsed = int((time.monotonic() - start) * 1000) if timing else None
     _emit(args.cmd, inputs, outputs, elapsed)

@@ -16,6 +16,12 @@ lexicographically smallest adjacency encoding.  The search prunes with
 automorphisms discovered along the way, so it is exact (never heuristic)
 while staying fast on the small, often highly symmetric graphs this package
 works with.
+
+One backtracking search, `_colored_iso`, finds a color-preserving
+automorphism.  The canonical search uses it to merge branches, and
+`_aut_order` uses it to walk the stabilizer chain: the mappings it returns,
+together with the transpositions of twin vertices, are the generators of
+the automorphism group that host enumeration prunes its augmentations by.
 """
 
 from __future__ import annotations
@@ -314,30 +320,60 @@ def non_isolated_core(g: Graph) -> Graph:
 # -- canonical forms and automorphisms ------------------------------------
 
 
-def _refine(n: int, adj: Sequence[int], colors: list[int]) -> list[int]:
-    """Stable partition under (color, multiset of neighbor colors) recoloring."""
+def _neighbors(n: int, adj: Sequence[int]) -> list[list[int]]:
+    nbrs = []
+    for v in range(n):
+        row = adj[v]
+        nb = []
+        while row:
+            low = row & -row
+            nb.append(low.bit_length() - 1)
+            row ^= low
+        nbrs.append(nb)
+    return nbrs
+
+
+def _refine(nbrs: Sequence[Sequence[int]], colors: list[int]) -> list[int]:
+    """Stable partition under (color, multiset of neighbor colors) recoloring.
+
+    `colors` are dense ranks, and so is every round's output; a round that
+    splits no cell therefore keeps every rank, and the loop stops there.
+    """
+    cells = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            row = adj[v]
-            nb = []
-            while row:
-                low = row & -row
-                nb.append(colors[low.bit_length() - 1])
-                row ^= low
-            nb.sort()
-            sigs.append((colors[v], tuple(nb)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+        get = colors.__getitem__
+        sigs = [(colors[v], tuple(sorted(map(get, nb)))) for v, nb in enumerate(nbrs)]
+        order = sorted(set(sigs))
+        if len(order) == cells:
+            return colors
+        rank = {s: i for i, s in enumerate(order)}
+        colors = [rank[s] for s in sigs]
+        cells = len(order)
 
 
-def _individualize(n: int, colors: Sequence[int], v: int) -> list[int]:
-    keys = [(colors[u], 0 if u == v else 1) for u in range(n)]
-    rank = {s: i for i, s in enumerate(sorted(set(keys)))}
-    return [rank[k] for k in keys]
+def _base_colors(nbrs: Sequence[Sequence[int]]) -> list[int]:
+    # from one cell, the first round of refinement ranks the degrees
+    degrees = [len(nb) for nb in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    return _refine(nbrs, [rank[d] for d in degrees])
+
+
+def _individualize(colors: Sequence[int], v: int) -> list[int]:
+    """Dense ranks with v split off in front of the rest of its cell, which
+    must hold another vertex."""
+    cv = colors[v]
+    return [c + 1 if c > cv or (c == cv and u != v) else c for u, c in enumerate(colors)]
+
+
+def _first_split_cell(n: int, colors: Sequence[int]) -> list[int] | None:
+    """The vertices of the smallest color held by more than one vertex."""
+    counts = [0] * n
+    for c in colors:
+        counts[c] += 1
+    for c, k in enumerate(counts):
+        if k > 1:
+            return [v for v in range(n) if colors[v] == c]
+    return None
 
 
 def _encode_order(n: int, adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
@@ -361,19 +397,12 @@ def _canonical_columns(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
         # every labeling of the edgeless / complete graph encodes identically
         return _encode_order(n, adj, range(n))
 
-    base = _refine(n, adj, [0] * n)
+    nbrs = _neighbors(n, adj)
     best: tuple[int, ...] | None = None
 
     def rec(colors: list[int]) -> None:
         nonlocal best
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target: list[int] | None = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+        target = _first_split_cell(n, colors)
         if target is None:
             order = sorted(range(n), key=colors.__getitem__)
             enc = _encode_order(n, adj, order)
@@ -388,25 +417,24 @@ def _canonical_columns(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
         for u in target:
             if any(_twins(adj, u, r) for r, _ in reps):
                 continue
-            cu = _refine(n, adj, _individualize(n, colors, u))
-            if any(_colored_iso_exists(n, adj, cr, cu) for _, cr in reps):
+            cu = _refine(nbrs, _individualize(colors, u))
+            if any(_colored_iso(n, adj, cr, cu) is not None for _, cr in reps):
                 continue
             reps.append((u, cu))
         for _, cu in reps:
             rec(cu)
 
-    rec(base)
+    rec(_base_colors(nbrs))
     assert best is not None
     return best
 
 
-@lru_cache(maxsize=1 << 18)
-def _canon_cached(n: int, adj: tuple[int, ...]) -> bytes:
-    cols = _canonical_columns(n, adj)
+def _pack_key(n: int, cols: Sequence[int]) -> bytes:
+    """The canonical columns as bytes: n, then the column bits
+    most-significant-first, zero-padded to whole bytes."""
     stream = 0
     width = 0
     for j, col in enumerate(cols, start=1):
-        # column bits re-emitted most-significant-first for a stable byte stream
         for i in range(j):
             stream = (stream << 1) | ((col >> i) & 1)
             width += 1
@@ -414,6 +442,11 @@ def _canon_cached(n: int, adj: tuple[int, ...]) -> bytes:
     stream <<= pad
     width += pad
     return bytes([n]) + stream.to_bytes(width // 8, "big")
+
+
+@lru_cache(maxsize=1 << 18)
+def _canon_cached(n: int, adj: tuple[int, ...]) -> bytes:
+    return _pack_key(n, _canonical_columns(n, adj))
 
 
 @dataclass(frozen=True)
@@ -446,17 +479,17 @@ def _twins(adj: Sequence[int], u: int, v: int) -> bool:
     return not (adj[u] ^ adj[v]) & ~((1 << u) | (1 << v))
 
 
-def _colored_iso_exists(
+def _colored_iso(
     n: int, adj: Sequence[int], c1: Sequence[int], c2: Sequence[int]
-) -> bool:
-    """Is there a permutation preserving adjacency with c2[pi(x)] = c1[x]?"""
+) -> list[int] | None:
+    """A permutation pi preserving adjacency with c2[pi[x]] = c1[x], or None."""
     hist1: dict[int, int] = {}
     hist2: dict[int, int] = {}
     for x in range(n):
         hist1[c1[x]] = hist1.get(c1[x], 0) + 1
         hist2[c2[x]] = hist2.get(c2[x], 0) + 1
     if hist1 != hist2:
-        return False
+        return None
     by_color: dict[int, list[int]] = {}
     for y in range(n):
         by_color.setdefault(c2[y], []).append(y)
@@ -492,30 +525,63 @@ def _colored_iso_exists(
             mapped_rng.pop()
         return False
 
-    return extend(0)
+    if not extend(0):
+        return None
+    pi = [0] * n
+    for x, y in zip(mapped_dom, mapped_rng):
+        pi[x] = y
+    return pi
 
 
-def _aut_order(n: int, adj: tuple[int, ...], colors: list[int]) -> int:
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    target: list[int] | None = None
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            target = cells[c]
-            break
-    if target is None:
-        return 1
-    v = target[0]
-    cv = _refine(n, adj, _individualize(n, colors, v))
-    stab = _aut_order(n, adj, cv)
-    orbit = [v]
-    for u in target[1:]:
-        if any(_twins(adj, u, w) for w in orbit) or _colored_iso_exists(
-            n, adj, cv, _refine(n, adj, _individualize(n, colors, u))
-        ):
-            orbit.append(u)
-    return len(orbit) * stab
+def _orbit(v: int, gens: Sequence[Sequence[int]]) -> set[int]:
+    orbit = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for perm in gens:
+            y = perm[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
+
+
+def _aut_order(n: int, adj: Sequence[int], gens: list[list[int]]) -> int:
+    """Order of the automorphism group, by the orbit-stabilizer recursion
+    down the stabilizer chain of the refined individualizations.
+
+    Appends a generating set of the group to `gens`.  Each level maps its
+    first target vertex v onto every vertex of v's orbit that the
+    generators found so far (all of them fix the vertices individualized
+    above this level) do not reach yet: by the transposition with a twin
+    already in the orbit, or else by the mapping `_colored_iso` finds.
+    """
+    nbrs = _neighbors(n, adj)
+
+    def level(colors: list[int]) -> int:
+        target = _first_split_cell(n, colors)
+        if target is None:
+            return 1
+        v = target[0]
+        cv = _refine(nbrs, _individualize(colors, v))
+        stab = level(cv)
+        orbit = _orbit(v, gens)
+        for u in target[1:]:
+            if u in orbit:
+                continue
+            twin = next((w for w in orbit if _twins(adj, u, w)), None)
+            if twin is not None:
+                perm = list(range(n))
+                perm[u], perm[twin] = twin, u
+            else:
+                perm = _colored_iso(n, adj, cv, _refine(nbrs, _individualize(colors, u)))
+                if perm is None:
+                    continue
+            gens.append(perm)
+            orbit = _orbit(v, gens)
+        return len(orbit) * stab
+
+    return level(_base_colors(nbrs))
 
 
 def automorphism_count(g: Graph) -> int:
@@ -524,9 +590,7 @@ def automorphism_count(g: Graph) -> int:
         raise UnsupportedSizeError(
             f"automorphism_count supports n <= {AUT_EXACT_LIMIT}, got {g.n}"
         )
-    if g.n <= 1:
-        return 1
-    return _aut_order(g.n, g.adj, _refine(g.n, g.adj, [0] * g.n))
+    return _aut_order(g.n, g.adj, [])
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

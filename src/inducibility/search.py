@@ -1,9 +1,16 @@
 """Maximum induced density over n-vertex hosts: exact for small n, local
 search for larger n.
 
-Exact mode enumerates one host per isomorphism class (vertex augmentation
-deduplicated by canonical code, which is exact) and takes the maximum
+Exact mode enumerates one host per isomorphism class and takes the maximum
 density, breaking ties by smallest canonical code so outputs are stable.
+The classes on n vertices are built by vertex augmentation: each class on
+n - 1 vertices gets a new vertex joined to a subset of its vertices, and
+the children are deduplicated by their canonical columns, which is exact.
+Subsets in one orbit of the parent's automorphism group give isomorphic
+children, so only the smallest subset of each orbit is labelled (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998); the skipped
+ones would have repeated a class already seen, so the first child seen of
+every class is the same as without the pruning.
 
 The local search is simulated annealing over single edge flips with
 geometric cooling.  Density is maintained incrementally: flipping (u, v)
@@ -22,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, UnsupportedSizeError
-from .graphs import Graph, canonical_key, parse_graph6, to_graph6
+from .graphs import Graph, _aut_order, _canonical_columns, _pack_key, parse_graph6, to_graph6
 
 ENUM_LIMIT = 9
 
@@ -45,20 +53,48 @@ class IndResult:
     mode: str  # "exact" or "lower_bound"
 
 
+def _augmentations(g: Graph) -> Iterator[int]:
+    """The smallest neighbor mask of each Aut(g)-orbit on vertex subsets,
+    in increasing order: masks in one orbit give isomorphic children."""
+    gens: list[list[int]] = []
+    _aut_order(g.n, g.adj, gens)
+    size = 1 << g.n
+    images = []
+    for perm in gens:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | (1 << perm[low.bit_length() - 1])
+        images.append(image)
+    seen = bytearray(size)
+    for mask in range(size):
+        if seen[mask]:
+            continue
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for image in images:
+                if not seen[image[m]]:
+                    seen[image[m]] = 1
+                    stack.append(image[m])
+        yield mask
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph.empty(0),)
-    seen: dict[bytes, Graph] = {}
+    # canonical columns -> rows of the first child seen with them; a mask
+    # skipped by _augmentations repeats the class of a smaller mask
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for g in _classes(n - 1):
-        for mask in range(1 << (n - 1)):
-            rows = [row | (((mask >> v) & 1) << (n - 1)) for v, row in enumerate(g.adj)]
-            rows.append(mask)
-            child = Graph(n, tuple(rows))
-            key = canonical_key(child)
-            if key not in seen:
-                seen[key] = child
-    return tuple(seen[k] for k in sorted(seen))
+        for mask in _augmentations(g):
+            rows = tuple(row | (((mask >> v) & 1) << (n - 1)) for v, row in enumerate(g.adj))
+            rows += (mask,)
+            seen.setdefault(_canonical_columns(n, rows), rows)
+    keyed = sorted((_pack_key(n, cols), rows) for cols, rows in seen.items())
+    return tuple(Graph(n, rows) for _, rows in keyed)
 
 
 def enumerate_graphs(n: int):

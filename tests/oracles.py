@@ -4,7 +4,9 @@ Everything here is deliberately brute force and structured differently
 from the package code: permutation scans instead of canonical codes, edge
 sets instead of bitmasks, and a separate graph6 decoder that indexes the
 bit stream arithmetically.  Oracles must stay independent of the paths
-they check.
+they check.  The one exception is `brute_classes`, which checks the orbit
+pruning of host enumeration: it labels every child with `canonical_key`,
+whose keys the golden digests in the tests pin independently.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from inducibility.graphs import Graph
+from inducibility.graphs import Graph, canonical_key
 
 
 def ref_decode_graph6(line: str) -> tuple[int, set[frozenset[int]]]:
@@ -156,6 +158,23 @@ def brute_is_tamed_by_permutations(h: Graph, v0: set[int]) -> bool:
         if {frozenset((mapping[u], mapping[v])) for u, v in h.edges()} != e:
             return False
     return True
+
+
+def brute_classes(n: int) -> tuple[Graph, ...]:
+    """One graph per isomorphism class on n vertices, built without orbit
+    pruning: every child of every class on one vertex fewer (a new last
+    vertex joined to each subset) is labelled by `canonical_key`, the first
+    child seen of each key is kept, and the kept ones are sorted by key."""
+    classes = (Graph.empty(0),)
+    for m in range(1, n + 1):
+        seen: dict[bytes, Graph] = {}
+        for g in classes:
+            for mask in range(1 << (m - 1)):
+                rows = [row | (((mask >> v) & 1) << (m - 1)) for v, row in enumerate(g.adj)]
+                child = Graph(m, tuple(rows + [mask]))
+                seen.setdefault(canonical_key(child), child)
+        classes = tuple(seen[k] for k in sorted(seen))
+    return classes
 
 
 def all_labeled_graphs(n: int):

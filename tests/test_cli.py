@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import inducibility
+from inducibility import cli
 from inducibility.cli import main
 from inducibility.graphs import Graph, is_isomorphic, parse_graph6, to_graph6
 
@@ -211,6 +212,20 @@ class TestOtherCommands:
         code, _ = run_cli(capsys, "construct", "gnp", "--k", "4", "--n", "100000")
         assert code == 2
         assert time.monotonic() - start < 5  # rejected before any host is built
+
+    def test_unexpected_exception_exit_4(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", boom)
+        code = main(["classify", "Bg"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        doc = json.loads(captured.err)
+        assert doc["exit"] == 4
+        assert "RuntimeError: boom" in doc["error"]
 
     def test_closed_stdout_pipe_exits_quietly(self):
         read_end, write_end = os.pipe()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations, permutations
@@ -7,6 +8,7 @@ import pytest
 from inducibility.errors import Graph6Error, InputError, UnsupportedSizeError
 from inducibility.graphs import (
     Graph,
+    _aut_order,
     automorphism_count,
     canonical_code,
     canonical_key,
@@ -196,6 +198,28 @@ class TestCanonical:
             g2 = random_graph(rng, n)
             assert is_isomorphic(g1, g2) == brute_isomorphic(g1, g2)
 
+    def test_large_graph_keys_pinned(self):
+        # golden digest of the keys of graphs beyond the n <= 8 classes, so a
+        # change to the refinement or the search cannot move them unnoticed
+        rng = random.Random(2024)
+        graphs = []
+        for n in range(9, 65, 5):
+            for p in (0.1, 0.5):
+                g = random_graph(rng, n, p)
+                graphs += [g, complement(g)]
+        graphs += [
+            Graph.cycle(30),
+            Graph.complete_bipartite(7, 9),
+            disjoint_union(Graph.cycle(5), Graph.cycle(5)),
+            with_isolated(Graph.path(6), 4),
+        ]
+        digest = hashlib.sha256()
+        for g in graphs:
+            digest.update(canonical_key(g))
+        assert digest.hexdigest() == (
+            "aa0a56718ee0eb301b62120c8377c9d1819500c29c26135615bb0071df608eb5"
+        )
+
     def test_iso_examples(self):
         assert is_isomorphic(Graph.path(3), relabel(Graph.path(3), [1, 2, 0]))
         assert not is_isomorphic(Graph.complete(3), Graph.path(3))
@@ -218,6 +242,48 @@ class TestAutomorphisms:
         sample = rng.sample(list(classes_by_n[7]), 60)
         for g in sample:
             assert automorphism_count(g) == brute_automorphisms(g)
+
+    def test_generators_generate_the_group(self, classes_by_n):
+        rng = random.Random(8)
+
+        def shuffled(g):
+            p = list(range(g.n))
+            rng.shuffle(p)
+            return relabel(g, p)
+
+        cube = Graph.from_edges(
+            8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+        )
+        graphs = [g for n in range(7) for g in classes_by_n[n]]
+        graphs += rng.sample(list(classes_by_n[7]), 30)
+        graphs += [random_graph(rng, n, rng.uniform(0.2, 0.8)) for n in (7, 7, 8, 8)]
+        graphs += [
+            shuffled(g)
+            for g in (
+                Graph.cycle(8),
+                cube,
+                disjoint_union(Graph.cycle(4), Graph.cycle(4)),
+                with_isolated(Graph.star(3), 3),
+                with_isolated(Graph.path(4), 3),
+            )
+        ]
+        for g in graphs:
+            gens = []
+            order = _aut_order(g.n, g.adj, gens)
+            e = edge_set(g)
+            for perm in gens:
+                assert sorted(perm) == list(range(g.n))
+                assert {frozenset((perm[u], perm[v])) for u, v in g.edges()} == e
+            group = {tuple(range(g.n))}
+            frontier = list(group)
+            while frontier:
+                elem = frontier.pop()
+                for perm in gens:
+                    img = tuple(perm[x] for x in elem)
+                    if img not in group:
+                        group.add(img)
+                        frontier.append(img)
+            assert len(group) == order == brute_automorphisms(g), to_graph6(g)
 
     def test_divides_factorial(self, classes_by_n):
         for n in range(1, 8):

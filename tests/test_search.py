@@ -15,12 +15,13 @@ from inducibility.graphs import (
     to_graph6,
 )
 from inducibility.search import (
+    _classes,
     _flip_delta,
     enumerate_graphs,
     ind_exact,
     ind_local_search,
 )
-from oracles import brute_ind_over_labeled
+from oracles import brute_classes, brute_ind_over_labeled
 
 
 class TestEnumerate:
@@ -40,6 +41,11 @@ class TestEnumerate:
     def test_size_limit(self):
         with pytest.raises(UnsupportedSizeError):
             list(enumerate_graphs(10))
+
+    def test_matches_unpruned_enumeration(self):
+        # the same representatives in the same order, not only as many
+        for n in range(8):
+            assert _classes(n) == brute_classes(n)
 
     @pytest.mark.slow
     def test_count_n8(self):
