@@ -42,7 +42,7 @@ from .bounds import (
     sparse_regime_bound,
     uniform_degree_bound,
 )
-from .brightness import brightness_report
+from .brightness import BrightnessReport, brightness_report
 from .coloring import simulate
 from .constructions import (
     ConstructionReport,
@@ -73,7 +73,7 @@ from .structure import (
     minimal_taming_number,
     tame_witness_from,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -150,6 +150,17 @@ def _construction_outputs(rep: ConstructionReport) -> dict:
     }
 
 
+def _brightness_outputs(rep: BrightnessReport) -> dict:
+    return {
+        "exact": rep.exact,
+        "mc": rep.mc,
+        "lb_m2": rep.lb_m2,
+        "lb_m1": rep.lb_m1,
+        "special_m1": rep.special_m1,
+        "lb_const": rep.lb_const,
+    }
+
+
 def _bound_outputs(rep: BoundReport) -> dict:
     return {
         "regime": rep.regime,
@@ -192,14 +203,7 @@ def _cmd_classify(args) -> tuple[dict, dict]:
         outputs["minimal_taming_number"] = None
     if prof.edge_count >= 2:
         rep = brightness_report(h, mc_samples=args.mc, seed=args.seed)
-        outputs["brightness"] = {
-            "exact": rep.exact,
-            "mc": rep.mc,
-            "lb_m2": rep.lb_m2,
-            "lb_m1": rep.lb_m1,
-            "special_m1": rep.special_m1,
-            "lb_const": rep.lb_const,
-        }
+        outputs["brightness"] = _brightness_outputs(rep)
     else:
         outputs["brightness"] = None
     return {"graph": to_graph6(h), "mc": args.mc, "seed": args.seed}, outputs
@@ -227,15 +231,8 @@ def _cmd_tame(args) -> tuple[dict, dict]:
 def _cmd_brightness(args) -> tuple[dict, dict]:
     h = _read_graph(args.graph)
     rep = brightness_report(h, mc_samples=args.mc, seed=args.seed)
-    outputs = {
-        "exact": rep.exact,
-        "mc": rep.mc,
-        "lb_m2": rep.lb_m2,
-        "lb_m1": rep.lb_m1,
-        "special_m1": rep.special_m1,
-        "lb_const": rep.lb_const,
-    }
-    return {"graph": to_graph6(h), "mc": args.mc, "seed": args.seed}, outputs
+    inputs = {"graph": to_graph6(h), "mc": args.mc, "seed": args.seed}
+    return inputs, _brightness_outputs(rep)
 
 
 def _cmd_density(args) -> tuple[dict, dict]:
@@ -435,15 +432,18 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, int]:
-    results = run_suite(args.suite)
-    failed = [r for r in results if not r.ok]
+    timing = getattr(args, "timing", False)
+    checks = []
+    for r, seconds in run_suite(args.suite):
+        checks.append({"name": r.name, "ok": r.ok, "detail": r.detail})
+        if timing:
+            checks[-1]["elapsed_ms"] = int(seconds * 1000)
+    failed = sum(not c["ok"] for c in checks)
     outputs = {
         "suite": args.suite,
-        "checks": [
-            {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-        ],
-        "passed": len(results) - len(failed),
-        "failed": len(failed),
+        "checks": checks,
+        "passed": len(checks) - failed,
+        "failed": failed,
     }
     code = EXIT_OK if not failed else EXIT_VERIFY_FAILED
     return {"suite": args.suite}, outputs, code
@@ -577,8 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
 
     p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("suite", choices=["appendix", "structure", "brightness",
-                                     "coloring", "all"])
+    p.add_argument("suite", choices=[*SUITES, "all"])
     return parser
 
 

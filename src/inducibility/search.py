@@ -211,6 +211,10 @@ def load_checkpoint(
         raise CheckpointError(f"checkpoint graphs do not have n = {n} vertices")
     if iteration < 0 or since_improve < 0 or not temperature >= 0:
         raise CheckpointError("checkpoint has a negative counter or temperature")
+    words = rng.getstate()[1]  # setstate keeps the low 32 bits of each word
+    if not (words[0] >> 31 or any(words[1:624])):
+        # this Mersenne Twister state draws 0 forever: no flip finds a second vertex
+        raise CheckpointError("checkpoint rng_state is the all-zero generator state")
     best_copies = _count_matches(pattern, best.adj)
     recount = Fraction(best_copies, math.comb(n, h.n))
     if recount != stored:

@@ -1,17 +1,23 @@
-"""Named invariant suites behind the `verify` CLI command.
+"""Named invariant checks behind the `verify` CLI command.
 
-Each check returns its name, a pass flag, and a short detail string; on
-failure the detail carries a graph6 counterexample whenever one exists.
-These are the always-on deterministic checks; the pytest suite runs them
-too, alongside the per-module unit tests.
+Every finite statement the package checks is defined here once, as a
+zero-argument check returning its name, a pass flag and a short detail
+string; on failure the detail carries a graph6 counterexample whenever one
+exists.  `SUITES` is the table of each suite's checks, in order, and "all"
+runs the tables one after another.  The pytest suite reads these same
+checks, each run at most once per session, and `run_check` times one check
+for both it and `verify --timing`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .bounds import phi
 from .brightness import (
@@ -40,11 +46,14 @@ from .search import _classes
 from .structure import (
     classify_vertices,
     is_obscure_oracle,
+    is_tamed_by,
     minimal_taming_number,
     tame_witness_from,
 )
 
 E = math.e
+MAX_N = 7  # the structure checks run over every graph with at most MAX_N vertices
+MAX_M = 7  # the brightness checks run over every core with at most MAX_M vertices
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,14 @@ class CheckResult:
     detail: str
 
 
+Check = Callable[[], CheckResult]
+
+
+def _named(name: str) -> Callable[[Callable[[], tuple[bool, str]]], Check]:
+    """The check `name` made from a body returning (ok, detail)."""
+    return lambda body: functools.wraps(body)(lambda: CheckResult(name, *body()))
+
+
 def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
@@ -61,26 +78,32 @@ def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _se(p: float, trials: int) -> float:
+    """Standard error of a frequency p over `trials` draws, floored above 0."""
+    return math.sqrt(max(p * (1 - p), 1e-12) / trials)
+
+
 # -- appendix suite --------------------------------------------------------
 
 
-def _check_hypergeom_normalization() -> CheckResult:
-    rng = random.Random(20240)
-    for _ in range(200):
-        n = rng.randint(1, 60)
-        r = rng.randint(0, n)
-        k = rng.randint(0, n)
-        total = sum(
-            hypergeom_point(HypergeomParams(n, r, k, s)) for s in range(k + 1)
-        )
-        if total != 1:
-            return CheckResult(
-                "hypergeom_pmf_sums_to_one", False, f"n={n} r={r} k={k} sum={total}"
+@_named("hypergeom_pmf_sums_to_one")
+def _check_hypergeom_normalization():
+    for seed, max_n in ((20240, 60), (20251, 70), (61, 80)):
+        rng = random.Random(seed)
+        for _ in range(200):
+            n = rng.randint(1, max_n)
+            r = rng.randint(0, n)
+            k = rng.randint(0, n)
+            total = sum(
+                hypergeom_point(HypergeomParams(n, r, k, s)) for s in range(k + 1)
             )
-    return CheckResult("hypergeom_pmf_sums_to_one", True, "200 random parameter sets")
+            if total != 1:
+                return False, f"n={n} r={r} k={k} sum={total}"
+    return True, "600 random parameter sets, n <= 80"
 
 
-def _check_hypergeom_binomial_cap() -> CheckResult:
+@_named("hypergeom_capped_by_binomial_mode")
+def _check_hypergeom_binomial_cap():
     rng = random.Random(20241)
     for _ in range(40):
         k = rng.randint(2, 12)
@@ -90,260 +113,237 @@ def _check_hypergeom_binomial_cap() -> CheckResult:
         pmf = hypergeom_point(HypergeomParams(n, r, k, s))
         cap = binom_point_max_bound(k, s)
         if float(pmf) > float(cap) + 0.01:
-            return CheckResult(
-                "hypergeom_capped_by_binomial_mode",
-                False,
-                f"n={n} r={r} k={k} s={s}: {float(pmf)} > {float(cap)}+0.01",
-            )
-    return CheckResult(
-        "hypergeom_capped_by_binomial_mode", True, "40 random large-population sets"
-    )
+            return False, f"n={n} r={r} k={k} s={s}: {float(pmf)} > {float(cap)}+0.01"
+    return True, "40 random large-population sets"
 
 
-def _check_multi_joint_cap() -> CheckResult:
-    rng = random.Random(20242)
+@_named("joint_hits_capped_by_poisson_mass")
+def _check_multi_joint_cap():
     n, k = 10**4, 100
-    for s in (1, 2):
-        for f in (1, 2, 3):
-            for _ in range(5):
-                parts = tuple(rng.randint(1, n // (2 * f)) for _ in range(f))
-                pmf = multi_hypergeom_joint(n, k, parts, s)
-                if float(pmf) > phi(s) ** f + 0.05:
-                    return CheckResult(
-                        "joint_hits_capped_by_poisson_mass",
-                        False,
-                        f"s={s} f={f} parts={parts}: {float(pmf)}",
-                    )
-    return CheckResult(
-        "joint_hits_capped_by_poisson_mass", True, "s in {1,2}, f in {1,2,3}"
-    )
+    for seed, draws in ((20242, 5), (62, 1)):
+        rng = random.Random(seed)
+        for s in (1, 2):
+            for f in (1, 2, 3):
+                for _ in range(draws):
+                    parts = tuple(rng.randint(1, n // (2 * f)) for _ in range(f))
+                    pmf = multi_hypergeom_joint(n, k, parts, s)
+                    if float(pmf) > phi(s) ** f + 0.05:
+                        return False, f"s={s} f={f} parts={parts}: {float(pmf)}"
+    return True, "s in {1,2}, f in {1,2,3}, 6 draws each"
 
 
-def _check_phi_decreasing() -> CheckResult:
+@_named("poisson_mass_strictly_decreasing")
+def _check_phi_decreasing():
     ok = all(phi(s) > phi(s + 1) for s in range(1, 100)) and phi(100) < 0.04
-    return CheckResult(
-        "poisson_mass_strictly_decreasing", ok, f"phi(100)={phi(100):.6f}"
-    )
+    return ok, f"phi(100)={phi(100):.6f}"
 
 
-def _check_phi_binomial_limit() -> CheckResult:
+@_named("poisson_mass_is_binomial_limit")
+def _check_phi_binomial_limit():
     for s in (1, 2, 3):
         val = float(binom_point(10**4, Fraction(s, 10**4), s))
         if abs(val - phi(s)) >= 1e-3:
-            return CheckResult(
-                "poisson_mass_is_binomial_limit", False, f"s={s}: {val} vs {phi(s)}"
-            )
-    return CheckResult("poisson_mass_is_binomial_limit", True, "s in {1,2,3} at k=10^4")
+            return False, f"s={s}: {val} vs {phi(s)}"
+    return True, "s in {1,2,3} at k=10^4"
 
 
-def _check_poly_exp_grid() -> CheckResult:
+@_named("poly_times_exp_capped")
+def _check_poly_exp_grid():
     for s in range(1, 21):
         for i in range(501):
             x = i / 10
             lhs, rhs, ok = poly_exp_check(s, x)
             if not ok:
-                return CheckResult(
-                    "poly_times_exp_capped", False, f"s={s} x={x}: {lhs} > {rhs}"
-                )
-    return CheckResult("poly_times_exp_capped", True, "grid s<=20, x<=50")
+                return False, f"s={s} x={x}: {lhs} > {rhs}"
+    return True, "grid s<=20, x<=50"
 
 
-def _check_lambda_grid() -> CheckResult:
+@_named("lambda_interval_nonempty")
+def _check_lambda_grid():
+    # the slack exp(y+z) - y^2 e^2/4 - z e is nonnegative on the whole grid;
+    # it is tight at (2, 0), the equality point of the poly-exp bound at s = 2
     for i in range(101):
         for j in range(101):
             y, z = i / 20, j / 20
             ls = lambda_split(y, z)  # raises loudly if the interval is empty
-            if not (0 <= ls.lam <= 1 and ls.lo <= ls.lam <= ls.hi + 1e-12):
-                return CheckResult(
-                    "lambda_interval_nonempty", False, f"y={y} z={z}: {ls}"
-                )
+            slack = math.exp(y + z) - y * y * E * E / 4 - z * E
+            if not (0 <= ls.lam <= 1 and ls.lo <= ls.lam <= ls.hi + 1e-12) or slack < -1e-9:
+                return False, f"y={y} z={z}: {ls} slack={slack}"
     special = lambda_split(2 / E, 1 - 2 / E)
     ok = abs(special.lo - 1 / E) < 1e-12 and abs(special.hi - 2 / E) < 1e-12
-    return CheckResult(
-        "lambda_interval_nonempty",
-        ok,
-        f"grid y,z<=5 plus interval [{special.lo:.6f},{special.hi:.6f}] at the minimizer",
+    return ok, (
+        f"grid y,z<=5 plus interval [{special.lo:.6f},{special.hi:.6f}] at the minimizer"
     )
 
 
-def _check_binomial_mode_sweep() -> CheckResult:
-    for k, s in ((4, 2), (7, 3), (12, 5), (9, 1)):
+@_named("binomial_mode_is_maximum")
+def _check_binomial_mode_sweep():
+    for k, s in ((4, 2), (7, 3), (12, 5), (9, 1), (9, 4), (12, 1), (10, 3), (6, 5)):
         cap = binom_point_max_bound(k, s)
         for i in range(21):
             p = Fraction(i, 20)
             if binom_point(k, p, s) > cap:
-                return CheckResult(
-                    "binomial_mode_is_maximum", False, f"k={k} s={s} p={p}"
-                )
-    return CheckResult("binomial_mode_is_maximum", True, "p grid step 1/20, exact")
-
-
-def appendix_suite() -> list[CheckResult]:
-    return [
-        _check_hypergeom_normalization(),
-        _check_hypergeom_binomial_cap(),
-        _check_multi_joint_cap(),
-        _check_phi_decreasing(),
-        _check_phi_binomial_limit(),
-        _check_poly_exp_grid(),
-        _check_lambda_grid(),
-        _check_binomial_mode_sweep(),
-    ]
+                return False, f"k={k} s={s} p={p}"
+    return True, "8 (k, s) pairs, p grid step 1/20, exact"
 
 
 # -- structure suite -------------------------------------------------------
 
 
-def _check_detectable_characterization(max_n: int) -> CheckResult:
+@_named("detectable_characterization")
+def _check_detectable_characterization():
+    graphs = [h for n in range(1, MAX_N + 1) for h in _classes(n)]
+    for n in range(1, 6):  # and every labelled graph, so no labelling is favoured
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for bits in range(1 << len(pairs)):
+            graphs.append(Graph.from_edges(n, [p for b, p in enumerate(pairs) if bits >> b & 1]))
     checks = 0
-    for n in range(1, max_n + 1):
-        for h in _classes(n):
-            obscure = classify_vertices(h).obscure
-            for v in range(n):
-                if h.adj[v] == 0:
-                    continue
-                checks += 1
-                if is_obscure_oracle(h, v) != (v in obscure):
-                    return CheckResult(
-                        "detectable_characterization",
-                        False,
-                        f"graph {to_graph6(h)} vertex {v}",
-                    )
-    return CheckResult(
-        "detectable_characterization",
-        True,
-        f"{checks} vertex checks over all graphs with n <= {max_n}",
+    for h in graphs:
+        obscure = classify_vertices(h).obscure
+        for v in range(h.n):
+            if h.adj[v] == 0:
+                continue
+            checks += 1
+            if is_obscure_oracle(h, v) != (v in obscure):
+                return False, f"graph {to_graph6(h)} vertex {v}"
+    return True, (
+        f"{checks} vertex checks over all graphs with n <= {MAX_N}"
+        " and all labelled graphs with n <= 5"
     )
 
 
-def _check_happy_floor(max_n: int) -> CheckResult:
-    for n in range(1, max_n + 1):
+@_named("happy_count_floor")
+def _check_happy_floor():
+    for n in range(1, MAX_N + 1):
         for h in _classes(n):
             prof_m2 = sum(1 for v in range(n) if h.adj[v].bit_count() >= 2)
             if len(classify_vertices(h).happy) < prof_m2:
-                return CheckResult("happy_count_floor", False, to_graph6(h))
-    return CheckResult("happy_count_floor", True, f"all graphs with n <= {max_n}")
+                return False, to_graph6(h)
+    return True, f"all graphs with n <= {MAX_N}"
 
 
-def _check_detectable_deletion(max_n: int) -> CheckResult:
-    for n in range(2, max_n + 1):
+@_named("detectable_deletion_keeps_an_edge")
+def _check_detectable_deletion():
+    for n in range(2, MAX_N + 1):
         for h in _classes(n):
             if h.edge_count() < 2:
                 continue
             for v in classify_vertices(h).detectable:
                 if h.edge_count() - h.adj[v].bit_count() < 1:
-                    return CheckResult(
-                        "detectable_deletion_keeps_an_edge",
-                        False,
-                        f"graph {to_graph6(h)} vertex {v}",
-                    )
-    return CheckResult(
-        "detectable_deletion_keeps_an_edge", True, f"all graphs with n <= {max_n}"
-    )
+                    return False, f"graph {to_graph6(h)} vertex {v}"
+    return True, f"all graphs with n <= {MAX_N}"
 
 
-def _check_closure_witness() -> CheckResult:
-    rng = random.Random(4111)
+def _witness_draws():
+    """Three seeded streams of (rng, h); the caller draws each seed set next."""
+    for seed, trials, lo, hi in ((4111, 1000, 0.15, 0.85), (12, 300, 0.1, 0.9)):
+        rng = random.Random(seed)
+        for _ in range(trials):
+            n = rng.randint(1, 12)
+            yield rng, _random_graph(rng, n, rng.uniform(lo, hi))
+    rng = random.Random(20250)
     for _ in range(1000):
         n = rng.randint(1, 12)
-        h = _random_graph(rng, n, rng.uniform(0.15, 0.85))
-        s = {v for v in range(n) if rng.random() < 0.4}
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < rng.choice((0.2, 0.5, 0.8))
+        ]
+        yield rng, Graph.from_edges(n, edges)
+
+
+@_named("closure_witness_always_tames")
+def _check_closure_witness():
+    for rng, h in _witness_draws():
+        s = {v for v in range(h.n) if rng.random() < 0.4}
         w = tame_witness_from(h, s)
-        if not w.valid:
-            return CheckResult(
-                "closure_witness_always_tames", False, f"{to_graph6(h)} s={sorted(s)}"
-            )
-    return CheckResult("closure_witness_always_tames", True, "1000 random (h, s) pairs")
+        if not (w.valid and is_tamed_by(h, w.v0) and s <= w.v0):
+            return False, f"{to_graph6(h)} s={sorted(s)}"
+    return True, "2300 random (h, s) pairs: the closure contains s and tames h"
 
 
-def _check_aut_vs_taming(max_n: int) -> CheckResult:
-    for n in range(1, max_n + 1):
+def _aut_floor_holds(h: Graph) -> bool:
+    """|Aut(h)| >= (n - D)! for the minimal taming number D of h."""
+    return automorphism_count(h) >= math.factorial(h.n - minimal_taming_number(h)[0])
+
+
+@_named("aut_floor_from_taming")
+def _check_aut_vs_taming():
+    named = [(Graph.path(4), 3), (Graph.star(3), 1)]
+    for h, d in named + [(Graph.complete(k), 0) for k in range(MAX_N + 1)]:
+        if minimal_taming_number(h)[0] != d:
+            return False, f"{to_graph6(h)}: minimal taming number is not {d}"
+    for n in range(1, MAX_N + 1):
         for h in _classes(n):
-            d, _ = minimal_taming_number(h)
-            if automorphism_count(h) < math.factorial(n - d):
-                return CheckResult("aut_floor_from_taming", False, to_graph6(h))
-    return CheckResult("aut_floor_from_taming", True, f"all graphs with n <= {max_n}")
+            if not _aut_floor_holds(h):
+                return False, to_graph6(h)
+    return True, f"all graphs with n <= {MAX_N}; D(P4)=3, D(K1,3)=1, D(Kk)=0 for k <= 7"
 
 
-def _check_taming_complement(max_n: int) -> CheckResult:
-    for n in range(1, max_n + 1):
+@_named("taming_complement_invariant")
+def _check_taming_complement():
+    for n in range(1, MAX_N + 1):
         for h in _classes(n):
             if minimal_taming_number(h)[0] != minimal_taming_number(complement(h))[0]:
-                return CheckResult("taming_complement_invariant", False, to_graph6(h))
-    return CheckResult(
-        "taming_complement_invariant", True, f"all graphs with n <= {max_n}"
-    )
-
-
-def structure_suite(max_n: int = 7) -> list[CheckResult]:
-    return [
-        _check_detectable_characterization(max_n),
-        _check_happy_floor(max_n),
-        _check_detectable_deletion(max_n),
-        _check_closure_witness(),
-        _check_aut_vs_taming(min(max_n, 7)),
-        _check_taming_complement(min(max_n, 7)),
-    ]
+                return False, to_graph6(h)
+    return True, f"all graphs with n <= {MAX_N}"
 
 
 # -- brightness suite ------------------------------------------------------
 
 
-def _core_family(max_m: int):
-    for m in range(2, max_m + 1):
+def _core_family():
+    for m in range(2, MAX_M + 1):
         for h in _classes(m):
             if h.isolated_mask() or h.edge_count() < 2:
                 continue
             yield h
 
 
-def _check_brightness_floor(max_m: int) -> CheckResult:
+@_named("brightness_floor_one_twelfth")
+def _check_brightness_floor():
     floor = Fraction(1, 12)
     count = 0
-    for h in _core_family(max_m):
+    for h in _core_family():
         count += 1
         if brightness_exact(h) < floor:
-            return CheckResult("brightness_floor_one_twelfth", False, to_graph6(h))
-    return CheckResult(
-        "brightness_floor_one_twelfth", True, f"{count} cores with m <= {max_m}"
-    )
+            return False, to_graph6(h)
+    return True, f"{count} cores with m <= {MAX_M}"
 
 
-def _check_brightness_bounds(max_m: int) -> CheckResult:
-    for h in _core_family(max_m):
+@_named("closed_form_bounds_below_exact")
+def _check_brightness_bounds():
+    for h in _core_family():
         nu = brightness_exact(h)
         b = brightness_lower_bounds(h)
         if b.lb_m2 > nu or b.lb_m1 > nu or b.special_m1 > nu:
-            return CheckResult("closed_form_bounds_below_exact", False, to_graph6(h))
-    return CheckResult(
-        "closed_form_bounds_below_exact", True, f"all cores with m <= {max_m}"
-    )
+            return False, to_graph6(h)
+    return True, f"all cores with m <= {MAX_M}"
 
 
-def _check_all_detectable(max_m: int) -> CheckResult:
-    for h in _core_family(max_m):
+@_named("all_detectable_gives_one")
+def _check_all_detectable():
+    for h in _core_family():
         if len(classify_vertices(h).detectable) == h.n and brightness_exact(h) != 1:
-            return CheckResult("all_detectable_gives_one", False, to_graph6(h))
-    return CheckResult("all_detectable_gives_one", True, f"all cores with m <= {max_m}")
+            return False, to_graph6(h)
+    return True, f"all cores with m <= {MAX_M}"
 
 
-def _check_isolated_invariance() -> CheckResult:
+@_named("brightness_ignores_isolated_vertices")
+def _check_isolated_invariance():
     rng = random.Random(555)
-    for _ in range(30):
-        m = rng.randint(2, 6)
-        h = _random_graph(rng, m, 0.5)
+    cases = [(_random_graph(rng, rng.randint(2, 6), 0.5), (1, 3)) for _ in range(30)]
+    for h, extras in cases + [(Graph.path(3), (1, 2, 5))]:
         base = brightness_exact(h)
-        for extra in (1, 3):
+        for extra in extras:
             if brightness_exact(with_isolated(h, extra)) != base:
-                return CheckResult(
-                    "brightness_ignores_isolated_vertices", False, to_graph6(h)
-                )
-    return CheckResult(
-        "brightness_ignores_isolated_vertices", True, "30 random cores, +1/+3 isolated"
-    )
+                return False, to_graph6(h)
+    return True, "30 random cores, +1/+3 isolated; P3, +1/+2/+5 isolated"
 
 
-def _check_named_brightness() -> CheckResult:
+@_named("named_brightness_values")
+def _check_named_brightness():
     p3 = Graph.path(3)
     two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
     ok = (
@@ -351,10 +351,11 @@ def _check_named_brightness() -> CheckResult:
         and brightness_exact(two_k2) == 1
         and brightness_exact(Graph.complete(3)) == 1
     )
-    return CheckResult("named_brightness_values", ok, "P3=1/3, 2K2=1, K3=1")
+    return ok, "P3=1/3, 2K2=1, K3=1"
 
 
-def _check_mc_coverage() -> CheckResult:
+@_named("mc_interval_coverage")
+def _check_mc_coverage():
     p3 = Graph.path(3)
     truth = Fraction(1, 3)
     hits = 0
@@ -362,119 +363,135 @@ def _check_mc_coverage() -> CheckResult:
         est = brightness_mc(p3, 2000, seed)
         if est.ci_low <= float(truth) <= est.ci_high:
             hits += 1
-    return CheckResult(
-        "mc_interval_coverage", hits >= 90, f"{hits}/100 seeded intervals cover 1/3"
-    )
-
-
-def brightness_suite(max_m: int = 7) -> list[CheckResult]:
-    return [
-        _check_brightness_floor(max_m),
-        _check_brightness_bounds(max_m),
-        _check_all_detectable(max_m),
-        _check_isolated_invariance(),
-        _check_named_brightness(),
-        _check_mc_coverage(),
-    ]
+    return hits >= 90, f"{hits}/100 seeded intervals cover 1/3"
 
 
 # -- coloring suite --------------------------------------------------------
 
 
-def _check_coloring_inclusions() -> CheckResult:
+@_named("match_inside_signature_union")
+def _check_coloring_inclusions():
+    # the proven inclusions, P[A1 | match] >= 1/3 and the caps 2/e^2 and 1/e
     g = with_isolated(Graph.path(3), 7)
     h = with_isolated(Graph.path(3), 2)
-    s = simulate(g, h, 20000, seed=7)
-    ok = s.match_outside_signatures == 0 and s.isolated_nonblack_violations == 0
-    return CheckResult(
-        "match_inside_signature_union",
-        ok,
-        f"violations={s.match_outside_signatures},"
-        f" isolated={s.isolated_nonblack_violations} over {s.trials} trials",
+    for trials, seed in ((50_000, 7), (100_000, 42)):
+        s = simulate(g, h, trials, seed=seed)
+        ne = s.count_full_match
+        p_a1 = s.count_two_green_and_match / max(ne, 1)
+        p1 = s.freq(s.count_two_green_no_consecutive)
+        p2 = s.freq(s.count_one_red)
+        if not (
+            s.match_outside_signatures == s.isolated_nonblack_violations == s.truncated == 0
+            and s.count_two_green_and_match + s.count_one_red_and_match == ne > 0
+            and p_a1 >= 1 / 3 - 3 * _se(p_a1, max(ne, 1))
+            and p1 <= 2 / E**2 + 4 * _se(p1, trials)
+            and p2 <= 1 / E + 4 * _se(p2, trials)
+        ):
+            return False, (
+                f"seed={seed}: violations={s.match_outside_signatures},"
+                f" isolated={s.isolated_nonblack_violations}, truncated={s.truncated},"
+                f" matches={ne}, P[A1|match]={p_a1:.4f}, A1&!B={p1:.4f}, A2={p2:.4f}"
+            )
+    return True, (
+        "violations=0, isolated=0 over 50000 + 100000 trials;"
+        " P[A1|match] >= 1/3 and the caps 2/e^2, 1/e within their standard errors"
     )
 
 
-def _check_match_trace_shape() -> CheckResult:
+@_named("match_trace_shape")
+def _check_match_trace_shape():
     g = with_isolated(Graph.path(3), 7)
     h = with_isolated(Graph.path(3), 2)
     k = h.n
     seen = 0
     for seed in range(4000):
         tr = run_trial(g, h, seed=seed)
+        if tr.isolated_nonblack_violations:
+            return False, f"seed={seed}: an isolated arrival was not black"
         if not tr.full_match or tr.truncated:
             continue
         seen += 1
-        if tr.green_count + tr.red_count > 2 or tr.stop_index not in (k - 1, k):
-            return CheckResult(
-                "match_trace_shape",
-                False,
-                f"seed={seed} Y={tr.green_count} Z={tr.red_count} L={tr.stop_index}",
-            )
-    return CheckResult(
-        "match_trace_shape", True, f"{seen} matching traces: Y+Z <= 2, L in {{k-1, k}}"
-    )
+        if (
+            not (tr.two_green or tr.one_red)
+            or tr.green_count + tr.red_count > 2
+            or tr.stop_index not in (k - 1, k)
+        ):
+            return False, f"seed={seed} Y={tr.green_count} Z={tr.red_count} L={tr.stop_index}"
+    return seen > 0, f"{seen} matching traces: a signature, Y+Z <= 2, L in {{k-1, k}}"
 
 
-def _check_conditional_consecutive() -> CheckResult:
+@_named("consecutive_conditional_bound")
+def _check_conditional_consecutive():
     g = with_isolated(Graph.path(3), 27)
     h = with_isolated(Graph.path(3), 7)
     s = simulate(g, h, 20000, seed=11)
     ne = s.count_full_match
     if ne == 0:
-        return CheckResult("consecutive_conditional_bound", True, "no matches drawn")
+        return True, "no matches drawn"
     p = s.count_consecutive_and_match / ne
-    se = math.sqrt(max(p * (1 - p), 1e-12) / ne)
-    bound = 3 * 3 / h.n + 4 * se
-    return CheckResult(
-        "consecutive_conditional_bound",
-        p <= bound,
-        f"P[consecutive|match]={p:.4f} <= {bound:.4f} ({ne} matches)",
-    )
+    bound = 3 * 3 / h.n + 4 * _se(p, ne)
+    return p <= bound, f"P[consecutive|match]={p:.4f} <= {bound:.4f} ({ne} matches)"
 
 
-def _check_signature_caps() -> CheckResult:
+@_named("signature_probability_caps")
+def _check_signature_caps():
     for extra_host, extra_pat, seed in ((7, 2, 3), (17, 5, 4)):
         g = with_isolated(Graph.path(3), extra_host)
         h = with_isolated(Graph.path(3), extra_pat)
         s = simulate(g, h, 20000, seed=seed)
         p1 = s.freq(s.count_two_green_no_consecutive)
-        se1 = math.sqrt(max(p1 * (1 - p1), 1e-12) / s.trials)
         p2 = s.freq(s.count_one_red)
-        se2 = math.sqrt(max(p2 * (1 - p2), 1e-12) / s.trials)
-        if p1 > 2 / E**2 + 4 * se1 or p2 > 1 / E + 4 * se2:
-            return CheckResult(
-                "signature_probability_caps",
-                False,
-                f"host+{extra_host}: A1&!B={p1:.4f}, A2={p2:.4f}",
-            )
-    return CheckResult(
-        "signature_probability_caps", True, "two host sizes, 20000 trials each"
-    )
+        if p1 > 2 / E**2 + 4 * _se(p1, s.trials) or p2 > 1 / E + 4 * _se(p2, s.trials):
+            return False, f"host+{extra_host}: A1&!B={p1:.4f}, A2={p2:.4f}"
+    return True, "two host sizes, 20000 trials each"
 
 
-def coloring_suite() -> list[CheckResult]:
-    return [
-        _check_coloring_inclusions(),
-        _check_match_trace_shape(),
-        _check_conditional_consecutive(),
-        _check_signature_caps(),
-    ]
-
-
-SUITES = {
-    "appendix": lambda: appendix_suite(),
-    "structure": lambda: structure_suite(),
-    "brightness": lambda: brightness_suite(),
-    "coloring": lambda: coloring_suite(),
+SUITES: dict[str, tuple[Check, ...]] = {
+    "appendix": (
+        _check_hypergeom_normalization,
+        _check_hypergeom_binomial_cap,
+        _check_multi_joint_cap,
+        _check_phi_decreasing,
+        _check_phi_binomial_limit,
+        _check_poly_exp_grid,
+        _check_lambda_grid,
+        _check_binomial_mode_sweep,
+    ),
+    "structure": (
+        _check_detectable_characterization,
+        _check_happy_floor,
+        _check_detectable_deletion,
+        _check_closure_witness,
+        _check_aut_vs_taming,
+        _check_taming_complement,
+    ),
+    "brightness": (
+        _check_brightness_floor,
+        _check_brightness_bounds,
+        _check_all_detectable,
+        _check_isolated_invariance,
+        _check_named_brightness,
+        _check_mc_coverage,
+    ),
+    "coloring": (
+        _check_coloring_inclusions,
+        _check_match_trace_shape,
+        _check_conditional_consecutive,
+        _check_signature_caps,
+    ),
 }
 
 
-def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        results = []
-        for key in ("appendix", "structure", "brightness", "coloring"):
-            results.extend(SUITES[key]())
-        return results
-    if name not in SUITES:
+def run_check(check: Check) -> tuple[CheckResult, float]:
+    """One check's result and its elapsed wall-clock seconds."""
+    start = time.perf_counter()
+    result = check()
+    return result, time.perf_counter() - start
+
+
+def run_suite(name: str) -> list[tuple[CheckResult, float]]:
+    """Every check of suite `name`, or of every suite in order for "all", timed."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name]()
+    tables = SUITES.values() if name == "all" else [SUITES[name]]
+    return [run_check(check) for table in tables for check in table]

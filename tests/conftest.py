@@ -7,12 +7,31 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from inducibility.graphs import Graph
 from inducibility.search import _classes
+from inducibility.verify import run_check
 
 
 @pytest.fixture(scope="session")
 def classes_by_n():
     """One representative per isomorphism class, keyed by vertex count."""
     return {n: _classes(n) for n in range(8)}
+
+
+class _Verified:
+    """`verified(check)` is the result of one `verify` check, run the first
+    time any test asks for it; `verified.seconds[check]` is how long it took."""
+
+    def __init__(self):
+        self.results, self.seconds = {}, {}
+
+    def __call__(self, check):
+        if check not in self.results:
+            self.results[check], self.seconds[check] = run_check(check)
+        return self.results[check]
+
+
+@pytest.fixture(scope="session")
+def verified():
+    return _Verified()
 
 
 @pytest.fixture

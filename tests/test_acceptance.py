@@ -1,7 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; every tolerance is pinned here, not configured elsewhere.
+lines.  Criteria 01-04, 06 and 09 (and the phi line of 05) are checks of
+`inducibility.verify`, which pins their tolerances; they are read from the
+session's `verified` fixture, so each check runs once per test session and
+`inducibility verify all` runs the same definitions.  The other tolerances
+are pinned here.
 """
 
 import hashlib
@@ -10,39 +14,16 @@ import math
 import time
 from fractions import Fraction
 
+from inducibility import verify
 from inducibility.bounds import (
     find_sparse_alpha,
     high_degree_pair_bound,
-    phi,
     sparse_regime_bound,
 )
-from inducibility.brightness import brightness_exact, brightness_lower_bounds
 from inducibility.cli import main as cli_main
-from inducibility.coloring import simulate
 from inducibility.constructions import split_construction
-from inducibility.graphs import (
-    Graph,
-    automorphism_count,
-    complement,
-    is_isomorphic,
-    with_isolated,
-)
-from inducibility.proba import (
-    HypergeomParams,
-    binom_point,
-    binom_point_max_bound,
-    hypergeom_point,
-    lambda_split,
-    poly_exp_check,
-)
+from inducibility.graphs import Graph, complement, is_isomorphic
 from inducibility.search import _classes, ind_exact
-from inducibility.structure import (
-    classify_vertices,
-    is_obscure_oracle,
-    is_tamed_by,
-    minimal_taming_number,
-    tame_witness_from,
-)
 
 E = math.e
 
@@ -52,121 +33,53 @@ def report(num, label, detail=""):
     print(f"ACCEPTANCE {num:02d}: PASS - {label}{suffix}")
 
 
-def test_criterion_01_detectability_characterization():
-    start = time.monotonic()
-    checks = 0
-    for n in range(1, 8):
-        for h in _classes(n):
-            obscure = classify_vertices(h).obscure
-            for v in range(n):
-                if h.adj[v] == 0:
-                    continue
-                checks += 1
-                assert is_obscure_oracle(h, v) == (v in obscure), (h, v)
-    elapsed = time.monotonic() - start
+def passed(verified, *checks):
+    """Assert that the named verify checks passed; the seconds they took."""
+    for check in checks:
+        assert verified(check).ok, verified(check)
+    return sum(verified.seconds[check] for check in checks)
+
+
+def test_criterion_01_detectability_characterization(verified):
+    check = verify._check_detectable_characterization
+    elapsed = passed(verified, check)
     assert elapsed < 300
     report(1, "obscurity oracle equals happy-or-degree-1 classifier",
-           f"{checks} vertices over all graphs n <= 7 in {elapsed:.1f}s")
+           f"{verified(check).detail} in {elapsed:.1f}s")
 
 
-def test_criterion_02_brightness_floor_and_bounds():
-    start = time.monotonic()
-    floor = Fraction(1, 12)
-    cores = 0
-    for m in range(2, 8):
-        for h in _classes(m):
-            if h.isolated_mask() or h.edge_count() < 2:
-                continue
-            cores += 1
-            nu = brightness_exact(h)
-            assert nu >= floor, h
-            b = brightness_lower_bounds(h)
-            assert b.lb_m2 <= nu and b.lb_m1 <= nu and b.special_m1 <= nu, h
-    elapsed = time.monotonic() - start
+def test_criterion_02_brightness_floor_and_bounds(verified):
+    floor = verify._check_brightness_floor
+    elapsed = passed(verified, floor, verify._check_brightness_bounds)
     assert elapsed < 600
     report(2, "brightness >= 1/12 and closed-form bounds below exact",
-           f"{cores} cores with m <= 7 in {elapsed:.1f}s")
+           f"{verified(floor).detail} in {elapsed:.1f}s")
 
 
-def test_criterion_03_named_brightness_values():
-    p3 = Graph.path(3)
-    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert brightness_exact(p3) == Fraction(1, 3)
-    assert brightness_exact(two_k2) == 1
-    assert brightness_exact(Graph.complete(3)) == 1
-    for m in range(2, 8):
-        for h in _classes(m):
-            if h.isolated_mask() or h.edge_count() < 2:
-                continue
-            if len(classify_vertices(h).detectable) == h.n:
-                assert brightness_exact(h) == 1, h
+def test_criterion_03_named_brightness_values(verified):
+    passed(verified, verify._check_named_brightness, verify._check_all_detectable)
     report(3, "nu(P3)=1/3, nu(2K2)=nu(K3)=1, all-detectable implies nu=1")
 
 
-def test_criterion_04_taming():
-    import random
-
-    rng = random.Random(20250)
-    for _ in range(1000):
-        n = rng.randint(1, 12)
-        h = Graph.from_edges(
-            n,
-            [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rng.random() < rng.choice((0.2, 0.5, 0.8))
-            ],
-        )
-        s = {v for v in range(n) if rng.random() < 0.4}
-        w = tame_witness_from(h, s)
-        assert w.valid and is_tamed_by(h, w.v0)
-    assert minimal_taming_number(Graph.path(4))[0] == 3
-    assert minimal_taming_number(Graph.star(3))[0] == 1
-    for k in range(1, 8):
-        assert minimal_taming_number(Graph.complete(k))[0] == 0
-    for n in range(1, 8):
-        for h in _classes(n):
-            d, _ = minimal_taming_number(h)
-            assert automorphism_count(h) >= math.factorial(n - d), h
+def test_criterion_04_taming(verified):
+    passed(verified, verify._check_closure_witness, verify._check_aut_vs_taming)
     report(4, "taming witnesses, named minima, aut >= (n-D)! for n <= 7")
 
 
-def test_criterion_05_finite_formula_constants():
+def test_criterion_05_finite_formula_constants(verified):
     assert abs(sparse_regime_bound(0, 1) - 2 / E**2) <= 1e-9
     assert abs(high_degree_pair_bound(1, 1) - 1 / E**2) <= 1e-9
     _, c = find_sparse_alpha()
     assert 2 / E**2 <= c < 1 / E
-    assert all(phi(s) > phi(s + 1) for s in range(1, 100))
+    passed(verified, verify._check_phi_decreasing)
     report(5, "formula constants reproduce 2/e^2 and 1/e^2 to 1e-9;"
               " sparse constant in [2/e^2, 1/e); phi decreasing")
 
 
-def test_criterion_06_appendix_verification():
-    import random
-
-    rng = random.Random(20251)
-    for _ in range(200):
-        n = rng.randint(1, 70)
-        r = rng.randint(0, n)
-        k = rng.randint(0, n)
-        assert (
-            sum(hypergeom_point(HypergeomParams(n, r, k, s)) for s in range(k + 1))
-            == 1
-        )
-    for s in range(1, 21):
-        for i in range(501):
-            assert poly_exp_check(s, i / 10)[2], (s, i / 10)
-    for i in range(101):
-        for j in range(101):
-            ls = lambda_split(i / 20, j / 20)
-            assert ls.lo <= ls.hi + 1e-12
-    special = lambda_split(2 / E, 1 - 2 / E)
-    assert abs(special.lo - 1 / E) <= 1e-12 and abs(special.hi - 2 / E) <= 1e-12
-    for k, s in ((4, 2), (9, 4), (12, 1)):
-        cap = binom_point_max_bound(k, s)
-        for i in range(21):
-            assert binom_point(k, Fraction(i, 20), s) <= cap
+def test_criterion_06_appendix_verification(verified):
+    passed(verified, verify._check_hypergeom_normalization,
+           verify._check_poly_exp_grid, verify._check_lambda_grid,
+           verify._check_binomial_mode_sweep)
     report(6, "pmf normalization, poly-exp grid, lambda interval"
               " ([1/e, 2/e] at the minimizer), binomial mode sweep")
 
@@ -197,28 +110,11 @@ def test_criterion_08_search():
            f"11 patterns, n in 4..7, {elapsed:.1f}s")
 
 
-def test_criterion_09_coloring_simulation():
-    start = time.monotonic()
-    g = with_isolated(Graph.path(3), 7)
-    h = with_isolated(Graph.path(3), 2)
-    s = simulate(g, h, 100_000, seed=42)
-    assert s.match_outside_signatures == 0
-    assert s.isolated_nonblack_violations == 0
-    ne = s.count_full_match
-    assert ne > 0
-    p_a1 = s.count_two_green_and_match / ne
-    se = math.sqrt(max(p_a1 * (1 - p_a1), 1e-12) / ne)
-    assert p_a1 >= 1 / 3 - 3 * se
-    p1 = s.count_two_green_no_consecutive / s.trials
-    se1 = math.sqrt(max(p1 * (1 - p1), 1e-12) / s.trials)
-    assert p1 <= 2 / E**2 + 4 * se1
-    p2 = s.count_one_red / s.trials
-    se2 = math.sqrt(max(p2 * (1 - p2), 1e-12) / s.trials)
-    assert p2 <= 1 / E + 4 * se2
-    elapsed = time.monotonic() - start
+def test_criterion_09_coloring_simulation(verified):
+    elapsed = passed(verified, verify._check_coloring_inclusions)
     assert elapsed < 120
     report(9, "coloring: zero inclusion violations, conditional floor"
-              " and caps hold", f"{ne} matching traces in {elapsed:.1f}s")
+              " and caps hold", f"{elapsed:.1f}s")
 
 
 def test_criterion_10_cli_determinism(capsys):

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from inducibility import verify
 from inducibility.brightness import (
     brightness_exact,
     brightness_lower_bounds,
@@ -53,10 +54,8 @@ class TestIsBright:
 
 
 class TestExact:
-    def test_named_values(self, p3, two_k2):
-        assert brightness_exact(p3) == Fraction(1, 3)
-        assert brightness_exact(two_k2) == 1
-        assert brightness_exact(Graph.complete(3)) == 1
+    def test_named_values(self, verified):
+        assert verified(verify._check_named_brightness).ok
 
     def test_matches_full_enumeration_oracle(self):
         rng = random.Random(22)
@@ -110,10 +109,8 @@ class TestExact:
         assert brightness_exact(Graph.cycle(10)) == 1
         assert time.perf_counter() - start < 1.0
 
-    def test_isolated_invariance(self, p3):
-        base = brightness_exact(p3)
-        for extra in (1, 2, 5):
-            assert brightness_exact(with_isolated(p3, extra)) == base
+    def test_isolated_invariance(self, verified):
+        assert verified(verify._check_isolated_invariance).ok
 
     def test_size_limit(self):
         with pytest.raises(UnsupportedSizeError):

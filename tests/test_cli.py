@@ -13,6 +13,7 @@ import inducibility
 from inducibility import cli
 from inducibility.cli import main
 from inducibility.graphs import Graph, is_isomorphic, parse_graph6, to_graph6
+from inducibility.verify import SUITES, CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -153,11 +154,30 @@ class TestOtherCommands:
         )
         assert doc["outputs"]["violations"]["match_outside_signatures"] == 0
 
-    def test_verify_appendix(self, capsys):
-        code, out = run_cli(capsys, "verify", "appendix")
+    def test_verify_appendix(self, capsys, monkeypatch):
+        # a stub table: the real checks run once per session, in test_verify.py
+        monkeypatch.setitem(SUITES, "appendix", (lambda: CheckResult("stub", True, "a"),))
+        doc = run_json(capsys, "verify", "appendix")
+        assert doc["outputs"]["checks"] == [{"name": "stub", "ok": True, "detail": "a"}]
+        assert (doc["outputs"]["passed"], doc["outputs"]["failed"]) == (1, 0)
+
+    def test_verify_times_each_check(self, capsys, monkeypatch):
+        monkeypatch.setitem(SUITES, "appendix", (lambda: CheckResult("stub", True, "a"),) * 2)
+        code, out = run_cli(capsys, "verify", "appendix", "--timing")
+        checks = json.loads(out)["outputs"]["checks"]
         assert code == 0
+        assert [sorted(c) for c in checks] == [["detail", "elapsed_ms", "name", "ok"]] * 2
+
+    def test_verify_failed_check_exits_1(self, capsys, monkeypatch):
+        failing = (lambda: CheckResult("stub_failing", False, "counterexample Bg"),)
+        monkeypatch.setitem(SUITES, "coloring", failing)
+        code, out = run_cli(capsys, "verify", "coloring")
+        assert code == 1
         doc = json.loads(out)
-        assert doc["outputs"]["failed"] == 0
+        assert doc["outputs"]["failed"] == 1
+        assert doc["outputs"]["checks"] == [
+            {"name": "stub_failing", "ok": False, "detail": "counterexample Bg"}
+        ]
 
     def test_bounds_gap(self, capsys):
         doc = run_json(

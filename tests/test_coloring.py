@@ -2,11 +2,10 @@ import math
 
 import pytest
 
+from inducibility import verify
 from inducibility.coloring import color_step, run_trial, simulate
 from inducibility.errors import InputError, PreconditionError
 from inducibility.graphs import Graph, with_isolated
-
-E = math.e
 
 
 @pytest.fixture
@@ -61,20 +60,8 @@ class TestRunTrial:
             )
             assert blacks_up_to_stop == k - 2
 
-    def test_match_signatures(self, host, pattern):
-        k = pattern.n
-        matched = 0
-        for seed in range(3000):
-            tr = run_trial(host, pattern, seed=seed)
-            if tr.isolated_nonblack_violations:
-                pytest.fail(f"isolated arrival was not black at seed {seed}")
-            if not tr.full_match:
-                continue
-            matched += 1
-            assert tr.two_green or tr.one_red
-            assert tr.green_count + tr.red_count <= 2
-            assert tr.stop_index in (k - 1, k)
-        assert matched > 0
+    def test_match_signatures(self, verified):
+        assert verified(verify._check_match_trace_shape).ok
 
     def test_match_nonblacks_are_last_non_isolated_arrivals(self, host, pattern):
         for seed in range(2000):
@@ -109,32 +96,14 @@ class TestRunTrial:
 
 
 class TestSimulate:
-    def test_acceptance_shape(self, host, pattern):
-        s = simulate(host, pattern, 20_000, seed=42)
-        assert s.match_outside_signatures == 0
-        assert s.isolated_nonblack_violations == 0
-        assert s.truncated == 0
-        assert s.count_full_match > 0
-        assert (
-            s.count_two_green_and_match + s.count_one_red_and_match
-            == s.count_full_match
-        )
+    def test_acceptance_shape(self, verified):
+        assert verified(verify._check_coloring_inclusions).ok
 
-    def test_conditional_brightness_floor(self, host, pattern):
-        s = simulate(host, pattern, 50_000, seed=7)
-        ne = s.count_full_match
-        p = s.count_two_green_and_match / ne
-        se = math.sqrt(p * (1 - p) / ne)
-        assert p >= 1 / 3 - 3 * se
+    def test_conditional_brightness_floor(self, verified):
+        assert verified(verify._check_coloring_inclusions).ok
 
-    def test_signature_caps(self, host, pattern):
-        s = simulate(host, pattern, 20_000, seed=3)
-        p1 = s.freq(s.count_two_green_no_consecutive)
-        se1 = math.sqrt(max(p1 * (1 - p1), 1e-12) / s.trials)
-        assert p1 <= 2 / E**2 + 4 * se1
-        p2 = s.freq(s.count_one_red)
-        se2 = math.sqrt(max(p2 * (1 - p2), 1e-12) / s.trials)
-        assert p2 <= 1 / E + 4 * se2
+    def test_signature_caps(self, verified):
+        assert verified(verify._check_signature_caps).ok
 
     def test_no_copy_means_no_match(self, pattern):
         bare = Graph.empty(10)
@@ -155,15 +124,8 @@ class TestSimulate:
         assert (a.count_full_match, a.count_two_green, a.count_one_red) == (6, 55, 23)
         assert a.count_consecutive_nonblack == 53
 
-    def test_growing_host_consecutive_bound(self):
-        pattern = with_isolated(Graph.path(3), 7)  # k = 10
-        host = with_isolated(Graph.path(3), 27)
-        s = simulate(host, pattern, 20_000, seed=11)
-        ne = s.count_full_match
-        if ne:
-            p = s.count_consecutive_and_match / ne
-            se = math.sqrt(max(p * (1 - p), 1e-12) / ne)
-            assert p <= 3 * 3 / pattern.n + 4 * se
+    def test_growing_host_consecutive_bound(self, verified):
+        assert verified(verify._check_conditional_consecutive).ok
 
     def test_trials_positive(self, host, pattern):
         with pytest.raises(InputError):

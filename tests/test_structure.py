@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from inducibility import verify
 from inducibility.errors import PreconditionError, UnsupportedSizeError
-from inducibility.graphs import Graph, complement, with_isolated
+from inducibility.graphs import Graph, with_isolated
 from inducibility.structure import (
     classify_vertices,
     is_d_tame,
@@ -12,7 +13,7 @@ from inducibility.structure import (
     minimal_taming_number,
     tame_witness_from,
 )
-from oracles import all_labeled_graphs, brute_is_tamed_by_permutations
+from oracles import brute_is_tamed_by_permutations
 
 
 def random_graph(rng, n, p=0.5):
@@ -44,22 +45,11 @@ class TestTaming:
         assert w.v0 == frozenset({0, 1, 2})
         assert w.source == "closure"
 
-    def test_witness_validates_randomly(self):
-        rng = random.Random(12)
-        for _ in range(300):
-            n = rng.randint(1, 12)
-            h = random_graph(rng, n, rng.uniform(0.1, 0.9))
-            s = {v for v in range(n) if rng.random() < 0.4}
-            w = tame_witness_from(h, s)
-            assert w.valid and is_tamed_by(h, w.v0)
-            assert s <= set(w.v0)
+    def test_witness_validates_randomly(self, verified):
+        assert verified(verify._check_closure_witness).ok
 
-    def test_minimal_taming_examples(self, p4):
-        for k in range(1, 7):
-            assert minimal_taming_number(Graph.complete(k))[0] == 0
-        assert minimal_taming_number(Graph.star(3))[0] == 1
-        assert minimal_taming_number(p4)[0] == 3
-        assert minimal_taming_number(Graph.empty(0))[0] == 0
+    def test_minimal_taming_examples(self, verified):
+        assert verified(verify._check_aut_vs_taming).ok
 
     def test_minimal_witness_is_valid_and_minimal(self):
         rng = random.Random(13)
@@ -133,34 +123,16 @@ class TestObscureOracle:
         with pytest.raises(UnsupportedSizeError):
             is_obscure_oracle(Graph.cycle(11), 0)
 
-    def test_matches_classifier_exhaustive_small(self):
-        for n in range(1, 6):
-            for h in all_labeled_graphs(n):
-                obscure = classify_vertices(h).obscure
-                for v in range(n):
-                    if h.adj[v]:
-                        assert is_obscure_oracle(h, v) == (v in obscure)
+    def test_matches_classifier_exhaustive_small(self, verified):
+        assert verified(verify._check_detectable_characterization).ok
 
 
 class TestModuleInvariants:
-    def test_happy_count_floor(self, classes_by_n):
-        for n in range(1, 8):
-            for h in classes_by_n[n]:
-                m_ge2 = sum(1 for v in range(n) if h.adj[v].bit_count() >= 2)
-                assert len(classify_vertices(h).happy) >= m_ge2
+    def test_happy_count_floor(self, verified):
+        assert verified(verify._check_happy_floor).ok
 
-    def test_detectable_deletion_keeps_edge(self, classes_by_n):
-        for n in range(2, 8):
-            for h in classes_by_n[n]:
-                if h.edge_count() < 2:
-                    continue
-                for v in classify_vertices(h).detectable:
-                    assert h.edge_count() - h.adj[v].bit_count() >= 1
+    def test_detectable_deletion_keeps_edge(self, verified):
+        assert verified(verify._check_detectable_deletion).ok
 
-    def test_taming_complement_invariant(self, classes_by_n):
-        for n in range(1, 8):
-            for h in classes_by_n[n]:
-                assert (
-                    minimal_taming_number(h)[0]
-                    == minimal_taming_number(complement(h))[0]
-                )
+    def test_taming_complement_invariant(self, verified):
+        assert verified(verify._check_taming_complement).ok
