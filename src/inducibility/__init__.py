@@ -25,7 +25,7 @@ from .bounds import (
     sparse_regime_bound,
     uniform_degree_bound,
 )
-from .coloring import ColoredTrace, ColoringSummary, color_step, run_trial, simulate
+from .coloring import ColoredTrace, ColoringSummary, run_trial, simulate
 from .constructions import (
     ConstructionReport,
     dtame_blowup,
@@ -79,7 +79,6 @@ from .structure import (
     TameWitness,
     VertexClassification,
     classify_vertices,
-    is_d_tame,
     is_obscure_oracle,
     is_tamed_by,
     minimal_taming_number,

@@ -67,12 +67,7 @@ from .graphs import (
 from .mc import MCEstimate
 from .proba import HypergeomParams, binom_point, hypergeom_point, lambda_split, multi_hypergeom_joint
 from .search import ind_exact, ind_local_search
-from .structure import (
-    TAMING_EXACT_LIMIT,
-    classify_vertices,
-    minimal_taming_number,
-    tame_witness_from,
-)
+from .structure import classify_vertices, minimal_taming_number, tame_witness_from
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -182,6 +177,7 @@ def _cmd_classify(args) -> tuple[dict, dict]:
     h = _read_graph(args.graph)
     prof = degree_profile(h)
     cls = classify_vertices(h)
+    number, witness = minimal_taming_number(h)
     outputs: dict[str, Any] = {
         "n": h.n,
         "degrees": list(prof.degrees),
@@ -194,13 +190,9 @@ def _cmd_classify(args) -> tuple[dict, dict]:
         "degree_one": cls.degree_one,
         "detectable": cls.detectable,
         "obscure": cls.obscure,
+        "minimal_taming_number": number,
+        "taming_set": witness.v0,
     }
-    if h.n <= TAMING_EXACT_LIMIT:
-        number, witness = minimal_taming_number(h)
-        outputs["minimal_taming_number"] = number
-        outputs["taming_set"] = witness.v0
-    else:
-        outputs["minimal_taming_number"] = None
     if prof.edge_count >= 2:
         rep = brightness_report(h, mc_samples=args.mc, seed=args.seed)
         outputs["brightness"] = _brightness_outputs(rep)

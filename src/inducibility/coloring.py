@@ -103,21 +103,6 @@ class _ColorContext:
         return cached
 
 
-def color_step(g: Graph, h: Graph, black_so_far, v: int) -> str:
-    """Color of the next drawn vertex v given the black vertices so far:
-    "black" or "nonblack" (red/green are assigned retroactively by
-    run_trial once the stop index is known)."""
-    if not 0 <= v < g.n:
-        raise InputError(f"vertex {v} out of range for host n={g.n}")
-    ctx = _ColorContext(g, h)
-    mask = 0
-    for u in black_so_far:
-        if not 0 <= u < g.n:
-            raise InputError(f"vertex {u} out of range for host n={g.n}")
-        mask |= 1 << u
-    return BLACK if ctx.is_black(mask, v) else "nonblack"
-
-
 def _run(ctx: _ColorContext, rng: random.Random, max_steps: int) -> ColoredTrace:
     g, k = ctx.g, ctx.k
     adj = g.adj

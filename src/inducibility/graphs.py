@@ -30,11 +30,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import Graph6Error, InputError, UnsupportedSizeError
+from .errors import Graph6Error, InputError
 
 MAX_VERTICES = 64
-
-AUT_EXACT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -586,10 +584,6 @@ def _aut_order(n: int, adj: Sequence[int], gens: list[list[int]]) -> int:
 
 def automorphism_count(g: Graph) -> int:
     """Exact order of the automorphism group (orbit-stabilizer recursion)."""
-    if g.n > AUT_EXACT_LIMIT:
-        raise UnsupportedSizeError(
-            f"automorphism_count supports n <= {AUT_EXACT_LIMIT}, got {g.n}"
-        )
     return _aut_order(g.n, g.adj, [])
 
 

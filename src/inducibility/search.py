@@ -187,16 +187,19 @@ def load_checkpoint(
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
+    for key in ("version", "iteration", "since_improve", "n"):
+        if key in doc and type(doc[key]) is not int:  # JSON true is not the integer 1
+            raise CheckpointError(f"checkpoint field {key!r} is not an integer: {doc[key]!r}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
     try:
         stored_h = parse_graph6(doc["h_code"])
         current = parse_graph6(doc["current_graph"])
         best = parse_graph6(doc["best_graph"])
-        iteration = int(doc["iteration"])
+        iteration = doc["iteration"]
         temperature = float.fromhex(doc["temperature"])
-        since_improve = int(doc["since_improve"])
-        stored_n = int(doc["n"])
+        since_improve = doc["since_improve"]
+        stored_n = doc["n"]
         stored = Fraction(doc["best_density"])
         version, internal, gauss = doc["rng_state"]
         rng = random.Random()

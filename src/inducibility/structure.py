@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from .density import _count_matches, _Pattern
 from .errors import InputError, PreconditionError, UnsupportedSizeError
-from .graphs import Graph, _induced_rows, induced_subgraph, non_isolated_core
-
-TAMING_EXACT_LIMIT = 16
+from .graphs import Graph, _induced_rows, _twins, induced_subgraph, non_isolated_core
 
 OBSCURE_ORACLE_LIMIT = 10
 
@@ -88,31 +86,28 @@ def tame_witness_from(h: Graph, s) -> TameWitness:
 
 
 def minimal_taming_number(h: Graph) -> tuple[int, TameWitness]:
-    """Smallest taming-set size with a witness, by exhaustive search over the
-    complements W = V \\ V0 (W must be a clique or stable set with every
-    outside vertex attached to all or none of it)."""
-    if h.n > TAMING_EXACT_LIMIT:
-        raise UnsupportedSizeError(
-            f"minimal_taming_number supports n <= {TAMING_EXACT_LIMIT}, got {h.n}"
-        )
-    n = h.n
-    full = (1 << n) - 1
-    best_size = -1
-    best_w = 0
-    for w in range(full + 1):
-        size = w.bit_count()
-        if size < best_size or (size == best_size and w >= best_w):
-            continue
-        if _mask_tames(h, full ^ w):
-            best_size, best_w = size, w
-    v0_mask = full ^ best_w
-    v0 = frozenset(v for v in range(n) if (v0_mask >> v) & 1)
-    return n - best_size, TameWitness(v0=v0, valid=True, source="exact_min")
+    """Smallest taming-set size with a witness, in O(n^2).
 
-
-def is_d_tame(h: Graph, d: int) -> bool:
-    number, _ = minimal_taming_number(h)
-    return number <= d
+    V0 tames h exactly when W = V \\ V0 is a set of pairwise twins: swapping
+    two vertices of W fixes V0, so it must be an automorphism; conversely,
+    pairwise twins form a clique or a stable set that each outside vertex
+    sees all or none of.  Twins joined by an edge (N[u] = N[v]) and twins
+    without one (N(u) = N(v)) each fall into classes, and three pairwise
+    twins are all of one kind, so the largest W is a largest class.  Ties go
+    to the smallest bitmask W: the witness that a scan of every W in
+    increasing bitmask order keeps.
+    """
+    n, adj = h.n, h.adj
+    classes: list[int] = []
+    for adjacent in (0, 1):
+        kind: dict[int, int] = {}  # lowest vertex of each class -> the class as a bitmask
+        for v in range(n):
+            u = next((u for u in kind if (adj[u] >> v) & 1 == adjacent and _twins(adj, u, v)), v)
+            kind[u] = kind.get(u, 0) | 1 << v
+        classes += kind.values()
+    w = min(classes, key=lambda c: (-c.bit_count(), c), default=0)
+    v0 = frozenset(v for v in range(n) if not (w >> v) & 1)
+    return n - w.bit_count(), TameWitness(v0=v0, valid=True, source="exact_min")
 
 
 def classify_vertices(h: Graph) -> VertexClassification:

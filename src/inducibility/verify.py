@@ -26,6 +26,7 @@ from .brightness import (
     brightness_mc,
 )
 from .coloring import run_trial, simulate
+from .constructions import dtame_blowup, split_construction
 from .graphs import (
     Graph,
     automorphism_count,
@@ -263,6 +264,32 @@ def _check_closure_witness():
     return True, "2300 random (h, s) pairs: the closure contains s and tames h"
 
 
+def _symmetric_hosts() -> tuple[Graph, ...]:
+    """Paley(61), the 8x8 rook graph, the 6-cube and K32,32: symmetric graphs
+    whose automorphism groups have closed-form orders."""
+    squares = {x * x % 61 for x in range(1, 61)}
+    pairs = [(u, v) for v in range(64) for u in range(v)]
+    return (
+        Graph.from_edges(61, [(u, v) for u, v in pairs if v < 61 and v - u in squares]),
+        Graph.from_edges(64, [(u, v) for u, v in pairs if u % 8 == v % 8 or u // 8 == v // 8]),
+        Graph.from_edges(64, [(u, v) for u, v in pairs if (u ^ v).bit_count() == 1]),
+        Graph.complete_bipartite(32, 32),
+    )
+
+
+def _large_hosts() -> list[tuple[Graph, int]]:
+    """Hosts with 20 to 64 vertices and their minimal taming numbers: n less
+    the largest group for the blow-ups of P4 and K1,3 and the split host
+    K6,14, and n - 1 for the twin-free Paley, rook and cube graphs."""
+    paley, rook, cube, k32 = _symmetric_hosts()
+    return [
+        (dtame_blowup(Graph.path(4), {1, 2, 3}, 32).graph, 24),
+        (dtame_blowup(Graph.star(3), {0}, 48).graph, 12),
+        (split_construction(5, 2, 20, 0.3).graph, 6),
+        (paley, 60), (rook, 63), (cube, 63), (k32, 32),
+    ]
+
+
 def _aut_floor_holds(h: Graph) -> bool:
     """|Aut(h)| >= (n - D)! for the minimal taming number D of h."""
     return automorphism_count(h) >= math.factorial(h.n - minimal_taming_number(h)[0])
@@ -270,24 +297,28 @@ def _aut_floor_holds(h: Graph) -> bool:
 
 @_named("aut_floor_from_taming")
 def _check_aut_vs_taming():
+    large = _large_hosts()
     named = [(Graph.path(4), 3), (Graph.star(3), 1)]
-    for h, d in named + [(Graph.complete(k), 0) for k in range(MAX_N + 1)]:
+    for h, d in named + [(Graph.complete(k), 0) for k in range(MAX_N + 1)] + large:
         if minimal_taming_number(h)[0] != d:
             return False, f"{to_graph6(h)}: minimal taming number is not {d}"
-    for n in range(1, MAX_N + 1):
-        for h in _classes(n):
-            if not _aut_floor_holds(h):
-                return False, to_graph6(h)
-    return True, f"all graphs with n <= {MAX_N}; D(P4)=3, D(K1,3)=1, D(Kk)=0 for k <= 7"
+    small = [h for n in range(1, MAX_N + 1) for h in _classes(n)]
+    for h in small + [h for h, _ in large]:
+        if not _aut_floor_holds(h):
+            return False, to_graph6(h)
+    return True, (
+        f"all graphs with n <= {MAX_N} and {len(large)} hosts with 20-64 vertices;"
+        " D(P4)=3, D(K1,3)=1, D(Kk)=0 for k <= 7, D(K32,32)=32, D(Paley(61))=60"
+    )
 
 
 @_named("taming_complement_invariant")
 def _check_taming_complement():
-    for n in range(1, MAX_N + 1):
-        for h in _classes(n):
-            if minimal_taming_number(h)[0] != minimal_taming_number(complement(h))[0]:
-                return False, to_graph6(h)
-    return True, f"all graphs with n <= {MAX_N}"
+    large = [h for h, _ in _large_hosts()]
+    for h in [h for n in range(1, MAX_N + 1) for h in _classes(n)] + large:
+        if minimal_taming_number(h)[0] != minimal_taming_number(complement(h))[0]:
+            return False, to_graph6(h)
+    return True, f"all graphs with n <= {MAX_N} and {len(large)} hosts with 20-64 vertices"
 
 
 # -- brightness suite ------------------------------------------------------

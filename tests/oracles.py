@@ -4,9 +4,12 @@ Everything here is deliberately brute force and structured differently
 from the package code: permutation scans instead of canonical codes, edge
 sets instead of bitmasks, and a separate graph6 decoder that indexes the
 bit stream arithmetically.  Oracles must stay independent of the paths
-they check.  The one exception is `brute_classes`, which checks the orbit
+they check.  There are two exceptions.  `brute_classes` checks the orbit
 pruning of host enumeration: it labels every child with `canonical_key`,
 whose keys the golden digests in the tests pin independently.
+`brute_minimal_taming` checks the twin-class closed form by scanning every
+complement with the package's two-condition taming test, which the tests
+compare with `brute_is_tamed_by_permutations`.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from inducibility.graphs import Graph, canonical_key
+from inducibility.structure import _mask_tames
 
 
 def ref_decode_graph6(line: str) -> tuple[int, set[frozenset[int]]]:
@@ -158,6 +162,25 @@ def brute_is_tamed_by_permutations(h: Graph, v0: set[int]) -> bool:
         if {frozenset((mapping[u], mapping[v])) for u, v in h.edges()} != e:
             return False
     return True
+
+
+def brute_minimal_taming(h: Graph) -> tuple[int, frozenset[int]]:
+    """Smallest taming-set size and a witness, by exhaustive search over the
+    complements W = V \\ V0 (W must be a clique or stable set with every
+    outside vertex attached to all or none of it)."""
+    n = h.n
+    full = (1 << n) - 1
+    best_size = -1
+    best_w = 0
+    for w in range(full + 1):
+        size = w.bit_count()
+        if size < best_size or (size == best_size and w >= best_w):
+            continue
+        if _mask_tames(h, full ^ w):
+            best_size, best_w = size, w
+    v0_mask = full ^ best_w
+    v0 = frozenset(v for v in range(n) if (v0_mask >> v) & 1)
+    return n - best_size, v0
 
 
 def brute_classes(n: int) -> tuple[Graph, ...]:

@@ -13,6 +13,7 @@ import inducibility
 from inducibility import cli
 from inducibility.cli import main
 from inducibility.graphs import Graph, is_isomorphic, parse_graph6, to_graph6
+from inducibility.structure import is_tamed_by
 from inducibility.verify import SUITES, CheckResult
 
 
@@ -43,6 +44,14 @@ class TestClassify:
     def test_k3_taming(self, capsys):
         doc = run_json(capsys, "classify", "Bw")
         assert doc["outputs"]["minimal_taming_number"] == 0
+
+    def test_taming_at_64_vertices(self, capsys):
+        g = Graph.complete_bipartite(32, 32)
+        classify = run_json(capsys, "classify", to_graph6(g), "--mc", "1000")["outputs"]
+        tame = run_json(capsys, "tame", to_graph6(g))["outputs"]
+        assert classify["minimal_taming_number"] == tame["minimal_taming_number"] == 32
+        assert classify["taming_set"] == tame["v0"] == list(range(32, 64))
+        assert is_tamed_by(g, tame["v0"])
 
     def test_parse_error_exit_2(self, capsys):
         code, _ = run_cli(capsys, "classify", "!!")

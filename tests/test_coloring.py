@@ -3,7 +3,7 @@ import math
 import pytest
 
 from inducibility import verify
-from inducibility.coloring import color_step, run_trial, simulate
+from inducibility.coloring import _ColorContext, run_trial, simulate
 from inducibility.errors import InputError, PreconditionError
 from inducibility.graphs import Graph, with_isolated
 
@@ -19,28 +19,32 @@ def pattern():
 
 
 class TestColorStep:
+    """The colour of the next drawn vertex given the black vertices so far,
+    passed to `is_black` as a bitmask."""
+
     def test_first_vertex_always_black(self, host, pattern):
+        ctx = _ColorContext(host, pattern)
         for v in range(host.n):
-            assert color_step(host, pattern, [], v) == "black"
+            assert ctx.is_black(0, v)
 
     def test_isolated_arrival_black(self, host, pattern):
         # vertex 5 is isolated in the host, so always isolated on arrival;
         # blacks {0, 2} (the two path leaves) is a reachable black state
-        assert color_step(host, pattern, [0, 2], 5) == "black"
+        assert _ColorContext(host, pattern).is_black(0b101, 5)
 
     def test_completing_the_core_is_not_black(self, host, pattern):
         # blacks hold one edge of the path; adding the third path vertex
         # recreates the pattern's core
-        assert color_step(host, pattern, [0, 1], 2) == "nonblack"
+        assert not _ColorContext(host, pattern).is_black(0b11, 2)
 
     def test_completing_deleted_core_not_black(self, host, pattern):
         # one black path endpoint; adding the middle forms a single edge,
         # the core of the pattern minus one detectable leaf
-        assert color_step(host, pattern, [0], 1) == "nonblack"
+        assert not _ColorContext(host, pattern).is_black(0b1, 1)
 
     def test_sparse_pattern_required(self, host):
         with pytest.raises(PreconditionError):
-            color_step(host, Graph.complete(2), [], 0)
+            _ColorContext(host, Graph.complete(2))
 
 
 class TestRunTrial:

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from inducibility.errors import Graph6Error, InputError, UnsupportedSizeError
+from inducibility.errors import Graph6Error, InputError
 from inducibility.graphs import (
     Graph,
     _aut_order,
@@ -23,6 +23,7 @@ from inducibility.graphs import (
     to_graph6,
     with_isolated,
 )
+from inducibility.verify import _symmetric_hosts
 from oracles import (
     all_labeled_graphs,
     brute_automorphisms,
@@ -295,10 +296,20 @@ class TestAutomorphisms:
         assert automorphism_count(Graph.empty(12)) == math.factorial(12)
         assert automorphism_count(Graph.complete_bipartite(4, 4)) == 2 * 24 * 24
         assert automorphism_count(Graph.cycle(12)) == 24
+        paley, rook, cube, k32 = _symmetric_hosts()
+        f = math.factorial
+        assert automorphism_count(paley) == 61 * 30
+        assert automorphism_count(rook) == 2 * f(8) ** 2
+        assert automorphism_count(cube) == 2**6 * f(6)
+        assert automorphism_count(k32) == 2 * f(32) ** 2
 
     def test_size_limit(self):
-        with pytest.raises(UnsupportedSizeError):
-            automorphism_count(Graph.empty(17))
+        # the only bound is the graph's own: exact past 16 vertices and at 64
+        for n in (17, 64):
+            assert automorphism_count(Graph.empty(n)) == math.factorial(n)
+            assert automorphism_count(Graph.complete(n)) == math.factorial(n)
+        with pytest.raises(InputError):
+            Graph.empty(65)
 
     def test_strongly_regular_pair(self):
         # rook and Shrikhande are both (16,6,2,2)-strongly-regular and

@@ -4,22 +4,44 @@ import pytest
 
 from inducibility import verify
 from inducibility.errors import PreconditionError, UnsupportedSizeError
-from inducibility.graphs import Graph, with_isolated
+from inducibility.graphs import Graph, to_graph6, with_isolated
 from inducibility.structure import (
+    TameWitness,
     classify_vertices,
-    is_d_tame,
     is_obscure_oracle,
     is_tamed_by,
     minimal_taming_number,
     tame_witness_from,
 )
-from oracles import brute_is_tamed_by_permutations
+from oracles import brute_is_tamed_by_permutations, brute_minimal_taming
 
 
 def random_graph(rng, n, p=0.5):
     return Graph.from_edges(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     )
+
+
+def planted_twins(rng, n):
+    """A random graph on a few vertices grown to n vertices, each new one a
+    copy of an earlier vertex joined to it (a true twin) or not (a false
+    twin), with the labels shuffled at the end."""
+    rows = [0] * n
+    base = rng.randint(2, n // 2)
+    for v in range(base):
+        for u in range(v):
+            if rng.random() < 0.5:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    for v in range(base, n):
+        u = rng.randrange(v)
+        rows[v] = rows[u] | (1 << u if rng.random() < 0.5 else 0)
+        for w in range(v):
+            rows[w] |= (rows[v] >> w & 1) << v
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for v in range(n) for u in range(v) if rows[v] >> u & 1]
+    return Graph.from_edges(n, edges)
 
 
 class TestTaming:
@@ -51,39 +73,29 @@ class TestTaming:
     def test_minimal_taming_examples(self, verified):
         assert verified(verify._check_aut_vs_taming).ok
 
-    def test_minimal_witness_is_valid_and_minimal(self):
+    def test_minimal_witness_is_valid_and_minimal(self, classes_by_n):
+        # the closed form against the scan of every complement: the number
+        # and the witness, on every class with n <= 7 and on larger graphs
+        # with planted twin classes, where ties between classes are common
         rng = random.Random(13)
-        for _ in range(60):
-            n = rng.randint(1, 7)
-            h = random_graph(rng, n)
+        graphs = [h for n in range(8) for h in classes_by_n[n]]
+        graphs += [planted_twins(rng, rng.randint(8, 14)) for _ in range(40)]
+        for h in graphs:
             number, w = minimal_taming_number(h)
+            assert (number, w.v0) == brute_minimal_taming(h), to_graph6(h)
             assert len(w.v0) == number and is_tamed_by(h, w.v0)
-            assert w.source == "exact_min"
-            # nothing smaller works
-            smaller = [
-                v0
-                for v0 in _subsets_of_size(n, number - 1)
-                if is_tamed_by(h, v0)
-            ]
-            assert not smaller
+            assert w.valid and w.source == "exact_min"
 
-    def test_is_d_tame(self, p4):
-        assert is_d_tame(p4, 3)
-        assert not is_d_tame(p4, 2)
-        assert is_d_tame(Graph.empty(4), 0)
-
-    def test_size_limit(self):
-        with pytest.raises(UnsupportedSizeError):
-            minimal_taming_number(Graph.empty(17))
-
-
-def _subsets_of_size(n, size):
-    from itertools import combinations
-
-    if size < 0:
-        return
-    for c in combinations(range(n), size):
-        yield set(c)
+    def test_large_graphs(self):
+        cases = [
+            (Graph.complete_bipartite(32, 32), 32, frozenset(range(32, 64))),
+            (Graph.empty(64), 0, frozenset()),
+            (Graph.complete(64), 0, frozenset()),
+            (Graph.star(63), 1, frozenset({0})),
+        ]
+        for h, number, v0 in cases:
+            assert minimal_taming_number(h) == (number, TameWitness(v0, True, "exact_min"))
+            assert is_tamed_by(h, v0)
 
 
 class TestClassification:
