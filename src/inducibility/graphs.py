@@ -10,18 +10,14 @@ n <= 62 (the extended '~' header for 63 and 64), then the upper triangle
 read column-major (0,1),(0,2),(1,2),(0,3),... packed into 6-bit groups with
 zero padding, each group stored as its value plus 63.
 
-Canonical codes are computed by iterated neighborhood-multiset refinement
-followed by backtracking over the refined cells, taking the
-lexicographically smallest adjacency encoding.  The search prunes with
-automorphisms discovered along the way, so it is exact (never heuristic)
-while staying fast on the small, often highly symmetric graphs this package
-works with.
-
-One backtracking search, `_colored_iso`, finds a color-preserving
-automorphism.  The canonical search uses it to merge branches, and
-`_aut_order` uses it to walk the stabilizer chain: the mappings it returns,
-together with the transpositions of twin vertices, are the generators of
-the automorphism group that host enumeration prunes its augmentations by.
+Canonical codes come from one search, `_canonical_search`: iterated
+neighborhood-multiset refinement, then backtracking over the refined
+cells, keeping the lexicographically smallest adjacency encoding.  It
+prunes by the automorphisms it finds along the way (twin transpositions and
+the mappings of `_colored_iso`), which stays exact, and returns them as
+generators of the group, which host enumeration prunes its augmentations
+by.  `_aut_order` walks the stabilizer chain with the same two kinds of
+automorphism, faster, to count the group.
 """
 
 from __future__ import annotations
@@ -385,46 +381,75 @@ def _encode_order(n: int, adj: Sequence[int], order: Sequence[int]) -> tuple[int
     return tuple(enc)
 
 
-def _canonical_columns(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    if n == 0:
-        return ()
+def _canonical_search(
+    n: int, adj: Sequence[int]
+) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """The canonical columns, a vertex order that encodes to them, and
+    generators of the automorphism group.
+
+    A node branches on one vertex per orbit of its first split cell.  The
+    orbits come from the automorphisms found at the node and below it, all
+    of which fix the node's individualized vertices: the transposition with
+    a twin of a kept vertex, or the mapping `_colored_iso` finds onto one.
+    Down the first branch these map each kept vertex onto its whole orbit,
+    so they generate the group (the Schreier-Sims argument).
+    """
+    order = list(range(n))
     full = (1 << n) - 1
     if all(row == 0 for row in adj) or all(
         adj[v] == (full ^ (1 << v)) for v in range(n)
     ):
-        # every labeling of the edgeless / complete graph encodes identically
-        return _encode_order(n, adj, range(n))
+        # every labeling of the edgeless / complete graph encodes identically,
+        # and its group is generated by a transposition and an n-cycle
+        gens = [[1, 0] + order[2:], order[1:] + order[:1]] if n > 1 else []
+        return _encode_order(n, adj, order), order, gens
 
     nbrs = _neighbors(n, adj)
-    best: tuple[int, ...] | None = None
+    best: tuple[tuple[int, ...], list[int]] | None = None
 
-    def rec(colors: list[int]) -> None:
+    def rec(colors: list[int]) -> list[list[int]]:
         nonlocal best
         target = _first_split_cell(n, colors)
         if target is None:
-            order = sorted(range(n), key=colors.__getitem__)
-            enc = _encode_order(n, adj, order)
-            if best is None or enc < best:
-                best = enc
-            return
-        # one branch per orbit of the target cell: a colored automorphism
-        # fixes every earlier individualized vertex (each is a singleton
-        # cell), so equivalent candidates explore identical subtrees; a twin
-        # of a kept representative is in its orbit without a search
+            leaf = sorted(range(n), key=colors.__getitem__)
+            enc = _encode_order(n, adj, leaf)
+            if best is None or enc < best[0]:
+                best = (enc, leaf)
+            return []
+        gens: list[list[int]] = []
         reps: list[tuple[int, list[int]]] = []
         for u in target:
-            if any(_twins(adj, u, r) for r, _ in reps):
+            if not _orbit(u, gens).isdisjoint(r for r, _ in reps):
+                continue
+            twin = next((r for r, _ in reps if _twins(adj, u, r)), None)
+            if twin is not None:
+                perm = list(order)
+                perm[u], perm[twin] = twin, u
+                gens.append(perm)
                 continue
             cu = _refine(nbrs, _individualize(colors, u))
-            if any(_colored_iso(n, adj, cr, cu) is not None for _, cr in reps):
-                continue
-            reps.append((u, cu))
-        for _, cu in reps:
-            rec(cu)
+            for _, cr in reps:
+                perm = _colored_iso(n, adj, cr, cu)
+                if perm is not None:
+                    gens.append(perm)
+                    break
+            else:
+                reps.append((u, cu))
+                gens += rec(cu)
+        return gens
 
-    rec(_base_colors(nbrs))
+    gens = rec(_base_colors(nbrs))
     assert best is not None
-    return best
+    return best[0], best[1], gens
+
+
+def _from_columns(n: int, cols: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the graph whose columns in the order 0..n-1 are `cols`."""
+    rows = [0, *cols][:n]
+    for j, col in enumerate(cols, start=1):
+        for i in range(j):
+            rows[i] |= ((col >> i) & 1) << j
+    return tuple(rows)
 
 
 def _pack_key(n: int, cols: Sequence[int]) -> bytes:
@@ -444,7 +469,7 @@ def _pack_key(n: int, cols: Sequence[int]) -> bytes:
 
 @lru_cache(maxsize=1 << 18)
 def _canon_cached(n: int, adj: tuple[int, ...]) -> bytes:
-    return _pack_key(n, _canonical_columns(n, adj))
+    return _pack_key(n, _canonical_search(n, adj)[0])
 
 
 @dataclass(frozen=True)

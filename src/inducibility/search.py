@@ -3,14 +3,14 @@ search for larger n.
 
 Exact mode enumerates one host per isomorphism class and takes the maximum
 density, breaking ties by smallest canonical code so outputs are stable.
-The classes on n vertices are built by vertex augmentation: each class on
-n - 1 vertices gets a new vertex joined to a subset of its vertices, and
-the children are deduplicated by their canonical columns, which is exact.
-Subsets in one orbit of the parent's automorphism group give isomorphic
-children, so only the smallest subset of each orbit is labelled (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 1998); the skipped
-ones would have repeated a class already seen, so the first child seen of
-every class is the same as without the pruning.
+The classes on n vertices are built by canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998): each class on
+n - 1 vertices gets a new vertex v joined to the smallest subset of each
+orbit of the parent's automorphism group, and a child is kept only when v
+is in the orbit of its canonically chosen vertex.  That vertex maximizes a
+cheap invariant, so most children are settled without a labelling.  Every
+class comes out exactly once, and its representative is its canonical
+form, which depends on the class alone.
 
 The local search is simulated annealing over single edge flips with
 geometric cooling.  Density is maintained incrementally: flipping (u, v)
@@ -33,7 +33,8 @@ from typing import Iterator
 
 from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, UnsupportedSizeError
-from .graphs import Graph, _aut_order, _canonical_columns, _pack_key, parse_graph6, to_graph6
+from .graphs import Graph, _canonical_search, _from_columns, _orbit, _pack_key
+from .graphs import parse_graph6, to_graph6
 
 ENUM_LIMIT = 9
 
@@ -56,8 +57,7 @@ class IndResult:
 def _augmentations(g: Graph) -> Iterator[int]:
     """The smallest neighbor mask of each Aut(g)-orbit on vertex subsets,
     in increasing order: masks in one orbit give isomorphic children."""
-    gens: list[list[int]] = []
-    _aut_order(g.n, g.adj, gens)
+    gens = _canonical_search(g.n, g.adj)[2]
     size = 1 << g.n
     images = []
     for perm in gens:
@@ -85,16 +85,27 @@ def _augmentations(g: Graph) -> Iterator[int]:
 def _classes(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph.empty(0),)
-    # canonical columns -> rows of the first child seen with them; a mask
-    # skipped by _augmentations repeats the class of a smaller mask
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for g in _classes(n - 1):
+    v = n - 1
+    keyed = []
+    for g in _classes(v):
+        degrees = [row.bit_count() for row in g.adj]
         for mask in _augmentations(g):
-            rows = tuple(row | (((mask >> v) & 1) << (n - 1)) for v, row in enumerate(g.adj))
-            rows += (mask,)
-            seen.setdefault(_canonical_columns(n, rows), rows)
-    keyed = sorted((_pack_key(n, cols), rows) for cols, rows in seen.items())
-    return tuple(Graph(n, rows) for _, rows in keyed)
+            # keep the child when v is in the orbit of the vertex that
+            # maximizes f(u) = (degree, sorted neighbor degrees) and comes
+            # first in the canonical order; f alone rejects most children
+            deg = [d + ((mask >> u) & 1) for u, d in enumerate(degrees)] + [mask.bit_count()]
+            if max(deg) > deg[v]:
+                continue
+            rows = tuple(row | (((mask >> u) & 1) << v) for u, row in enumerate(g.adj)) + (mask,)
+            f = {u: sorted(deg[w] for w in range(n) if (rows[u] >> w) & 1)
+                 for u in range(n) if deg[u] == deg[v]}
+            if max(f.values()) > f[v]:
+                continue
+            cols, order, gens = _canonical_search(n, rows)
+            if v in _orbit(next(u for u in order if f.get(u) == f[v]), gens):
+                keyed.append((_pack_key(n, cols), cols))
+    keyed.sort()
+    return tuple(Graph(n, _from_columns(n, cols)) for _, cols in keyed)
 
 
 def enumerate_graphs(n: int):

@@ -25,12 +25,13 @@ from .brightness import (
     brightness_lower_bounds,
     brightness_mc,
 )
-from .coloring import run_trial, simulate
+from .coloring import _ColorContext, _run, simulate
 from .constructions import dtame_blowup, split_construction
 from .graphs import (
     Graph,
     automorphism_count,
     complement,
+    disjoint_union,
     to_graph6,
     with_isolated,
 )
@@ -431,12 +432,14 @@ def _check_coloring_inclusions():
 
 @_named("match_trace_shape")
 def _check_match_trace_shape():
-    g = with_isolated(Graph.path(3), 7)
+    # `run_trial` per seed on one context; 3P3 matches twice as often as P3 + 7K1
+    g = functools.reduce(disjoint_union, [Graph.path(3)] * 3)
     h = with_isolated(Graph.path(3), 2)
     k = h.n
+    ctx = _ColorContext(g, h)
     seen = 0
-    for seed in range(4000):
-        tr = run_trial(g, h, seed=seed)
+    for seed in range(60_000):
+        tr = _run(ctx, random.Random(seed), 50 * g.n * k)
         if tr.isolated_nonblack_violations:
             return False, f"seed={seed}: an isolated arrival was not black"
         if not tr.full_match or tr.truncated:
@@ -448,17 +451,18 @@ def _check_match_trace_shape():
             or tr.stop_index not in (k - 1, k)
         ):
             return False, f"seed={seed} Y={tr.green_count} Z={tr.red_count} L={tr.stop_index}"
-    return seen > 0, f"{seen} matching traces: a signature, Y+Z <= 2, L in {{k-1, k}}"
+    return seen >= 300, f"{seen} matching traces: a signature, Y+Z <= 2, L in {{k-1, k}}"
 
 
 @_named("consecutive_conditional_bound")
 def _check_conditional_consecutive():
-    g = with_isolated(Graph.path(3), 27)
-    h = with_isolated(Graph.path(3), 7)
-    s = simulate(g, h, 20000, seed=11)
+    # k = 20 puts the bound near 0.55; 6P3 matches three times as often as P3 + 61K1
+    g = with_isolated(functools.reduce(disjoint_union, [Graph.path(3)] * 6), 46)
+    h = with_isolated(Graph.path(3), 17)
+    s = simulate(g, h, 30000, seed=11)
     ne = s.count_full_match
-    if ne == 0:
-        return True, "no matches drawn"
+    if ne < 50:
+        return False, f"only {ne} matches drawn"
     p = s.count_consecutive_and_match / ne
     bound = 3 * 3 / h.n + 4 * _se(p, ne)
     return p <= bound, f"P[consecutive|match]={p:.4f} <= {bound:.4f} ({ne} matches)"

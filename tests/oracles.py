@@ -4,9 +4,10 @@ Everything here is deliberately brute force and structured differently
 from the package code: permutation scans instead of canonical codes, edge
 sets instead of bitmasks, and a separate graph6 decoder that indexes the
 bit stream arithmetically.  Oracles must stay independent of the paths
-they check.  There are two exceptions.  `brute_classes` checks the orbit
-pruning of host enumeration: it labels every child with `canonical_key`,
-whose keys the golden digests in the tests pin independently.
+they check.  There are two exceptions.  `brute_classes` checks the
+canonical augmentation of host enumeration: it labels every child with
+`canonical_key`, whose keys the golden digests in the tests pin
+independently.
 `brute_minimal_taming` checks the twin-class closed form by scanning every
 complement with the package's two-condition taming test, which the tests
 compare with `brute_is_tamed_by_permutations`.

@@ -9,6 +9,8 @@ from inducibility.errors import Graph6Error, InputError
 from inducibility.graphs import (
     Graph,
     _aut_order,
+    _canonical_search,
+    _encode_order,
     automorphism_count,
     canonical_code,
     canonical_key,
@@ -220,6 +222,23 @@ class TestCanonical:
         assert digest.hexdigest() == (
             "aa0a56718ee0eb301b62120c8377c9d1819500c29c26135615bb0071df608eb5"
         )
+        # Paley(61), the 8x8 rook graph, Q6 and K32,32: their searches prune
+        # by the automorphisms they find
+        digest = hashlib.sha256()
+        for g in _symmetric_hosts():
+            digest.update(canonical_key(g))
+        assert digest.hexdigest() == (
+            "d7609b24fa6d764784437b2bb0c6c9fa8dcf9c7e1d1ce6436c2a0e5e63ee408e"
+        )
+
+    def test_search_order_encodes_to_the_columns(self):
+        rng = random.Random(51)
+        graphs = [random_graph(rng, n, rng.uniform(0.1, 0.9)) for n in (1, 2, 5, 9, 16, 30)]
+        graphs += [Graph.empty(5), Graph.complete(6), *_symmetric_hosts()]
+        for g in graphs:
+            cols, order, _ = _canonical_search(g.n, g.adj)
+            assert sorted(order) == list(range(g.n))
+            assert _encode_order(g.n, g.adj, order) == cols
 
     def test_iso_examples(self):
         assert is_isomorphic(Graph.path(3), relabel(Graph.path(3), [1, 2, 0]))
@@ -271,20 +290,22 @@ class TestAutomorphisms:
         for g in graphs:
             gens = []
             order = _aut_order(g.n, g.adj, gens)
-            e = edge_set(g)
-            for perm in gens:
-                assert sorted(perm) == list(range(g.n))
-                assert {frozenset((perm[u], perm[v])) for u, v in g.edges()} == e
-            group = {tuple(range(g.n))}
-            frontier = list(group)
-            while frontier:
-                elem = frontier.pop()
+            # the canonical search finds its own generators
+            for gens in (gens, _canonical_search(g.n, g.adj)[2]):
+                e = edge_set(g)
                 for perm in gens:
-                    img = tuple(perm[x] for x in elem)
-                    if img not in group:
-                        group.add(img)
-                        frontier.append(img)
-            assert len(group) == order == brute_automorphisms(g), to_graph6(g)
+                    assert sorted(perm) == list(range(g.n))
+                    assert {frozenset((perm[u], perm[v])) for u, v in g.edges()} == e
+                group = {tuple(range(g.n))}
+                frontier = list(group)
+                while frontier:
+                    elem = frontier.pop()
+                    for perm in gens:
+                        img = tuple(perm[x] for x in elem)
+                        if img not in group:
+                            group.add(img)
+                            frontier.append(img)
+                assert len(group) == order == brute_automorphisms(g), to_graph6(g)
 
     def test_divides_factorial(self, classes_by_n):
         for n in range(1, 8):

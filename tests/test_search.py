@@ -9,6 +9,9 @@ from inducibility.density import _Pattern, count_induced, induced_density
 from inducibility.errors import CheckpointError, InputError, UnsupportedSizeError
 from inducibility.graphs import (
     Graph,
+    _canonical_search,
+    _encode_order,
+    _from_columns,
     canonical_key,
     is_isomorphic,
     to_graph6,
@@ -46,20 +49,43 @@ class TestEnumerate:
     def test_matches_unpruned_enumeration(self):
         # the same representatives in the same order, not only as many
         for n in range(8):
-            assert _classes(n) == brute_classes(n)
+            forms = tuple(
+                Graph(n, _from_columns(n, _canonical_search(n, g.adj)[0]))
+                for g in brute_classes(n)
+            )
+            assert _classes(n) == forms
+
+    @pytest.mark.slow
+    def test_representatives_are_canonical_forms(self):
+        for n in range(9):
+            for g in _classes(n):
+                assert _canonical_search(n, g.adj)[0] == _encode_order(n, g.adj, range(n))
 
     @pytest.mark.slow
     def test_count_n8(self):
         classes = list(enumerate_graphs(8))
         assert len(classes) == 12346
+        keys = [canonical_key(g) for g in classes]
+        assert len(set(keys)) == len(keys) and keys == sorted(keys)
+        # golden digest of the keys for n <= 8 in order: it pins the classes
+        # and their order whichever labelling represents each class
+        digest = hashlib.sha256()
+        for n in range(8):
+            for g in enumerate_graphs(n):
+                digest.update(canonical_key(g))
+        for key in keys:
+            digest.update(key)
+        assert digest.hexdigest() == (
+            "a46b9b1d4818825e20d45d0ad0acca4ba80d95117c91a43a380ab9ed61b6a95b"
+        )
         # golden digest of every representative and its canonical key, in
         # order: a change to the labelling changes the keys or the order
         digest = hashlib.sha256()
-        for g in classes:
+        for g, key in zip(classes, keys):
             digest.update(to_graph6(g).encode())
-            digest.update(canonical_key(g))
+            digest.update(key)
         assert digest.hexdigest() == (
-            "e74d1010709e8962f396bcf893988cad67a3eb0a1b68a58111cd495ba84a31aa"
+            "7753c98de8ab23fc97fe6972e11200c3c4ee782ecbe2551705ed53cf19c4d42a"
         )
         star = hashlib.sha256(canonical_key(Graph.star(59))).hexdigest()
         assert star == (
