@@ -152,6 +152,8 @@ def brightness_report(
 ) -> BrightnessReport:
     """Exact value when the core is small, Monte-Carlo otherwise, plus all
     closed-form lower bounds."""
+    if mc_samples < 0:
+        raise InputError(f"mc samples must be >= 0, got {mc_samples}")
     prof = degree_profile(h)
     if prof.edge_count < 2:
         raise PreconditionError("brightness report requires at least 2 edges")

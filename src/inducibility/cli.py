@@ -175,6 +175,8 @@ def _gap_outputs(rep: DegreeGapReport) -> dict:
 
 def _cmd_classify(args) -> tuple[dict, dict]:
     h = _read_graph(args.graph)
+    if args.mc < 0:  # brightness_report rejects it too, but runs only on 2 or more edges
+        raise InputError(f"mc samples must be >= 0, got {args.mc}")
     prof = degree_profile(h)
     cls = classify_vertices(h)
     number, witness = minimal_taming_number(h)

@@ -31,7 +31,7 @@ from .errors import Graph6Error, InputError
 MAX_VERTICES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of vertex v."""
 

@@ -10,7 +10,8 @@ orbit of the parent's automorphism group, and a child is kept only when v
 is in the orbit of its canonically chosen vertex.  That vertex maximizes a
 cheap invariant, so most children are settled without a labelling.  Every
 class comes out exactly once, and its representative is its canonical
-form, which depends on the class alone.
+form, which depends on the class alone.  A class keeps its parent and v's
+subset, so its copy count is its parent's plus the copies through v.
 
 The local search is simulated annealing over single edge flips with
 geometric cooling.  Density is maintained incrementally: flipping (u, v)
@@ -54,11 +55,16 @@ class IndResult:
     mode: str  # "exact" or "lower_bound"
 
 
-def _augmentations(g: Graph) -> Iterator[int]:
-    """The smallest neighbor mask of each Aut(g)-orbit on vertex subsets,
-    in increasing order: masks in one orbit give isomorphic children."""
-    gens = _canonical_search(g.n, g.adj)[2]
-    size = 1 << g.n
+def _child(rows: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """`rows` plus a new last vertex joined to the vertices in `mask`."""
+    return tuple(row | ((mask >> u) & 1) << len(rows) for u, row in enumerate(rows)) + (mask,)
+
+
+def _augmentations(n: int, rows: tuple[int, ...]) -> Iterator[int]:
+    """The smallest neighbor mask of each Aut-orbit on vertex subsets of the
+    n-vertex `rows`, in increasing order: one orbit gives isomorphic children."""
+    gens = _canonical_search(n, rows)[2]
+    size = 1 << n
     images = []
     for perm in gens:
         image = [0] * size
@@ -68,44 +74,49 @@ def _augmentations(g: Graph) -> Iterator[int]:
         images.append(image)
     seen = bytearray(size)
     for mask in range(size):
-        if seen[mask]:
-            continue
-        seen[mask] = 1
-        stack = [mask]
-        while stack:
-            m = stack.pop()
-            for image in images:
-                if not seen[image[m]]:
-                    seen[image[m]] = 1
-                    stack.append(image[m])
-        yield mask
+        if not seen[mask]:
+            seen[mask] = 1
+            stack = [mask]
+            while stack:
+                m = stack.pop()
+                for image in images:
+                    if not seen[image[m]]:
+                        seen[image[m]] = 1
+                        stack.append(image[m])
+            yield mask
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[Graph, ...]:
+def _tree(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """The classes on n vertices in canonical-code order, as parallel tuples of
+    canonical rows, parent indices in `_tree(n - 1)` and the parents' masks."""
     if n == 0:
-        return (Graph.empty(0),)
+        return ((),), (), ()
     v = n - 1
     keyed = []
-    for g in _classes(v):
-        degrees = [row.bit_count() for row in g.adj]
-        for mask in _augmentations(g):
+    for p, parent in enumerate(_tree(v)[0]):
+        degrees = [row.bit_count() for row in parent]
+        for mask in _augmentations(v, parent):
             # keep the child when v is in the orbit of the vertex that
             # maximizes f(u) = (degree, sorted neighbor degrees) and comes
             # first in the canonical order; f alone rejects most children
             deg = [d + ((mask >> u) & 1) for u, d in enumerate(degrees)] + [mask.bit_count()]
             if max(deg) > deg[v]:
                 continue
-            rows = tuple(row | (((mask >> u) & 1) << v) for u, row in enumerate(g.adj)) + (mask,)
+            rows = _child(parent, mask)
             f = {u: sorted(deg[w] for w in range(n) if (rows[u] >> w) & 1)
                  for u in range(n) if deg[u] == deg[v]}
             if max(f.values()) > f[v]:
                 continue
             cols, order, gens = _canonical_search(n, rows)
             if v in _orbit(next(u for u in order if f.get(u) == f[v]), gens):
-                keyed.append((_pack_key(n, cols), cols))
-    keyed.sort()
-    return tuple(Graph(n, _from_columns(n, cols)) for _, cols in keyed)
+                keyed.append((_pack_key(n, cols), cols, p, mask))
+    _, cols, parents, masks = zip(*sorted(keyed))
+    return tuple(_from_columns(n, c) for c in cols), parents, masks
+
+
+def _classes(n: int) -> tuple[Graph, ...]:
+    return tuple(Graph(n, rows) for rows in _tree(n)[0])
 
 
 def enumerate_graphs(n: int):
@@ -117,21 +128,29 @@ def enumerate_graphs(n: int):
     yield from _classes(n)
 
 
+def _host_counts(pattern: _Pattern, n: int) -> list[int]:
+    """Copies of the pattern in each `_tree(n)` class: its parent's plus those through v."""
+    counts = [int(pattern.k == 0)]  # the 0-vertex graph holds one empty copy
+    for m in range(1, n + 1):
+        rows, (_, parents, masks) = _tree(m - 1)[0], _tree(m)
+        counts = [counts[p] + _count_matches(pattern, _child(rows[p], mask), (m - 1,))
+                  for p, mask in zip(parents, masks)]
+    return counts
+
+
 def ind_exact(h: Graph, n: int) -> IndResult:
     """Maximum induced density of h over all n-vertex hosts, with witness.
 
-    Hosts come in canonical-code order, so the first host reaching the
-    maximum is the tie-break witness: the one with the smallest code.
+    Counts come from the parents (`_host_counts`) and hosts in canonical-code
+    order, so the first host at the maximum is the witness of smallest code.
     """
     if h.n > n:
         raise InputError(f"pattern has {h.n} vertices but n = {n}")
     if n > ENUM_LIMIT:
         raise UnsupportedSizeError(f"ind_exact supports n <= {ENUM_LIMIT}, got {n}")
-    pattern = _Pattern(h)
-    hosts = _classes(n)
-    counts = [_count_matches(pattern, g.adj) for g in hosts]
+    counts = _host_counts(_Pattern(h), n)
     best = counts.index(max(counts))
-    return IndResult(Fraction(counts[best], math.comb(n, h.n)), hosts[best], "exact")
+    return IndResult(Fraction(counts[best], math.comb(n, h.n)), Graph(n, _tree(n)[0][best]), "exact")
 
 
 # -- local search ----------------------------------------------------------
@@ -270,6 +289,8 @@ def ind_local_search(
         raise UnsupportedSizeError(
             f"ind_local_search supports n <= {LOCAL_SEARCH_LIMIT}, got {n}"
         )
+    if iters < 0:
+        raise InputError(f"iters must be >= 0, got {iters}")
     pattern = _Pattern(h)
     if checkpoint is not None and Path(checkpoint).exists():
         st = load_checkpoint(checkpoint, h, n, pattern)

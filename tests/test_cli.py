@@ -57,6 +57,16 @@ class TestClassify:
         code, _ = run_cli(capsys, "classify", "!!")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "cmd, graph",
+        [("classify", "C~"), ("classify", "A_"), ("classify", to_graph6(Graph.path(12))),
+         ("brightness", "C~")],
+    )
+    def test_negative_mc_exit_2(self, capsys, cmd, graph):
+        # exact brightness (a small core), none (one edge) and Monte Carlo
+        code, _ = run_cli(capsys, cmd, graph, "--mc", "-3")
+        assert code == 2
+
     def test_stdin_dash(self, capsys, monkeypatch):
         import io
 
@@ -74,6 +84,10 @@ class TestInd:
     def test_k3(self, capsys):
         doc = run_json(capsys, "ind", "Bw", "--n", "5", "--exact")
         assert doc["outputs"]["value"] == "1/1"
+
+    def test_negative_iters_exit_2(self, capsys):
+        code, out = run_cli(capsys, "ind", "C~", "--n", "6", "--search", "--iters", "-5")
+        assert code == 2 and out == ""
 
     def test_exact_size_limit_exit_3(self, capsys):
         code, _ = run_cli(capsys, "ind", "Bg", "--n", "12", "--exact")

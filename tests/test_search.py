@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from inducibility.density import _Pattern, count_induced, induced_density
+from inducibility.density import _count_matches, _Pattern, count_induced, induced_density
 from inducibility.errors import CheckpointError, InputError, UnsupportedSizeError
 from inducibility.graphs import (
     Graph,
@@ -19,6 +19,7 @@ from inducibility.graphs import (
 from inducibility.search import (
     _classes,
     _flip_delta,
+    _host_counts,
     enumerate_graphs,
     ind_exact,
     ind_local_search,
@@ -87,6 +88,13 @@ class TestEnumerate:
         assert digest.hexdigest() == (
             "7753c98de8ab23fc97fe6972e11200c3c4ee782ecbe2551705ed53cf19c4d42a"
         )
+        # golden digest of the copy counts of P4 and the bull in every host,
+        # recorded with one unforced count per host
+        bull = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
+        counts = [_host_counts(_Pattern(h), 8) for h in (Graph.path(4), bull)]
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == (
+            "d7ca207b7d9e54c9b282dd2a1ba224a0873171f419dab21e283ede57629cd95b"
+        )
         star = hashlib.sha256(canonical_key(Graph.star(59))).hexdigest()
         assert star == (
             "b430541fe8244ff3fbf2309dc4676e9e3e8253b7c3c5cde2387f0522f8001148"
@@ -100,6 +108,21 @@ class TestEnumerate:
 
 
 class TestIndExact:
+    def test_tree_counts_match_host_counts(self, classes_by_n):
+        """A host's copies from its parent's plus those through the new
+        vertex equal one unforced count of the host, below k included."""
+        for k in range(5):
+            for h in classes_by_n[k]:
+                pattern, unforced = _Pattern(h), _Pattern(h)
+                for n in range(8):
+                    expected = [_count_matches(unforced, g.adj) for g in classes_by_n[n]]
+                    assert _host_counts(pattern, n) == expected, (to_graph6(h), n)
+
+    def test_empty_pattern(self):
+        for n in range(4):
+            res = ind_exact(Graph.empty(0), n)
+            assert res.value == 1 and res.witness == Graph.empty(n)
+
     def test_p3_at_4(self, p3):
         res = ind_exact(p3, 4)
         assert res.value == 1
