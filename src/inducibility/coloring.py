@@ -22,7 +22,7 @@ black; any violation is counted and indicates an implementation bug.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InputError, PreconditionError
 from .graphs import (
@@ -59,13 +59,17 @@ class ColoredTrace:
 
 
 class _ColorContext:
-    """Pattern-derived canonical codes plus per-host memo tables."""
+    """Pattern-derived canonical codes, the trace step limit (see
+    `run_trial`) and a per-host memo of core codes."""
 
-    def __init__(self, g: Graph, h: Graph):
+    def __init__(self, g: Graph, h: Graph, max_steps: int | None = None):
         if h.n < 3 or h.edge_count() < 2:
             raise PreconditionError("pattern needs at least 3 vertices and 2 edges")
         if h.n > g.n:
             raise InputError(f"pattern has {h.n} vertices but host only {g.n}")
+        self.max_steps = 50 * g.n * h.n if max_steps is None else max_steps
+        if self.max_steps < h.n:
+            raise InputError("max_steps must allow at least k draws")
         self.g = g
         self.k = h.n
         self.core_code = canonical_key(non_isolated_core(h))
@@ -75,7 +79,6 @@ class _ColorContext:
             deleted.add(canonical_key(non_isolated_core(induced_subgraph(h, rest))))
         self.deleted_codes = frozenset(deleted)
         self._core_by_mask: dict[int, bytes] = {}
-        self._black_by_key: dict[tuple[int, int], bool] = {}
 
     def core_code_of_mask(self, mask: int) -> bytes:
         code = self._core_by_mask.get(mask)
@@ -94,17 +97,12 @@ class _ColorContext:
         return code
 
     def is_black(self, black_mask: int, v: int) -> bool:
-        key = (black_mask, v)
-        cached = self._black_by_key.get(key)
-        if cached is None:
-            code = self.core_code_of_mask(black_mask | (1 << v))
-            cached = code != self.core_code and code not in self.deleted_codes
-            self._black_by_key[key] = cached
-        return cached
+        code = self.core_code_of_mask(black_mask | (1 << v))
+        return code != self.core_code and code not in self.deleted_codes
 
 
-def _run(ctx: _ColorContext, rng: random.Random, max_steps: int) -> ColoredTrace:
-    g, k = ctx.g, ctx.k
+def _run(ctx: _ColorContext, rng: random.Random) -> ColoredTrace:
+    g, k, max_steps = ctx.g, ctx.k, ctx.max_steps
     adj = g.adj
     n = g.n
     draws: list[int] = []
@@ -207,11 +205,7 @@ def run_trial(
 ) -> ColoredTrace:
     """One seeded trace.  max_steps defaults to 50*n*k; reaching it without
     k-2 black terms truncates the trace with an unset stop index."""
-    ctx = _ColorContext(g, h)
-    limit = 50 * g.n * h.n if max_steps is None else max_steps
-    if limit < h.n:
-        raise InputError("max_steps must allow at least k draws")
-    return _run(ctx, random.Random(seed), limit)
+    return _run(_ColorContext(g, h, max_steps), random.Random(seed))
 
 
 @dataclass(frozen=True)
@@ -247,61 +241,25 @@ def simulate(
     violation counters must come back zero (they check proven inclusions)."""
     if trials < 1:
         raise InputError("trials must be >= 1")
-    ctx = _ColorContext(g, h)
-    limit = 50 * g.n * h.n if max_steps is None else max_steps
-    if limit < h.n:
-        raise InputError("max_steps must allow at least k draws")
-    keys = (
-        "truncated",
-        "e_km2",
-        "e_km1",
-        "e_k",
-        "e",
-        "a1",
-        "a2",
-        "b",
-        "a1_e",
-        "a2_e",
-        "b_e",
-        "a1_not_b",
-        "e_bad",
-        "iso_bad",
-    )
-    total = dict.fromkeys(keys, 0)
+    ctx = _ColorContext(g, h, max_steps)
+    total = {f.name: 0 for f in fields(ColoringSummary) if f.name not in ("trials", "seed")}
     for idx, count in enumerate(split_samples(trials)):
         rng = random.Random(stream_seed(seed, idx))
         for _ in range(count):
-            tr = _run(ctx, rng, limit)
+            tr = _run(ctx, rng)
             total["truncated"] += tr.truncated
-            total["e_km2"] += tr.prefix_match_km2
-            total["e_km1"] += tr.prefix_match_km1
-            total["e_k"] += tr.prefix_match_k
-            total["e"] += tr.full_match
-            total["a1"] += tr.two_green
-            total["a2"] += tr.one_red
-            total["b"] += tr.consecutive_nonblack
-            total["a1_e"] += tr.two_green and tr.full_match
-            total["a2_e"] += tr.one_red and tr.full_match
-            total["b_e"] += tr.consecutive_nonblack and tr.full_match
-            total["a1_not_b"] += tr.two_green and not tr.consecutive_nonblack
+            total["count_prefix_km2"] += tr.prefix_match_km2
+            total["count_prefix_km1"] += tr.prefix_match_km1
+            total["count_prefix_k"] += tr.prefix_match_k
+            total["count_full_match"] += tr.full_match
+            total["count_two_green"] += tr.two_green
+            total["count_one_red"] += tr.one_red
+            total["count_consecutive_nonblack"] += tr.consecutive_nonblack
+            total["count_two_green_and_match"] += tr.two_green and tr.full_match
+            total["count_one_red_and_match"] += tr.one_red and tr.full_match
+            total["count_consecutive_and_match"] += tr.consecutive_nonblack and tr.full_match
+            total["count_two_green_no_consecutive"] += tr.two_green and not tr.consecutive_nonblack
             if tr.full_match and not tr.truncated:
-                total["e_bad"] += not (tr.two_green or tr.one_red)
-            total["iso_bad"] += tr.isolated_nonblack_violations
-    return ColoringSummary(
-        trials=trials,
-        seed=seed,
-        truncated=total["truncated"],
-        count_prefix_km2=total["e_km2"],
-        count_prefix_km1=total["e_km1"],
-        count_prefix_k=total["e_k"],
-        count_full_match=total["e"],
-        count_two_green=total["a1"],
-        count_one_red=total["a2"],
-        count_consecutive_nonblack=total["b"],
-        count_two_green_and_match=total["a1_e"],
-        count_one_red_and_match=total["a2_e"],
-        count_consecutive_and_match=total["b_e"],
-        count_two_green_no_consecutive=total["a1_not_b"],
-        match_outside_signatures=total["e_bad"],
-        isolated_nonblack_violations=total["iso_bad"],
-    )
+                total["match_outside_signatures"] += not (tr.two_green or tr.one_red)
+            total["isolated_nonblack_violations"] += tr.isolated_nonblack_violations
+    return ColoringSummary(trials=trials, seed=seed, **total)

@@ -16,12 +16,13 @@ cells, keeping the lexicographically smallest adjacency encoding.  It
 prunes by the automorphisms it finds along the way (twin transpositions and
 the mappings of `_colored_iso`), which stays exact, and returns them as
 generators of the group, which host enumeration prunes its augmentations
-by.  `_aut_order` walks the stabilizer chain with the same two kinds of
-automorphism, faster, to count the group.
+by.  The same search counts the group by orbit-stabilizer along its first
+path; `automorphism_count` reads that order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -383,16 +384,18 @@ def _encode_order(n: int, adj: Sequence[int], order: Sequence[int]) -> tuple[int
 
 def _canonical_search(
     n: int, adj: Sequence[int]
-) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
-    """The canonical columns, a vertex order that encodes to them, and
-    generators of the automorphism group.
+) -> tuple[tuple[int, ...], list[int], list[list[int]], int]:
+    """The canonical columns, a vertex order that encodes to them,
+    generators of the automorphism group and the group's order.
 
     A node branches on one vertex per orbit of its first split cell.  The
     orbits come from the automorphisms found at the node and below it, all
     of which fix the node's individualized vertices: the transposition with
     a twin of a kept vertex, or the mapping `_colored_iso` finds onto one.
     Down the first branch these map each kept vertex onto its whole orbit,
-    so they generate the group (the Schreier-Sims argument).
+    so they generate the group (the Schreier-Sims argument), and a node's
+    group order is the orbit of its first vertex times the order its first
+    child returns (orbit-stabilizer).
     """
     order = list(range(n))
     full = (1 << n) - 1
@@ -402,12 +405,12 @@ def _canonical_search(
         # every labeling of the edgeless / complete graph encodes identically,
         # and its group is generated by a transposition and an n-cycle
         gens = [[1, 0] + order[2:], order[1:] + order[:1]] if n > 1 else []
-        return _encode_order(n, adj, order), order, gens
+        return _encode_order(n, adj, order), order, gens, math.factorial(n)
 
     nbrs = _neighbors(n, adj)
     best: tuple[tuple[int, ...], list[int]] | None = None
 
-    def rec(colors: list[int]) -> list[list[int]]:
+    def rec(colors: list[int]) -> tuple[list[list[int]], int]:
         nonlocal best
         target = _first_split_cell(n, colors)
         if target is None:
@@ -415,10 +418,12 @@ def _canonical_search(
             enc = _encode_order(n, adj, leaf)
             if best is None or enc < best[0]:
                 best = (enc, leaf)
-            return []
-        gens: list[list[int]] = []
-        reps: list[tuple[int, list[int]]] = []
-        for u in target:
+            return [], 1
+        v = target[0]
+        cv = _refine(nbrs, _individualize(colors, v))
+        gens, stab = rec(cv)
+        reps = [(v, cv)]
+        for u in target[1:]:
             if not _orbit(u, gens).isdisjoint(r for r, _ in reps):
                 continue
             twin = next((r for r, _ in reps if _twins(adj, u, r)), None)
@@ -435,12 +440,12 @@ def _canonical_search(
                     break
             else:
                 reps.append((u, cu))
-                gens += rec(cu)
-        return gens
+                gens += rec(cu)[0]
+        return gens, len(_orbit(v, gens)) * stab
 
-    gens = rec(_base_colors(nbrs))
+    gens, size = rec(_base_colors(nbrs))
     assert best is not None
-    return best[0], best[1], gens
+    return best[0], best[1], gens, size
 
 
 def _from_columns(n: int, cols: Sequence[int]) -> tuple[int, ...]:
@@ -569,47 +574,9 @@ def _orbit(v: int, gens: Sequence[Sequence[int]]) -> set[int]:
     return orbit
 
 
-def _aut_order(n: int, adj: Sequence[int], gens: list[list[int]]) -> int:
-    """Order of the automorphism group, by the orbit-stabilizer recursion
-    down the stabilizer chain of the refined individualizations.
-
-    Appends a generating set of the group to `gens`.  Each level maps its
-    first target vertex v onto every vertex of v's orbit that the
-    generators found so far (all of them fix the vertices individualized
-    above this level) do not reach yet: by the transposition with a twin
-    already in the orbit, or else by the mapping `_colored_iso` finds.
-    """
-    nbrs = _neighbors(n, adj)
-
-    def level(colors: list[int]) -> int:
-        target = _first_split_cell(n, colors)
-        if target is None:
-            return 1
-        v = target[0]
-        cv = _refine(nbrs, _individualize(colors, v))
-        stab = level(cv)
-        orbit = _orbit(v, gens)
-        for u in target[1:]:
-            if u in orbit:
-                continue
-            twin = next((w for w in orbit if _twins(adj, u, w)), None)
-            if twin is not None:
-                perm = list(range(n))
-                perm[u], perm[twin] = twin, u
-            else:
-                perm = _colored_iso(n, adj, cv, _refine(nbrs, _individualize(colors, u)))
-                if perm is None:
-                    continue
-            gens.append(perm)
-            orbit = _orbit(v, gens)
-        return len(orbit) * stab
-
-    return level(_base_colors(nbrs))
-
-
 def automorphism_count(g: Graph) -> int:
-    """Exact order of the automorphism group (orbit-stabilizer recursion)."""
-    return _aut_order(g.n, g.adj, [])
+    """Exact order of the automorphism group, from the canonical search."""
+    return _canonical_search(g.n, g.adj)[3]
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

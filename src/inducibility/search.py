@@ -108,7 +108,7 @@ def _tree(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[i
                  for u in range(n) if deg[u] == deg[v]}
             if max(f.values()) > f[v]:
                 continue
-            cols, order, gens = _canonical_search(n, rows)
+            cols, order, gens, _ = _canonical_search(n, rows)
             if v in _orbit(next(u for u in order if f.get(u) == f[v]), gens):
                 keyed.append((_pack_key(n, cols), cols, p, mask))
     _, cols, parents, masks = zip(*sorted(keyed))

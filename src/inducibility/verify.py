@@ -439,7 +439,7 @@ def _check_match_trace_shape():
     ctx = _ColorContext(g, h)
     seen = 0
     for seed in range(60_000):
-        tr = _run(ctx, random.Random(seed), 50 * g.n * k)
+        tr = _run(ctx, random.Random(seed))
         if tr.isolated_nonblack_violations:
             return False, f"seed={seed}: an isolated arrival was not black"
         if not tr.full_match or tr.truncated:

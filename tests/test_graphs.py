@@ -8,7 +8,6 @@ import pytest
 from inducibility.errors import Graph6Error, InputError
 from inducibility.graphs import (
     Graph,
-    _aut_order,
     _canonical_search,
     _encode_order,
     automorphism_count,
@@ -236,7 +235,7 @@ class TestCanonical:
         graphs = [random_graph(rng, n, rng.uniform(0.1, 0.9)) for n in (1, 2, 5, 9, 16, 30)]
         graphs += [Graph.empty(5), Graph.complete(6), *_symmetric_hosts()]
         for g in graphs:
-            cols, order, _ = _canonical_search(g.n, g.adj)
+            cols, order, _, _ = _canonical_search(g.n, g.adj)
             assert sorted(order) == list(range(g.n))
             assert _encode_order(g.n, g.adj, order) == cols
 
@@ -288,24 +287,21 @@ class TestAutomorphisms:
             )
         ]
         for g in graphs:
-            gens = []
-            order = _aut_order(g.n, g.adj, gens)
-            # the canonical search finds its own generators
-            for gens in (gens, _canonical_search(g.n, g.adj)[2]):
-                e = edge_set(g)
+            _, _, gens, order = _canonical_search(g.n, g.adj)
+            e = edge_set(g)
+            for perm in gens:
+                assert sorted(perm) == list(range(g.n))
+                assert {frozenset((perm[u], perm[v])) for u, v in g.edges()} == e
+            group = {tuple(range(g.n))}
+            frontier = list(group)
+            while frontier:
+                elem = frontier.pop()
                 for perm in gens:
-                    assert sorted(perm) == list(range(g.n))
-                    assert {frozenset((perm[u], perm[v])) for u, v in g.edges()} == e
-                group = {tuple(range(g.n))}
-                frontier = list(group)
-                while frontier:
-                    elem = frontier.pop()
-                    for perm in gens:
-                        img = tuple(perm[x] for x in elem)
-                        if img not in group:
-                            group.add(img)
-                            frontier.append(img)
-                assert len(group) == order == brute_automorphisms(g), to_graph6(g)
+                    img = tuple(perm[x] for x in elem)
+                    if img not in group:
+                        group.add(img)
+                        frontier.append(img)
+            assert len(group) == order == brute_automorphisms(g), to_graph6(g)
 
     def test_divides_factorial(self, classes_by_n):
         for n in range(1, 8):

@@ -1,6 +1,7 @@
 import pytest
 
 from inducibility import verify
+from inducibility.coloring import _ColorContext
 from inducibility.verify import SUITES, CheckResult, run_suite
 
 
@@ -28,3 +29,22 @@ def test_all_runs_every_suite(monkeypatch):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+@pytest.mark.parametrize(
+    "wrong_order, counterexample", [(lambda true: 1, "A?"), (lambda true: true // 2, "@")]
+)
+def test_aut_floor_fails_on_a_wrong_group_order(monkeypatch, wrong_order, counterexample):
+    true_order = verify.automorphism_count
+    monkeypatch.setattr(verify, "automorphism_count", lambda h: wrong_order(true_order(h)))
+    result = verify._check_aut_vs_taming()
+    assert (result.name, result.ok, result.detail) == (
+        "aut_floor_from_taming", False, counterexample
+    )
+
+
+def test_match_trace_shape_fails_on_inverted_colouring(monkeypatch):
+    is_black = _ColorContext.is_black
+    monkeypatch.setattr(_ColorContext, "is_black", lambda ctx, mask, v: not is_black(ctx, mask, v))
+    result = verify._check_match_trace_shape()
+    assert result.name == "match_trace_shape" and not result.ok, result.detail
