@@ -422,26 +422,34 @@ def _canonical_search(
         v = target[0]
         cv = _refine(nbrs, _individualize(colors, v))
         gens, stab = rec(cv)
+        covered = _orbit(v, gens)  # the orbits of the kept vertices, closed under gens
         reps = [(v, cv)]
         for u in target[1:]:
-            if not _orbit(u, gens).isdisjoint(r for r, _ in reps):
+            if u in covered:
                 continue
             twin = next((r for r, _ in reps if _twins(adj, u, r)), None)
             if twin is not None:
                 perm = list(order)
                 perm[u], perm[twin] = twin, u
-                gens.append(perm)
-                continue
-            cu = _refine(nbrs, _individualize(colors, u))
-            for _, cr in reps:
-                perm = _colored_iso(n, adj, cr, cu)
-                if perm is not None:
-                    gens.append(perm)
-                    break
+                found = [perm]
             else:
-                reps.append((u, cu))
-                gens += rec(cu)[0]
-        return gens, len(_orbit(v, gens)) * stab
+                cu = _refine(nbrs, _individualize(colors, u))
+                for _, cr in reps:
+                    perm = _colored_iso(n, adj, cr, cu)
+                    if perm is not None:
+                        found = [perm]
+                        break
+                else:
+                    reps.append((u, cu))
+                    found = rec(cu)[0]
+            gens += found
+            # close again: the new generators on the old points, every generator on the new
+            grown = {u} | {perm[x] for perm in found for x in covered} - covered
+            covered |= grown
+            _close(covered, list(grown), gens)
+        # with v the only kept vertex, covered is v's orbit
+        orbit = covered if len(reps) == 1 else _orbit(v, gens)
+        return gens, len(orbit) * stab
 
     gens, size = rec(_base_colors(nbrs))
     assert best is not None
@@ -561,9 +569,9 @@ def _colored_iso(
     return pi
 
 
-def _orbit(v: int, gens: Sequence[Sequence[int]]) -> set[int]:
-    orbit = {v}
-    stack = [v]
+def _close(orbit: set[int], stack: list[int], gens: Sequence[Sequence[int]]) -> None:
+    """Add to `orbit` the images under `gens` of the points on `stack`, and
+    of those images, until it is closed."""
     while stack:
         x = stack.pop()
         for perm in gens:
@@ -571,6 +579,11 @@ def _orbit(v: int, gens: Sequence[Sequence[int]]) -> set[int]:
             if y not in orbit:
                 orbit.add(y)
                 stack.append(y)
+
+
+def _orbit(v: int, gens: Sequence[Sequence[int]]) -> set[int]:
+    orbit = {v}
+    _close(orbit, [v], gens)
     return orbit
 
 

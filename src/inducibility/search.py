@@ -1,17 +1,27 @@
 """Maximum induced density over n-vertex hosts: exact for small n, local
 search for larger n.
 
-Exact mode enumerates one host per isomorphism class and takes the maximum
-density, breaking ties by smallest canonical code so outputs are stable.
-The classes on n vertices are built by canonical augmentation (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 1998): each class on
-n - 1 vertices gets a new vertex v joined to the smallest subset of each
-orbit of the parent's automorphism group, and a child is kept only when v
+Exact mode takes the maximum density over the n-vertex hosts, breaking
+ties by smallest canonical code so outputs are stable.  The classes on n
+vertices are built by canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): each class on n - 1 vertices
+gets a new vertex v joined to the smallest subset of each orbit of the
+parent's automorphism group, and a child is kept only when v
 is in the orbit of its canonically chosen vertex.  That vertex maximizes a
 cheap invariant, so most children are settled without a labelling.  Every
 class comes out exactly once, and its representative is its canonical
 form, which depends on the class alone.  A class keeps its parent and v's
 subset, so its copy count is its parent's plus the copies through v.
+
+The top level is scored from its parents without being built: every
+n-vertex host is some (n - 1)-vertex class plus v, so the maximum is read
+off every subset of every class of `_tree(n - 1)`, and a class met twice
+does not change a maximum.  The copies through v for all subsets of a
+parent come from one table per parent: for each (k - 1)-subset S, the
+patterns of v's neighbours in S that complete a copy, found once per
+labelled S by the density module's matcher.  Only the hosts at the maximum
+are labelled, to pick the witness.  So scoring builds `_tree` up to n - 1,
+and `_tree(n)` is built only to enumerate the n-vertex classes.
 
 The local search is simulated annealing over single edge flips with
 geometric cooling.  Density is maintained incrementally: flipping (u, v)
@@ -29,12 +39,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 from typing import Iterator
 
 from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, UnsupportedSizeError
-from .graphs import Graph, _canonical_search, _from_columns, _orbit, _pack_key
+from .graphs import Graph, _canonical_search, _from_columns, _induced_rows, _orbit, _pack_key
 from .graphs import parse_graph6, to_graph6
 
 ENUM_LIMIT = 9
@@ -128,29 +139,87 @@ def enumerate_graphs(n: int):
     yield from _classes(n)
 
 
+@lru_cache(maxsize=None)
+def _layout(m: int, j: int) -> tuple[tuple[tuple[int, ...], list[int], list[int]], ...]:
+    """Per j-subset S of range(m): S, the mask of range(m) that each
+    pattern t < 2^j on S stands for, and the submasks of range(m) outside S."""
+    layout = []
+    for subset in combinations(range(m), j):
+        spread = [sum(1 << u for i, u in enumerate(subset) if (t >> i) & 1) for t in range(1 << j)]
+        free = (1 << m) - 1 - spread[-1]  # spread[-1] is S itself
+        layout.append((subset, spread, [r for r in range(free + 1) if r & free == r]))
+    return tuple(layout)
+
+
+def _through(pattern: _Pattern, rows: tuple[int, ...]) -> list[int]:
+    """Copies of the pattern through a new vertex joined to the m-vertex
+    `rows` by each of the 2^m masks, indexed by mask."""
+    k = pattern.k
+    through = [0] * (1 << len(rows))
+    if k == 0:
+        return through
+    for subset, spread, rests in _layout(len(rows), k - 1):
+        sub = _induced_rows(rows, subset)
+        joins = pattern.joins.get(sub)
+        if joins is None:
+            # the patterns t of a new vertex's neighbours in S that complete a copy
+            joins = pattern.joins[sub] = [
+                t for t in range(len(spread)) if _count_matches(pattern, _child(sub, t), range(k))
+            ]
+        for t in joins:
+            # every mask that meets S in t
+            for rest in rests:
+                through[spread[t] | rest] += 1
+    return through
+
+
 def _host_counts(pattern: _Pattern, n: int) -> list[int]:
     """Copies of the pattern in each `_tree(n)` class: its parent's plus those through v."""
     counts = [int(pattern.k == 0)]  # the 0-vertex graph holds one empty copy
     for m in range(1, n + 1):
         rows, (_, parents, masks) = _tree(m - 1)[0], _tree(m)
-        counts = [counts[p] + _count_matches(pattern, _child(rows[p], mask), (m - 1,))
-                  for p, mask in zip(parents, masks)]
+        level = [0] * len(parents)
+        last = -1
+        for i in sorted(range(len(parents)), key=parents.__getitem__):
+            p = parents[i]
+            if p != last:
+                through, last = _through(pattern, rows[p]), p
+            level[i] = counts[p] + through[masks[i]]
+        counts = level
     return counts
 
 
 def ind_exact(h: Graph, n: int) -> IndResult:
     """Maximum induced density of h over all n-vertex hosts, with witness.
 
-    Counts come from the parents (`_host_counts`) and hosts in canonical-code
-    order, so the first host at the maximum is the witness of smallest code.
+    Every n-vertex host is a child of an (n - 1)-vertex class, so the
+    maximum is read off every mask of every class of `_tree(n - 1)`: a
+    child's copies are its parent's (`_host_counts`) plus those through the
+    new vertex (`_through`).  The witness is the child at the maximum of
+    smallest canonical code, the first such host in canonical-code order.
     """
     if h.n > n:
         raise InputError(f"pattern has {h.n} vertices but n = {n}")
     if n > ENUM_LIMIT:
         raise UnsupportedSizeError(f"ind_exact supports n <= {ENUM_LIMIT}, got {n}")
-    counts = _host_counts(_Pattern(h), n)
-    best = counts.index(max(counts))
-    return IndResult(Fraction(counts[best], math.comb(n, h.n)), Graph(n, _tree(n)[0][best]), "exact")
+    if h.n <= 1:
+        # every host holds C(n, k) copies; the edgeless host has the smallest code
+        return IndResult(Fraction(1), Graph.empty(n), "exact")
+    if h.n == n:
+        # h's class is the one host holding a copy
+        return IndResult(Fraction(1), Graph(n, _from_columns(n, _canonical_search(n, h.adj)[0])), "exact")
+    pattern = _Pattern(h)
+    counts = _host_counts(pattern, n - 1)
+    best, tied = -1, []
+    for p, rows in enumerate(_tree(n - 1)[0]):
+        through = _through(pattern, rows)
+        top = counts[p] + max(through)
+        if top > best:
+            best, tied = top, []
+        if top == best:
+            tied += [_child(rows, mask) for mask, c in enumerate(through) if counts[p] + c == best]
+    cols = min((_canonical_search(n, adj)[0] for adj in tied), key=lambda c: _pack_key(n, c))
+    return IndResult(Fraction(best, math.comb(n, h.n)), Graph(n, _from_columns(n, cols)), "exact")
 
 
 # -- local search ----------------------------------------------------------

@@ -100,14 +100,14 @@ def test_criterion_08_search():
     res = ind_exact(p3, 4)
     assert res.value == 1 and is_isomorphic(res.witness, Graph.cycle(4))
     for h in _classes(4):
-        values = [ind_exact(h, n).value for n in range(4, 8)]
-        assert all(values[i] >= values[i + 1] for i in range(3)), h
+        values = [ind_exact(h, n).value for n in range(4, 9)]
+        assert all(values[i] >= values[i + 1] for i in range(4)), h
         for n in (4, 5, 6):
             assert ind_exact(h, n).value == ind_exact(complement(h), n).value
     elapsed = time.monotonic() - start
     assert elapsed < 1800
     report(8, "ind(P3,4)=1 with C4 witness; monotone and complement-symmetric",
-           f"11 patterns, n in 4..7, {elapsed:.1f}s")
+           f"11 patterns, n in 4..8, {elapsed:.1f}s")
 
 
 def test_criterion_09_coloring_simulation(verified):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -17,16 +18,18 @@ from inducibility.graphs import (
     to_graph6,
 )
 from inducibility.search import (
+    _child,
     _classes,
     _flip_delta,
     _host_counts,
+    _through,
     enumerate_graphs,
     ind_exact,
     ind_local_search,
     load_checkpoint,
 )
 from inducibility.verify import _aut_floor_holds
-from oracles import brute_classes, brute_ind_over_labeled
+from oracles import brute_classes, brute_count_induced, brute_ind_over_labeled
 
 
 class TestEnumerate:
@@ -117,6 +120,41 @@ class TestIndExact:
                 for n in range(8):
                     expected = [_count_matches(unforced, g.adj) for g in classes_by_n[n]]
                     assert _host_counts(pattern, n) == expected, (to_graph6(h), n)
+
+    def test_through_matches_forced_walk(self, classes_by_n):
+        """The join tables count, for every mask, the copies through a new
+        vertex that one forced walk of the child counts."""
+        for k in range(6):
+            for h in classes_by_n[k]:
+                pattern = _Pattern(h)
+                for m in range(6):
+                    for g in classes_by_n[m]:
+                        through = _through(pattern, g.adj)
+                        assert through == [
+                            _count_matches(pattern, _child(g.adj, mask), (m,))
+                            for mask in range(1 << m)
+                        ], (to_graph6(h), to_graph6(g))
+
+    def test_matches_brute_force_over_classes(self, classes_by_n):
+        """The maximum over every class by the brute-force count, and the
+        first class in canonical-code order that reaches it as witness."""
+        for k in range(2, 5):
+            for h in classes_by_n[k]:
+                for n in range(k, 7):
+                    densities = [
+                        Fraction(brute_count_induced(h, g), math.comb(n, k))
+                        for g in classes_by_n[n]
+                    ]
+                    res = ind_exact(h, n)
+                    assert res.value == max(densities), (to_graph6(h), n)
+                    assert res.witness == classes_by_n[n][densities.index(res.value)]
+
+    @pytest.mark.slow
+    def test_n9(self):
+        # recorded when every 9-vertex class was built and counted; C5 is DUW
+        for h, value in ((Graph.cycle(5), Fraction(8, 63)), (Graph.path(4), Fraction(8, 21))):
+            res = ind_exact(h, 9)
+            assert res.value == value and to_graph6(res.witness) == "H?~E@ku"
 
     def test_empty_pattern(self):
         for n in range(4):
