@@ -35,6 +35,10 @@ from .graphs import (
 from .mc import split_samples, stream_seed
 from .structure import classify_vertices
 
+# the core-code memo is cleared when it outgrows this many masks, about
+# 1.5 times what a 20,000-trace run on G(64, 0.05) stores
+CORE_MEMO_LIMIT = 100_000
+
 BLACK = "black"
 GREEN = "green"
 RED = "red"
@@ -60,7 +64,8 @@ class ColoredTrace:
 
 class _ColorContext:
     """Pattern-derived canonical codes, the trace step limit (see
-    `run_trial`) and a per-host memo of core codes."""
+    `run_trial`) and a per-host memo of core codes, cleared wholesale once
+    it holds `CORE_MEMO_LIMIT` masks."""
 
     def __init__(self, g: Graph, h: Graph, max_steps: int | None = None):
         if h.n < 3 or h.edge_count() < 2:
@@ -93,6 +98,8 @@ class _ColorContext:
                 if adj[v] & mask:
                     verts.append(v)
             code = canonical_key(Graph(len(verts), _induced_rows(adj, verts)))
+            if len(self._core_by_mask) >= CORE_MEMO_LIMIT:
+                self._core_by_mask.clear()
             self._core_by_mask[mask] = code
         return code
 

@@ -23,6 +23,16 @@ labelled S by the density module's matcher.  Only the hosts at the maximum
 are labelled, to pick the witness.  So scoring builds `_tree` up to n - 1,
 and `_tree(n)` is built only to enumerate the n-vertex classes.
 
+Parents are scored best-first.  A copy through v is v plus a (k - 1)-subset
+of the parent inducing some h - u, and each such subset makes at most one
+copy, so a parent's deck, the number of those subsets, plus its own count
+bounds every child.  The deck is `_host_counts` summed over h's distinct
+vertex-deleted subgraphs: a subset induces one class, so none is counted
+twice.  Parents are scored in decreasing order of that bound, and the scan
+stops at the first whose bound is below the best count found so far.  A
+parent whose bound equals the best is still scored, so every child at the
+maximum is seen and the witness does not depend on the pruning.
+
 The local search is simulated annealing over single edge flips with
 geometric cooling.  Density is maintained incrementally: flipping (u, v)
 changes the count by the copies through both endpoints after the flip
@@ -46,7 +56,7 @@ from typing import Iterator
 from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, UnsupportedSizeError
 from .graphs import Graph, _canonical_search, _from_columns, _induced_rows, _orbit, _pack_key
-from .graphs import parse_graph6, to_graph6
+from .graphs import canonical_key, induced_subgraph, parse_graph6, to_graph6
 
 ENUM_LIMIT = 9
 
@@ -189,14 +199,26 @@ def _host_counts(pattern: _Pattern, n: int) -> list[int]:
     return counts
 
 
+def _deck_counts(h: Graph, n: int) -> list[int]:
+    """The (h.n - 1)-subsets of each `_tree(n)` class that induce some h - u,
+    summed over h's distinct vertex deletions: a subset induces one class."""
+    deletions = [induced_subgraph(h, [w for w in range(h.n) if w != u]) for u in range(h.n)]
+    distinct = {canonical_key(g): g for g in deletions}.values()
+    return [sum(c) for c in zip(*(_host_counts(_Pattern(g), n) for g in distinct))]
+
+
 def ind_exact(h: Graph, n: int) -> IndResult:
     """Maximum induced density of h over all n-vertex hosts, with witness.
 
     Every n-vertex host is a child of an (n - 1)-vertex class, so the
-    maximum is read off every mask of every class of `_tree(n - 1)`: a
+    maximum is read off the masks of the classes of `_tree(n - 1)`: a
     child's copies are its parent's (`_host_counts`) plus those through the
-    new vertex (`_through`).  The witness is the child at the maximum of
-    smallest canonical code, the first such host in canonical-code order.
+    new vertex (`_through`).  No child of a parent holds more than the
+    parent's count plus its deck (`_deck_counts`), so parents are scored in
+    decreasing order of that bound until it falls below the best count;
+    a parent whose bound ties the best is still scored.  The witness is the
+    child at the maximum of smallest canonical code, the first such host in
+    canonical-code order.
     """
     if h.n > n:
         raise InputError(f"pattern has {h.n} vertices but n = {n}")
@@ -210,8 +232,13 @@ def ind_exact(h: Graph, n: int) -> IndResult:
         return IndResult(Fraction(1), Graph(n, _from_columns(n, _canonical_search(n, h.adj)[0])), "exact")
     pattern = _Pattern(h)
     counts = _host_counts(pattern, n - 1)
+    bound = [c + d for c, d in zip(counts, _deck_counts(h, n - 1))]
+    tree = _tree(n - 1)[0]
     best, tied = -1, []
-    for p, rows in enumerate(_tree(n - 1)[0]):
+    for p in sorted(range(len(tree)), key=bound.__getitem__, reverse=True):
+        if bound[p] < best:
+            break
+        rows = tree[p]
         through = _through(pattern, rows)
         top = counts[p] + max(through)
         if top > best:

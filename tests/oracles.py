@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and structured differently
 from the package code: permutation scans instead of canonical codes, edge
 sets instead of bitmasks, and a separate graph6 decoder that indexes the
-bit stream arithmetically.  Oracles must stay independent of the paths
+bit stream arithmetically.  `complete_bipartite_ind` is a published closed
+form that enumerates nothing.  Oracles must stay independent of the paths
 they check.  There are two exceptions.  `brute_classes` checks the
 canonical augmentation of host enumeration: it labels every child with
 `canonical_key`, whose keys the golden digests in the tests pin
@@ -15,7 +16,9 @@ compare with `brute_is_tamed_by_permutations`.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -84,6 +87,38 @@ def brute_automorphisms(g: Graph) -> int:
         for p in permutations(range(g.n))
         if {frozenset((p[u], p[v])) for u, v in g.edges()} == e
     )
+
+
+@lru_cache(maxsize=None)
+def brute_form(k: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The smallest sorted edge list of the k-vertex graph with `edges` over
+    every relabelling: equal exactly for isomorphic graphs."""
+    return min(
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        for p in permutations(range(k))
+    )
+
+
+def brute_census(g: Graph, k: int) -> Counter:
+    """How many k-subsets of g induce each class, keyed by `brute_form`."""
+    return Counter(
+        brute_form(k, frozenset(
+            (i, j) for (i, u), (j, v) in combinations(enumerate(verts), 2) if g.has_edge(u, v)
+        ))
+        for verts in combinations(range(g.n), k)
+    )
+
+
+def complete_bipartite_ind(s: int, t: int, n: int) -> Fraction:
+    """ind(K_{s,t}, n) in closed form: some complete bipartite host K_{a,n-a}
+    attains the maximum (Brown and Sidorenko, "The inducibility of complete
+    bipartite graphs", J. Graph Theory 1994).  Its copies take s vertices
+    from one side and t from the other; for s = t both ways are one."""
+    best = max(
+        comb(a, s) * comb(n - a, t) + (s != t) * comb(a, t) * comb(n - a, s)
+        for a in range(n + 1)
+    )
+    return Fraction(best, comb(n, s + t))
 
 
 def brute_count_induced(h: Graph, g: Graph) -> int:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from inducibility import search
 from inducibility.density import _count_matches, _Pattern, count_induced, induced_density
 from inducibility.errors import CheckpointError, InputError, UnsupportedSizeError
 from inducibility.graphs import (
@@ -14,7 +15,9 @@ from inducibility.graphs import (
     _encode_order,
     _from_columns,
     canonical_key,
+    complement,
     is_isomorphic,
+    parse_graph6,
     to_graph6,
 )
 from inducibility.search import (
@@ -29,7 +32,67 @@ from inducibility.search import (
     load_checkpoint,
 )
 from inducibility.verify import _aut_floor_holds
-from oracles import brute_classes, brute_count_induced, brute_ind_over_labeled
+from oracles import (
+    brute_census,
+    brute_classes,
+    brute_count_induced,
+    brute_form,
+    brute_ind_over_labeled,
+    complete_bipartite_ind,
+)
+
+BIPARTITE = ((1, 2), (1, 3), (2, 2), (1, 4), (2, 3))
+
+
+def _form(g):
+    return brute_form(g.n, frozenset(g.edges()))
+
+
+@pytest.fixture(scope="module")
+def brute_max(classes_by_n):
+    """brute_max(h, n): h's maximum copy count over the classes on n vertices
+    by brute census, the indices of the classes reaching it, and the indices
+    of the classes on n - 1 vertices that are one of those less a vertex."""
+    census, index = {}, {}
+
+    def at_max(h, n):
+        if (n, h.n) not in census:
+            census[n, h.n] = [brute_census(g, h.n) for g in classes_by_n[n]]
+            index[n - 1] = {_form(g): i for i, g in enumerate(classes_by_n[n - 1])}
+        copies = [c[_form(h)] for c in census[n, h.n]]
+        top = max(copies)
+        best = [i for i, c in enumerate(copies) if c == top]
+        parents = set()
+        for i in best:
+            for v in range(n):
+                edges = [(a - (a > v), b - (b > v)) for a, b in classes_by_n[n][i].edges() if v not in (a, b)]
+                parents.add(index[n - 1][brute_form(n - 1, frozenset(edges))])
+        return top, best, parents
+
+    return at_max
+
+
+def _brute_mismatches(classes_by_n, brute_max, monkeypatch):
+    """Each (pattern, n) with 2 <= k <= 5 and k <= n <= 7 where `ind_exact`
+    differs from the brute-force maximum over every class, its witness from
+    the first class in canonical-code order that reaches it, or a parent
+    with a child at the maximum goes unscored."""
+    through, scored = search._through, []
+    monkeypatch.setattr(search, "_through", lambda p, rows: scored.append(rows) or through(p, rows))
+    index = {g.adj: i for m in range(1, 7) for i, g in enumerate(classes_by_n[m])}
+    for k in range(2, 6):
+        for h in classes_by_n[k]:
+            for n in range(k, 8):
+                copies, best, parents = brute_max(h, n)
+                scored.clear()
+                res = ind_exact(h, n)
+                missed = parents - {index[rows] for rows in scored if len(rows) == n - 1}
+                if (
+                    res.value != Fraction(copies, math.comb(n, k))
+                    or res.witness != classes_by_n[n][best[0]]
+                    or (n > k and missed)
+                ):
+                    yield to_graph6(h), n
 
 
 class TestEnumerate:
@@ -135,26 +198,65 @@ class TestIndExact:
                             for mask in range(1 << m)
                         ], (to_graph6(h), to_graph6(g))
 
-    def test_matches_brute_force_over_classes(self, classes_by_n):
-        """The maximum over every class by the brute-force count, and the
-        first class in canonical-code order that reaches it as witness."""
-        for k in range(2, 5):
+    def test_census_matches_brute_count(self, classes_by_n):
+        for k in range(5):
             for h in classes_by_n[k]:
-                for n in range(k, 7):
-                    densities = [
-                        Fraction(brute_count_induced(h, g), math.comb(n, k))
-                        for g in classes_by_n[n]
-                    ]
-                    res = ind_exact(h, n)
-                    assert res.value == max(densities), (to_graph6(h), n)
-                    assert res.witness == classes_by_n[n][densities.index(res.value)]
+                for g in classes_by_n[5]:
+                    assert brute_census(g, k)[_form(h)] == brute_count_induced(h, g)
+
+    def test_matches_brute_force_over_classes(self, classes_by_n, brute_max, monkeypatch):
+        """The maximum over every class by the brute-force count, the first
+        class in canonical-code order that reaches it as witness, and every
+        parent of a host at the maximum scored."""
+        assert list(_brute_mismatches(classes_by_n, brute_max, monkeypatch)) == []
+
+    def test_deck_one_too_small_is_caught(self, classes_by_n, brute_max, monkeypatch):
+        """A bound one too small skips a parent whose bound is tight."""
+        deck = search._deck_counts
+        monkeypatch.setattr(search, "_deck_counts", lambda h, n: [d - (d > 0) for d in deck(h, n)])
+        assert next(_brute_mismatches(classes_by_n, brute_max, monkeypatch), None)
+
+    def test_pruning_tied_parents_is_caught(self, classes_by_n, brute_max, monkeypatch):
+        """Stopping at a bound equal to the best, not below it, skips a
+        parent with a child at the maximum; a bound one smaller on every
+        parent is the same scan."""
+        deck = search._deck_counts
+        monkeypatch.setattr(search, "_deck_counts", lambda h, n: [d - 1 for d in deck(h, n)])
+        assert next(_brute_mismatches(classes_by_n, brute_max, monkeypatch), None)
+
+    def test_complete_bipartite_closed_form(self):
+        for s, t in BIPARTITE:
+            h = Graph.complete_bipartite(s, t)
+            for n in range(s + t, 9):
+                want = complete_bipartite_ind(s, t, n)
+                assert ind_exact(h, n).value == want, (s, t, n)
+                assert ind_exact(complement(h), n).value == want, (s, t, n)
+
+    @pytest.mark.slow
+    def test_complete_bipartite_closed_form_n9(self):
+        for s, t in BIPARTITE:
+            h, want = Graph.complete_bipartite(s, t), complete_bipartite_ind(s, t, 9)
+            assert ind_exact(h, 9).value == want == ind_exact(complement(h), 9).value, (s, t)
+
+    def test_complement_symmetry_n8(self, classes_by_n):
+        """A host's complement holds the complement's copies."""
+        value = {canonical_key(h): ind_exact(h, 8).value for k in range(2, 6) for h in classes_by_n[k]}
+        for k in range(2, 6):
+            for h in classes_by_n[k]:
+                assert value[canonical_key(h)] == value[canonical_key(complement(h))], to_graph6(h)
 
     @pytest.mark.slow
     def test_n9(self):
-        # recorded when every 9-vertex class was built and counted; C5 is DUW
-        for h, value in ((Graph.cycle(5), Fraction(8, 63)), (Graph.path(4), Fraction(8, 21))):
+        # C5 (DUW) and P4 recorded when every 9-vertex class was built and
+        # counted; K1,3 (Cs) and the house (Dlo) when every parent was scored
+        for h, value, witness in (
+            (Graph.cycle(5), Fraction(8, 63), "H?~E@ku"),
+            (Graph.path(4), Fraction(8, 21), "H?~E@ku"),
+            (parse_graph6("Cs"), Fraction(5, 9), "H???F~}"),
+            (parse_graph6("Dlo"), Fraction(1, 3), "H`Bm|px"),
+        ):
             res = ind_exact(h, 9)
-            assert res.value == value and to_graph6(res.witness) == "H?~E@ku"
+            assert res.value == value and to_graph6(res.witness) == witness, to_graph6(h)
 
     def test_empty_pattern(self):
         for n in range(4):
