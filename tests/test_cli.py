@@ -340,3 +340,69 @@ class TestDeterminism:
         assert first == second
         digest = hashlib.sha256(first.encode()).hexdigest()
         assert digest == self.STDOUT_SHA256[argv[0]]
+
+
+STAR20 = "TsaCCA?_C?O?_?_?O?C??_?A??C??C??A???"
+
+
+class TestPinnedOutputs:
+    """SHA-256 of stdout for every output schema TestDeterminism does not pin."""
+
+    CASES = [
+        (("tame", "Cr"),
+         "8327577bf808e260a9dd9830b23939eada476d96740463fc75036f6204c02e01"),
+        (("tame", "Cr", "--set", "0"),
+         "8af1dee13931a1ad2cbee40c84fd2c32b529d47a78d86786b581e0f9e1df4a16"),
+        (("tame", "Cr", "--set", ""),
+         "ddd5dd1df22beee324a089a12985dccecabec8863edd7c3b4cc614b6919c03b9"),
+        (("classify", "A_"),
+         "22fb57890db7c9bf1c733476f93460282abd3509c7610466211bbaedb47dff06"),
+        (("classify", "KhCGGC@?G?_@", "--mc", "400", "--seed", "3"),
+         "2b8293160284e66c0ec237a87e7754b6e9ba996f9fc0cb271d001897b7609229"),
+        (("brightness", "Dhc", "--mc", "0"),
+         "22b321236f70eb7e0a927e5e378782b6e6b5d2cfe2afde35567f49e84f76ff0c"),
+        (("density", "Bg", "DQc"),
+         "a893841023525b04f37073fd5bc019cb69f6be2c084bcf3df781b1aa931859ba"),
+        (("ind", "Bg", "--n", "6", "--exact"),
+         "afd6da3f676cf0bcf60cc49ecee9f0b85023319606bd337b04be83389ab7187e"),
+        (("construct", "split", "--k", "3", "--r", "1", "--n", "300", "--sigma",
+          "0.3333333333333333"),
+         "140ad1ad7aa14f1fcc940ce6accb05d6b8fb78f9750057c2f3336734b964b04a"),
+        (("construct", "split-plus-edge", "--k", "4", "--n", "8"),
+         "6bb3781f16fccc46db46929df55977bb37a7bbb7143f45f3f83b27761b401068"),
+        (("construct", "blowup", "Cr", "--v0", "0,3", "--n", "32"),
+         "307b0fbbb005ff0d09ea6edd51c2f7b65254f3d92ae7893e8c786725307aac6a"),
+        (("bounds", "phi", "--s", "2"),
+         "32fb21cb1010eb9666b6132e8928568cb9bab764fe57116dfdd06329ed83556f"),
+        (("bounds", "high-degree", "--s", "2", "--ind-reduced", "0.5"),
+         "4e1247d1ebded2140524df3831b2f634bc9ffb907b914dbeac72f5a4d632b0e3"),
+        (("bounds", "high-degree", "--s", "1", "--t", "2"),
+         "556ade6ca65abbc1eba008ed4777025b4f09084b58fd3feff303a8ece17313c8"),
+        (("bounds", "uniform", "--tau", "1", "--beta", "0.5", "--eps", "0.03125"),
+         "88e9ddb538b87265100577ebb9a99176585e2e7f08e916f76e5095049b60daf7"),
+        (("bounds", "sparse", "--alpha", "0.01", "--nu", "0.5"),
+         "c024fb1967a46e78e9abef616a2f3b8662868e27eef071df3692a78392688487"),
+        (("bounds", "gap", STAR20, "--eps", "0.5", "--c", "1.0"),
+         "76834675cb0de11cc5964b94f4147b3935962d76ce23439025c56e8cdc0e8184"),
+        (("bounds", "select", "DQc", "--c", "1.0"),
+         "4bb3fe69fa8f85e371563a8c0d66c418cc4f51cc0460817e59619c38d6f191d4"),
+        (("bounds", "select", STAR20, "--gamma", "0.4", "--eps", "0.1", "--alpha",
+          "0.01", "--beta", "0.9"),
+         "5e564957c2c181da232ce66f8d73cd3563d1a14d3e67a59a5c08dcfc855831f4"),
+        (("bounds", "solve-eps", "--c", "2.0"),
+         "1c763cd18a26d5855ef89275985c620f58edb1af9bd1008285a92f41f75037f4"),
+        (("proba", "binom", "--k", "4", "--p", "1/3", "--s", "2"),
+         "b6c1756ab7e57e47a250114704e84d9bbc7e62d38779d7a74bfede6d4b1d9808"),
+        (("proba", "hypergeom", "--population", "50", "--successes", "10", "--sample",
+          "5", "--hits", "2"),
+         "9111c7400d1cacb2e199d420761140872bd29d9e7be005fd15821442ab866737"),
+        (("proba", "multi", "--population", "6", "--sample", "3", "--parts", "2,2",
+          "--s", "1"),
+         "b5f1c12c26580c45b66fc1744b2d26c4e33985f1997447740d2733437020664a"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(a[:2]) for a, _ in CASES])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
