@@ -3,14 +3,18 @@
 Every command prints exactly one JSON document with the fields `command`,
 `inputs`, `outputs`, and `version`.  Exact rationals are rendered as "p/q"
 strings, approximate values as decimals with 12 significant digits, and
-graphs as graph6, so commands pipe into each other losslessly.  Output is
-byte-identical across runs for fixed flags and seeds; wall-clock timing
-is therefore only included when --timing is passed, before or after the
-subcommand.
+graphs as graph6, so commands pipe into each other losslessly.  A report
+dataclass is rendered as an object keyed by its field names, so each output
+schema is defined once, by the dataclass; `MCEstimate` leaves out its
+success count.  Output is byte-identical across runs for fixed flags and
+seeds; wall-clock timing is therefore only included when --timing is
+passed, before or after the subcommand.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 precondition or size-limit violation, 4 internal error.  Errors are one JSON
-line `{"error", "exit"}` on stderr.  Exit 4 is any other exception, which is
+line `{"error", "exit"}` on stderr; that includes argparse's own errors (a
+missing subcommand, a malformed or non-finite flag value), which exit 2
+instead of printing usage text.  Exit 4 is any other exception, which is
 a bug; its error names the exception type, message and innermost source
 line, and no traceback is printed.  A reader that closes stdout before the
 document is written (`... | head -c 1`) gets no traceback: the command
@@ -21,16 +25,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NoReturn
 
 from . import __version__
 from .bounds import (
-    BoundReport,
-    DegreeGapReport,
     SelectorParams,
     find_degree_gap,
     find_sparse_alpha,
@@ -42,10 +46,9 @@ from .bounds import (
     sparse_regime_bound,
     uniform_degree_bound,
 )
-from .brightness import BrightnessReport, brightness_report
+from .brightness import brightness_report
 from .coloring import simulate
 from .constructions import (
-    ConstructionReport,
     dtame_blowup,
     gnp_construction,
     split_construction,
@@ -78,14 +81,16 @@ EXIT_INTERNAL = 4
 
 
 def _fmt(value: Any) -> Any:
-    """JSON-ready rendering: Fractions as p/q, floats at 12 significant digits."""
+    """JSON-ready rendering: Fractions as p/q, floats at 12 significant digits,
+    graphs as graph6, and any other report dataclass as an object keyed by its
+    field names."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         return float(format(value, ".12g"))
     if isinstance(value, Graph):
         return to_graph6(value)
-    if isinstance(value, MCEstimate):
+    if isinstance(value, MCEstimate):  # the success count is not printed
         return {
             "estimate": _fmt(value.estimate),
             "ci_low": _fmt(value.ci_low),
@@ -93,6 +98,8 @@ def _fmt(value: Any) -> Any:
             "samples": value.samples,
             "seed": value.seed,
         }
+    if is_dataclass(value):
+        return {f.name: _fmt(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
@@ -102,7 +109,7 @@ def _fmt(value: Any) -> Any:
     return value
 
 
-def _emit(command: str, inputs: dict, outputs: dict, timing_ms: int | None) -> None:
+def _emit(command: str, inputs: dict, outputs: Any, timing_ms: int | None) -> None:
     doc = {
         "command": command,
         "inputs": _fmt(inputs),
@@ -133,138 +140,89 @@ def _parse_rational(text: str) -> Fraction:
         raise InputError(f"cannot parse rational {text!r}: {exc}") from None
 
 
-def _construction_outputs(rep: ConstructionReport) -> dict:
-    return {
-        "graph": None if rep.graph is None else to_graph6(rep.graph),
-        "target": None if rep.target is None else to_graph6(rep.target),
-        "achieved": rep.achieved,
-        "limit_formula": rep.limit_formula,
-        "sigma": rep.sigma,
-        "target_density": rep.target_density,
-        "seed": rep.seed,
-    }
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued flags: NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
-def _brightness_outputs(rep: BrightnessReport) -> dict:
-    return {
-        "exact": rep.exact,
-        "mc": rep.mc,
-        "lb_m2": rep.lb_m2,
-        "lb_m1": rep.lb_m1,
-        "special_m1": rep.special_m1,
-        "lb_const": rep.lb_const,
-    }
-
-
-def _bound_outputs(rep: BoundReport) -> dict:
-    return {
-        "regime": rep.regime,
-        "finite_value": rep.finite_value,
-        "asymptotic_only": rep.asymptotic_only,
-        "inputs": rep.inputs,
-        "citation": rep.citation,
-    }
-
-
-def _gap_outputs(rep: DegreeGapReport) -> dict:
-    return {"a": rep.a, "b": rep.b, "delta": rep.delta, "s": rep.s, "S": rep.S}
+def _int_list(text: str) -> list[int]:
+    """argparse type for comma-separated integers; the empty string is []."""
+    try:
+        return [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 # -- command handlers -------------------------------------------------------
 
 
-def _cmd_classify(args) -> tuple[dict, dict]:
+def _cmd_classify(args) -> tuple[dict, Any]:
     h = _read_graph(args.graph)
     if args.mc < 0:  # brightness_report rejects it too, but runs only on 2 or more edges
         raise InputError(f"mc samples must be >= 0, got {args.mc}")
     prof = degree_profile(h)
-    cls = classify_vertices(h)
     number, witness = minimal_taming_number(h)
-    outputs: dict[str, Any] = {
+    outputs = {
         "n": h.n,
-        "degrees": list(prof.degrees),
+        "degrees": prof.degrees,
         "max_degree": prof.max_degree,
         "edges": prof.edge_count,
         "m": prof.m,
         "m1": prof.m1,
         "m_ge2": prof.m_ge2,
-        "happy": cls.happy,
-        "degree_one": cls.degree_one,
-        "detectable": cls.detectable,
-        "obscure": cls.obscure,
+        **_fmt(classify_vertices(h)),
         "minimal_taming_number": number,
         "taming_set": witness.v0,
+        "brightness": brightness_report(h, mc_samples=args.mc, seed=args.seed)
+        if prof.edge_count >= 2 else None,
     }
-    if prof.edge_count >= 2:
-        rep = brightness_report(h, mc_samples=args.mc, seed=args.seed)
-        outputs["brightness"] = _brightness_outputs(rep)
-    else:
-        outputs["brightness"] = None
     return {"graph": to_graph6(h), "mc": args.mc, "seed": args.seed}, outputs
 
 
-def _cmd_tame(args) -> tuple[dict, dict]:
+def _cmd_tame(args) -> tuple[dict, Any]:
     h = _read_graph(args.graph)
     inputs: dict[str, Any] = {"graph": to_graph6(h)}
     if args.set is not None:
-        s = [int(x) for x in args.set.split(",")] if args.set else []
-        inputs["set"] = s
-        w = tame_witness_from(h, s)
-        outputs = {"v0": w.v0, "valid": w.valid, "source": w.source}
-    else:
-        number, w = minimal_taming_number(h)
-        outputs = {
-            "minimal_taming_number": number,
-            "v0": w.v0,
-            "valid": w.valid,
-            "source": w.source,
-        }
-    return inputs, outputs
+        inputs["set"] = args.set
+        return inputs, tame_witness_from(h, args.set)
+    number, witness = minimal_taming_number(h)
+    return inputs, {"minimal_taming_number": number, **_fmt(witness)}
 
 
-def _cmd_brightness(args) -> tuple[dict, dict]:
+def _cmd_brightness(args) -> tuple[dict, Any]:
     h = _read_graph(args.graph)
     rep = brightness_report(h, mc_samples=args.mc, seed=args.seed)
-    inputs = {"graph": to_graph6(h), "mc": args.mc, "seed": args.seed}
-    return inputs, _brightness_outputs(rep)
+    return {"graph": to_graph6(h), "mc": args.mc, "seed": args.seed}, rep
 
 
-def _cmd_density(args) -> tuple[dict, dict]:
+def _cmd_density(args) -> tuple[dict, Any]:
     h = _read_graph(args.pattern)
     g = _read_graph(args.host)
     inputs = {"pattern": to_graph6(h), "host": to_graph6(g)}
     if args.mc:
         inputs.update({"mc": args.mc, "seed": args.seed})
-        est = induced_density_mc(h, g, args.mc, args.seed)
-        return inputs, {"mc": est}
-    res = induced_density(h, g)
-    return inputs, {
-        "copies": res.copies,
-        "total": res.total,
-        "density": res.density,
-    }
+        return inputs, {"mc": induced_density_mc(h, g, args.mc, args.seed)}
+    return inputs, induced_density(h, g)
 
 
-def _cmd_ind(args) -> tuple[dict, dict]:
+def _cmd_ind(args) -> tuple[dict, Any]:
     h = _read_graph(args.pattern)
     inputs: dict[str, Any] = {"pattern": to_graph6(h), "n": args.n}
     if args.exact:
-        res = ind_exact(h, args.n)
-    else:
-        inputs.update(
-            {"iters": args.iters, "seed": args.seed, "checkpoint": args.checkpoint}
-        )
-        res = ind_local_search(
-            h, args.n, args.iters, args.seed, checkpoint=args.checkpoint
-        )
-    return inputs, {
-        "value": res.value,
-        "witness": to_graph6(res.witness),
-        "mode": res.mode,
-    }
+        return inputs, ind_exact(h, args.n)
+    inputs.update({"iters": args.iters, "seed": args.seed, "checkpoint": args.checkpoint})
+    return inputs, ind_local_search(h, args.n, args.iters, args.seed, checkpoint=args.checkpoint)
 
 
-def _cmd_construct(args) -> tuple[dict, dict]:
+def _cmd_construct(args) -> tuple[dict, Any]:
     if args.family == "split":
         rep = split_construction(args.k, args.r, args.n, args.sigma)
         inputs = {"family": "split", "k": args.k, "r": args.r, "n": args.n,
@@ -277,13 +235,12 @@ def _cmd_construct(args) -> tuple[dict, dict]:
         inputs = {"family": "split-plus-edge", "k": args.k, "n": args.n}
     else:
         h = _read_graph(args.graph)
-        v0 = [int(x) for x in args.v0.split(",")] if args.v0 else []
-        rep = dtame_blowup(h, v0, args.n)
-        inputs = {"family": "blowup", "graph": to_graph6(h), "v0": v0, "n": args.n}
-    return inputs, _construction_outputs(rep)
+        rep = dtame_blowup(h, args.v0, args.n)
+        inputs = {"family": "blowup", "graph": to_graph6(h), "v0": args.v0, "n": args.n}
+    return inputs, rep
 
 
-def _cmd_bounds(args) -> tuple[dict, dict]:
+def _cmd_bounds(args) -> tuple[dict, Any]:
     formula = args.formula
     if formula == "phi":
         return {"formula": "phi", "s": args.s}, {"value": phi(args.s)}
@@ -314,10 +271,9 @@ def _cmd_bounds(args) -> tuple[dict, dict]:
         )
     if formula == "gap":
         h = _read_graph(args.graph)
-        rep = find_degree_gap(h, args.eps, args.c)
         return (
             {"formula": "gap", "graph": to_graph6(h), "eps": args.eps, "C": args.c},
-            _gap_outputs(rep),
+            find_degree_gap(h, args.eps, args.c),
         )
     if formula == "select":
         h = _read_graph(args.graph)
@@ -325,8 +281,7 @@ def _cmd_bounds(args) -> tuple[dict, dict]:
             gamma=args.gamma, C=args.c, eps=args.eps_opt, alpha=args.alpha_opt,
             beta=args.beta_opt,
         )
-        rep = regime_selector(h, params)
-        return {"formula": "select", "graph": to_graph6(h)}, _bound_outputs(rep)
+        return {"formula": "select", "graph": to_graph6(h)}, regime_selector(h, params)
     if formula == "alpha":
         alpha, c = find_sparse_alpha()
         return {"formula": "alpha"}, {"alpha": alpha, "c": c}
@@ -357,14 +312,13 @@ def _cmd_proba(args) -> tuple[dict, dict]:
             {"value": hypergeom_point(params)},
         )
     if kind == "multi":
-        parts = tuple(int(x) for x in args.parts.split(",")) if args.parts else ()
-        value = multi_hypergeom_joint(args.population, args.sample, parts, args.s)
+        value = multi_hypergeom_joint(args.population, args.sample, args.parts, args.s)
         return (
             {
                 "kind": "multi",
                 "population": args.population,
                 "sample": args.sample,
-                "parts": list(parts),
+                "parts": args.parts,
                 "s": args.s,
             },
             {"value": value},
@@ -455,6 +409,12 @@ class _Parser(argparse.ArgumentParser):
         self.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
                           help="include elapsed_ms in the output JSON")
 
+    def error(self, message: str) -> NoReturn:
+        """Report a malformed command line as the one-line JSON error, exit 2."""
+        error = f"{self.prog}: {message}"
+        print(json.dumps({"error": error, "exit": EXIT_BAD_INPUT}), file=sys.stderr)
+        sys.exit(EXIT_BAD_INPUT)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -471,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tame", help="taming witnesses")
     p.add_argument("graph")
-    p.add_argument("--set", default=None, help="comma-separated seed set for the closure")
+    p.add_argument("--set", type=_int_list, default=None,
+                   help="comma-separated seed set for the closure")
 
     p = sub.add_parser("brightness", help="bright-labeling probability and bounds")
     p.add_argument("graph")
@@ -500,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--sigma", type=float, required=True)
+    q.add_argument("--sigma", type=_finite_float, required=True)
     q = fam.add_parser("gnp")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
@@ -510,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q = fam.add_parser("blowup")
     q.add_argument("graph")
-    q.add_argument("--v0", default="", help="comma-separated taming set")
+    q.add_argument("--v0", type=_int_list, default="", help="comma-separated taming set")
     q.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("bounds", help="closed-form bound formulas")
@@ -520,28 +481,28 @@ def build_parser() -> argparse.ArgumentParser:
     q = form.add_parser("high-degree")
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--t", type=int, default=None)
-    q.add_argument("--ind-reduced", type=float, default=1.0, dest="ind_reduced")
+    q.add_argument("--ind-reduced", type=_finite_float, default=1.0, dest="ind_reduced")
     q = form.add_parser("uniform")
     q.add_argument("--tau", type=int, required=True)
-    q.add_argument("--beta", type=float, required=True)
-    q.add_argument("--eps", type=float, required=True)
+    q.add_argument("--beta", type=_finite_float, required=True)
+    q.add_argument("--eps", type=_finite_float, required=True)
     q = form.add_parser("sparse")
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--nu", type=float, required=True)
+    q.add_argument("--alpha", type=_finite_float, required=True)
+    q.add_argument("--nu", type=_finite_float, required=True)
     q = form.add_parser("gap")
     q.add_argument("graph")
-    q.add_argument("--eps", type=float, required=True)
-    q.add_argument("--c", type=float, required=True)
+    q.add_argument("--eps", type=_finite_float, required=True)
+    q.add_argument("--c", type=_finite_float, required=True)
     q = form.add_parser("select")
     q.add_argument("graph")
-    q.add_argument("--gamma", type=float, default=None)
-    q.add_argument("--c", type=float, default=1.0)
-    q.add_argument("--eps", type=float, default=None, dest="eps_opt")
-    q.add_argument("--alpha", type=float, default=None, dest="alpha_opt")
-    q.add_argument("--beta", type=float, default=None, dest="beta_opt")
+    q.add_argument("--gamma", type=_finite_float, default=None)
+    q.add_argument("--c", type=_finite_float, default=1.0)
+    q.add_argument("--eps", type=_finite_float, default=None, dest="eps_opt")
+    q.add_argument("--alpha", type=_finite_float, default=None, dest="alpha_opt")
+    q.add_argument("--beta", type=_finite_float, default=None, dest="beta_opt")
     q = form.add_parser("alpha")
     q = form.add_parser("solve-eps")
-    q.add_argument("--c", type=float, default=1.0)
+    q.add_argument("--c", type=_finite_float, default=1.0)
 
     p = sub.add_parser("proba", help="exact probability kernels")
     kind = p.add_subparsers(dest="kind", required=True)
@@ -557,11 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = kind.add_parser("multi")
     q.add_argument("--population", type=int, required=True)
     q.add_argument("--sample", type=int, required=True)
-    q.add_argument("--parts", default="", help="comma-separated part sizes")
+    q.add_argument("--parts", type=_int_list, default="", help="comma-separated part sizes")
     q.add_argument("--s", type=int, required=True)
     q = kind.add_parser("lambda")
-    q.add_argument("--y", type=float, required=True)
-    q.add_argument("--z", type=float, required=True)
+    q.add_argument("--y", type=_finite_float, required=True)
+    q.add_argument("--z", type=_finite_float, required=True)
 
     p = sub.add_parser("simulate-coloring", help="black/green/red stream simulation")
     p.add_argument("host")

@@ -248,16 +248,7 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> Graph:
     for v in verts:
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v} out of range for n={g.n}")
-    pos = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for v in verts:
-        row = g.adj[v]
-        new = 0
-        for u in verts:
-            if (row >> u) & 1:
-                new |= 1 << pos[u]
-        rows.append(new)
-    return Graph(len(verts), tuple(rows))
+    return Graph(len(verts), _induced_rows(g.adj, verts))
 
 
 def _induced_rows(adj: Sequence[int], verts: Sequence[int]) -> tuple[int, ...]:

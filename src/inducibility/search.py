@@ -371,13 +371,12 @@ def ind_local_search(
     iters: int,
     seed: int,
     checkpoint: str | Path | None = None,
-    checkpoint_every: int = 0,
 ) -> IndResult:
     """Simulated-annealing lower bound on the maximum induced density.
 
     Deterministic per seed; if `checkpoint` names an existing file the run
-    resumes from it bit-exactly, otherwise the file is written at the end
-    (and every `checkpoint_every` iterations when that is positive).
+    resumes from it bit-exactly.  The checkpoint file is written once, when
+    the run ends.
     """
     if h.n > n:
         raise InputError(f"pattern has {h.n} vertices but n = {n}")
@@ -439,8 +438,6 @@ def ind_local_search(
         else:
             st.temperature *= COOLING
         st.iteration += 1
-        if checkpoint is not None and checkpoint_every and st.iteration % checkpoint_every == 0:
-            save_checkpoint(checkpoint, st)
 
     if checkpoint is not None:
         save_checkpoint(checkpoint, st)

@@ -32,6 +32,19 @@ def run_json(capsys, *argv):
     return doc
 
 
+def run_bad_flags(capsys, *argv):
+    """A command line argparse rejects: exit 2, one JSON error line, no stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    doc = json.loads(line)
+    assert doc["exit"] == 2
+    return doc["error"]
+
+
 class TestClassify:
     def test_p3(self, capsys):
         doc = run_json(capsys, "classify", "Bg")
@@ -284,6 +297,48 @@ class TestOtherCommands:
             os.close(write_end)
         assert proc.returncode == 0
         assert proc.stderr == b""
+
+    @pytest.mark.parametrize("argv", [
+        ("tame", "Cr", "--set", "a"),
+        ("tame", "Cr", "--set", "0,,1"),
+        ("construct", "blowup", "Cr", "--v0", "x", "--n", "8"),
+        ("proba", "multi", "--population", "6", "--sample", "3", "--parts", "5,x",
+         "--s", "1"),
+    ], ids=["set-letter", "set-empty-item", "v0", "parts"])
+    def test_malformed_int_list_exit_2(self, capsys, argv):
+        assert "comma-separated integers" in run_bad_flags(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "split", "--k", "3", "--r", "1", "--n", "30", "--sigma", "nan"),
+        ("bounds", "high-degree", "--s", "2", "--ind-reduced", "inf"),
+        ("bounds", "uniform", "--tau", "1", "--beta", "0.5", "--eps", "inf"),
+        ("bounds", "sparse", "--alpha", "nan", "--nu", "0.5"),
+        ("bounds", "gap", "Bg", "--eps", "nan", "--c", "1.0"),
+        ("bounds", "select", "Bg", "--gamma=-inf"),
+        ("bounds", "solve-eps", "--c", "nan"),
+        ("proba", "lambda", "--y=-Infinity", "--z", "0.5"),
+    ], ids=lambda a: "-".join(a[:2]))
+    def test_non_finite_float_exit_2(self, capsys, argv):
+        assert "not a finite number" in run_bad_flags(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("ind", "Bg", "--n", "x", "--exact"),
+        ("bounds", "phi", "--s", "1.5"),
+        ("proba", "lambda", "--y", "x", "--z", "0"),
+        ("classify", "Bg", "--no-such-flag"),
+        ("verify", "no-such-suite"),
+        ("construct",),
+        (),
+    ], ids=["int", "int-float", "float", "unknown-flag", "choice", "no-family",
+         "no-command"])
+    def test_argparse_error_is_one_json_line(self, capsys, argv):
+        run_bad_flags(capsys, *argv)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ind", "--help"])
+        assert exc.value.code == 0
+        assert "--exact" in capsys.readouterr().out
 
     def test_timing_flag(self, capsys):
         code, out = run_cli(capsys, "--timing", "bounds", "phi", "--s", "1")
