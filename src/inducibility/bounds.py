@@ -16,6 +16,7 @@ overflows doubles near s = 150) with relative error well inside 1e-12.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -84,7 +85,10 @@ def uniform_degree_bound(tau: int, beta: float, eps: float) -> tuple[int, float]
         raise InputError("beta must be in (0, 1]")
     if eps <= 0:
         raise InputError("eps must be positive")
-    ratio = _as_fraction(beta) / (tau * _as_fraction(eps))
+    eps_f = _as_fraction(eps)
+    if eps_f == 0:  # a positive eps below about 5e-13 reads as the rational 0
+        raise InputError(f"eps {eps} rounds to 0 at the 1e-12 resolution of rationals")
+    ratio = _as_fraction(beta) / (tau * eps_f)
     f = math.isqrt(ratio.numerator // ratio.denominator)
     return f, 2.0 * (phi(tau) / beta) ** f
 
@@ -148,28 +152,35 @@ def sparse_regime_bound(alpha: float, nu: float) -> float:
         raise InputError("alpha must be nonnegative")
     if not 0 <= nu <= 1:
         raise InputError("nu must lie in [0, 1]")
-    return (2 + 3 * E * E * alpha) / (2 + (E - 2) * nu) / E + 2 * alpha
+    value = (2 + 3 * E * E * alpha) / (2 + (E - 2) * nu) / E + 2 * alpha
+    if not math.isfinite(value):
+        raise InputError(f"sparse bound overflows at alpha = {alpha}")
+    return value
 
 
-def find_sparse_alpha() -> tuple[float, float]:
-    """Largest alpha (to 1e-9, by bisection) keeping the sparse bound below
-    1/e at the 1/12 floor, plus the bound value at alpha/2."""
-    target = 1 / E
-
-    def ok(a: float) -> bool:
-        return sparse_regime_bound(a, 1 / 12) < target
-
-    lo, hi = 0.0, 1.0
-    if not ok(lo):
-        raise InternalCheckError("sparse bound already at 1/e for alpha = 0")
+def _bisect(ok: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The last point found where ok holds, bisecting [lo, hi] to width
+    1e-12; ok(lo) must hold and ok(hi) must not."""
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         if ok(mid):
             lo = mid
         else:
             hi = mid
-    c = sparse_regime_bound(lo / 2, 1 / 12)
-    return lo, c
+    return lo
+
+
+def find_sparse_alpha() -> tuple[float, float]:
+    """Largest alpha (to 1e-12, by bisection) keeping the sparse bound below
+    1/e at the 1/12 floor, plus the bound value at alpha/2."""
+
+    def ok(a: float) -> bool:
+        return sparse_regime_bound(a, 1 / 12) < 1 / E
+
+    if not ok(0.0):
+        raise InternalCheckError("sparse bound already at 1/e for alpha = 0")
+    alpha = _bisect(ok, 0.0, 1.0)
+    return alpha, sparse_regime_bound(alpha / 2, 1 / 12)
 
 
 def solve_epsilon(C: float, target: float | None = None) -> float:
@@ -181,21 +192,14 @@ def solve_epsilon(C: float, target: float | None = None) -> float:
     if not 0 < goal < 2:
         raise InputError("target must be in (0, 2)")
 
-    def value(eps: float) -> float:
-        return 2 * (2 / E) ** (math.sqrt(1 / (8 * C * eps)) - 1)
+    def ok(eps: float) -> bool:
+        return 2 * (2 / E) ** (math.sqrt(1 / (8 * C * eps)) - 1) <= goal
 
-    lo, hi = 1e-15, 1.0
-    if value(lo) > goal:
+    if not ok(1e-15):
         raise InputError("target unreachable even at eps = 1e-15")
-    if value(hi) <= goal:
-        return hi
-    while hi - lo > 1e-12 * max(1.0, lo):
-        mid = (lo + hi) / 2
-        if value(mid) <= goal:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if ok(1.0):
+        return 1.0
+    return _bisect(ok, 1e-15, 1.0)
 
 
 def non_uniform_predicate(h: Graph, beta: float, C: float) -> bool:
@@ -225,23 +229,12 @@ class SelectorParams:
 class BoundReport:
     regime: str
     finite_value: float | None
-    asymptotic_only: bool
+    asymptotic_only: bool = field(init=False)  # exactly when finite_value is None
     inputs: dict[str, Any] = field(compare=False)
     citation: str
 
     def __post_init__(self) -> None:
-        if (self.finite_value is not None) == self.asymptotic_only:
-            raise InternalCheckError("finite_value present iff not asymptotic_only")
-
-
-_SPARSE_ALPHA_CACHE: float | None = None
-
-
-def _default_alpha() -> float:
-    global _SPARSE_ALPHA_CACHE
-    if _SPARSE_ALPHA_CACHE is None:
-        _SPARSE_ALPHA_CACHE = find_sparse_alpha()[0]
-    return _SPARSE_ALPHA_CACHE
+        object.__setattr__(self, "asymptotic_only", self.finite_value is None)
 
 
 def _nu_lower_bound(core: Graph) -> tuple[float, str]:
@@ -262,7 +255,7 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
     p = params or SelectorParams()
     C = p.C
     eps = p.eps if p.eps is not None else solve_epsilon(C)
-    alpha = p.alpha if p.alpha is not None else _default_alpha()
+    alpha = p.alpha if p.alpha is not None else find_sparse_alpha()[0]
 
     k = h.n
     inputs: dict[str, Any] = {"C": C, "eps": eps, "alpha": alpha}
@@ -270,24 +263,14 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
         inputs["gamma"] = p.gamma
     if k == 0:
         inputs["k"] = 0
-        return BoundReport(
-            regime=REGIME_DEGENERATE,
-            finite_value=None,
-            asymptotic_only=True,
-            inputs=inputs,
-            citation="degenerate: empty vertex set, no bound applies",
-        )
+        return BoundReport(regime=REGIME_DEGENERATE, finite_value=None, inputs=inputs,
+                           citation="degenerate: empty vertex set, no bound applies")
 
     half = Fraction(k * (k - 1) // 2, 2)
-    complemented = False
-    work = h
-    l = work.edge_count()
-    if l > half:
-        work = complement(work)
-        complemented = True
-    elif l == half and canonical_key(complement(work)) < canonical_key(work):
-        work = complement(work)
-        complemented = True
+    l = h.edge_count()
+    comp = complement(h)
+    complemented = l > half or (l == half and canonical_key(comp) < canonical_key(h))
+    work = comp if complemented else h
     prof = degree_profile(work)
     l = prof.edge_count
     m = prof.m
@@ -295,42 +278,26 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
                    "complemented": complemented})
 
     if l < 2:
-        return BoundReport(
-            regime=REGIME_DEGENERATE,
-            finite_value=None,
-            asymptotic_only=True,
-            inputs=inputs,
-            citation="degenerate after complement normalization: fewer than 2"
-            " edges, outside the bounds' hypotheses",
-        )
+        return BoundReport(regime=REGIME_DEGENERATE, finite_value=None, inputs=inputs,
+                           citation="degenerate after complement normalization: fewer"
+                           " than 2 edges, outside the bounds' hypotheses")
 
     if l >= _as_fraction(C) * k:
-        return BoundReport(
-            regime=REGIME_DENSE,
-            finite_value=None,
-            asymptotic_only=True,
-            inputs=inputs,
-            citation="dense regime: externally known vanishing-density bound"
-            " with a user-supplied constant (asymptotic only)",
-        )
+        return BoundReport(regime=REGIME_DENSE, finite_value=None, inputs=inputs,
+                           citation="dense regime: externally known vanishing-density"
+                           " bound with a user-supplied constant (asymptotic only)")
 
     beta = p.beta if p.beta is not None else max(1 - alpha / 2, 0.5)
     inputs["beta"] = beta
 
     def sparse_report() -> BoundReport:
-        core = non_isolated_core(work)
         alpha_eff = m / k
-        nu, nu_kind = _nu_lower_bound(core)
-        value = sparse_regime_bound(alpha_eff, nu)
+        nu, nu_kind = _nu_lower_bound(non_isolated_core(work))
         inputs.update({"alpha_eff": alpha_eff, "nu": nu, "nu_kind": nu_kind})
-        return BoundReport(
-            regime=REGIME_SPARSE,
-            finite_value=value,
-            asymptotic_only=False,
-            inputs=inputs,
-            citation="sparse core: (2 + 3e^2 a)/(2 + (e-2) nu) / e + 2a at"
-            " a = m/k with nu a bright-labeling probability bound",
-        )
+        return BoundReport(regime=REGIME_SPARSE,
+                           finite_value=sparse_regime_bound(alpha_eff, nu), inputs=inputs,
+                           citation="sparse core: (2 + 3e^2 a)/(2 + (e-2) nu) / e + 2a at"
+                           " a = m/k with nu a bright-labeling probability bound")
 
     if m <= alpha * k:
         return sparse_report()
@@ -340,59 +307,34 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
         # derive T straight from the exact S rather than re-thresholding
         # with a rounded b, which could flip boundary degrees
         s_mask = sum(1 << v for v in gap.S)
-        T = frozenset(
-            v
-            for v in range(k)
-            if not (s_mask >> v) & 1 and (work.adj[v] & s_mask) != s_mask
-        )
+        t = sum(1 for v in range(k)
+                if not (s_mask >> v) & 1 and (work.adj[v] & s_mask) != s_mask)
         inputs.update({"gap_a": gap.a, "gap_b": gap.b, "gap_delta": gap.delta,
-                       "s": gap.s, "t": len(T)})
-        if T:
-            return BoundReport(
-                regime=REGIME_HIGH_DEGREE_ST,
-                finite_value=high_degree_pair_bound(gap.s, len(T)),
-                asymptotic_only=False,
-                inputs=inputs,
-                citation="high-degree split with partially attached outside"
-                " vertices: phi(s) * phi(t)",
-            )
-        return BoundReport(
-            regime=REGIME_HIGH_DEGREE_S,
-            finite_value=high_degree_bound(gap.s, 1.0),
-            asymptotic_only=False,
-            inputs=inputs,
-            citation="high-degree split: phi(s), taking the reduced graph's"
-            " density bound at 1",
-        )
+                       "s": gap.s, "t": t})
+        if t:
+            return BoundReport(regime=REGIME_HIGH_DEGREE_ST,
+                               finite_value=high_degree_pair_bound(gap.s, t), inputs=inputs,
+                               citation="high-degree split with partially attached"
+                               " outside vertices: phi(s) * phi(t)")
+        return BoundReport(regime=REGIME_HIGH_DEGREE_S, finite_value=phi(gap.s), inputs=inputs,
+                           citation="high-degree split: phi(s), taking the reduced"
+                           " graph's density bound at 1")
 
     # low maximum degree: look for a dominating repeated positive degree
-    tau_best = None
-    for tau, count in sorted(prof.k_hist.items()):
-        if tau >= 1 and count >= beta * k:
-            tau_best = tau
-            break
-    if tau_best is not None:
-        beta_actual = prof.k_hist[tau_best] / k
-        f, value = uniform_degree_bound(tau_best, beta_actual, eps)
-        inputs.update({"tau": tau_best, "beta_actual": beta_actual, "f": f})
-        return BoundReport(
-            regime=REGIME_UNIFORM,
-            finite_value=value,
-            asymptotic_only=False,
-            inputs=inputs,
-            citation="repeated low degree: 2 (phi(tau)/beta)^f with"
-            " f = floor(sqrt(beta/(tau eps)))",
-        )
+    tau = next((d for d, count in sorted(prof.k_hist.items())
+                if d >= 1 and count >= beta * k), None)
+    if tau is not None:
+        beta_actual = prof.k_hist[tau] / k
+        f, value = uniform_degree_bound(tau, beta_actual, eps)
+        inputs.update({"tau": tau, "beta_actual": beta_actual, "f": f})
+        return BoundReport(regime=REGIME_UNIFORM, finite_value=value, inputs=inputs,
+                           citation="repeated low degree: 2 (phi(tau)/beta)^f with"
+                           " f = floor(sqrt(beta/(tau eps)))")
 
     if all(count <= beta * k for count in prof.k_hist.values()):
-        return BoundReport(
-            regime=REGIME_NON_UNIFORM,
-            finite_value=None,
-            asymptotic_only=True,
-            inputs=inputs,
-            citation="no dominating degree multiplicity: vanishing bound"
-            " (asymptotic only)",
-        )
+        return BoundReport(regime=REGIME_NON_UNIFORM, finite_value=None, inputs=inputs,
+                           citation="no dominating degree multiplicity: vanishing bound"
+                           " (asymptotic only)")
 
     # only the zero degree dominates, so the core is small relative to k
     return sparse_report()

@@ -1,24 +1,26 @@
 """Command-line surface.
 
-Every command prints exactly one JSON document with the fields `command`,
-`inputs`, `outputs`, and `version`.  Exact rationals are rendered as "p/q"
-strings, approximate values as decimals with 12 significant digits, and
-graphs as graph6, so commands pipe into each other losslessly.  A report
-dataclass is rendered as an object keyed by its field names, so each output
-schema is defined once, by the dataclass; `MCEstimate` leaves out its
-success count.  Output is byte-identical across runs for fixed flags and
-seeds; wall-clock timing is therefore only included when --timing is
-passed, before or after the subcommand.
+Every command prints exactly one strict JSON document (never a bare NaN or
+Infinity) with the fields `command`, `inputs`, `outputs`, and `version`.
+Exact rationals are rendered as "p/q" strings, approximate values as
+decimals with 12 significant digits, and graphs as graph6, so commands pipe
+into each other losslessly.  A report dataclass is rendered as an object
+keyed by its field names, so each output schema is defined once, by the
+dataclass; `MCEstimate` leaves out its success count.  Output is
+byte-identical across runs for fixed flags and seeds; wall-clock timing is
+therefore only included when --timing is passed, before or after the
+subcommand.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 precondition or size-limit violation, 4 internal error.  Errors are one JSON
 line `{"error", "exit"}` on stderr; that includes argparse's own errors (a
 missing subcommand, a malformed or non-finite flag value), which exit 2
 instead of printing usage text.  Exit 4 is any other exception, which is
-a bug; its error names the exception type, message and innermost source
-line, and no traceback is printed.  A reader that closes stdout before the
-document is written (`... | head -c 1`) gets no traceback: the command
-still exits with its own code, 0 on success and 1 on a failed verification.
+a bug, a NaN or infinite output value included; its error names the
+exception type, message and innermost source line, and no traceback is
+printed.  A reader that closes stdout before the document is written
+(`... | head -c 1`) gets no traceback: the command still exits with its
+own code, 0 on success and 1 on a failed verification.
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ def _fmt(value: Any) -> Any:
     return value
 
 
-def _emit(command: str, inputs: dict, outputs: Any, timing_ms: int | None) -> None:
+def _document(command: str, inputs: dict, outputs: Any, timing_ms: int | None) -> str:
+    """The output document as strict JSON: a NaN or infinite value raises
+    ValueError, so it is reported as an internal error, never printed."""
     doc = {
         "command": command,
         "inputs": _fmt(inputs),
@@ -118,8 +122,12 @@ def _emit(command: str, inputs: dict, outputs: Any, timing_ms: int | None) -> No
     }
     if timing_ms is not None:
         doc["elapsed_ms"] = timing_ms
+    return json.dumps(doc, sort_keys=True, separators=(", ", ": "), allow_nan=False)
+
+
+def _emit(text: str) -> None:
     try:
-        print(json.dumps(doc, sort_keys=True, separators=(", ", ": ")), flush=True)
+        print(text, flush=True)
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so the interpreter's
         # final flush of what is still buffered cannot fail again
@@ -148,6 +156,17 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for integer flags that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -285,12 +304,8 @@ def _cmd_bounds(args) -> tuple[dict, Any]:
     if formula == "alpha":
         alpha, c = find_sparse_alpha()
         return {"formula": "alpha"}, {"alpha": alpha, "c": c}
-    if formula == "solve-eps":
-        return (
-            {"formula": "solve-eps", "C": args.c},
-            {"eps": solve_epsilon(args.c)},
-        )
-    raise InputError(f"unknown bounds formula {formula!r}")
+    # formula == "solve-eps"
+    return {"formula": "solve-eps", "C": args.c}, {"eps": solve_epsilon(args.c)}
 
 
 def _cmd_proba(args) -> tuple[dict, dict]:
@@ -323,13 +338,12 @@ def _cmd_proba(args) -> tuple[dict, dict]:
             },
             {"value": value},
         )
-    if kind == "lambda":
-        ls = lambda_split(args.y, args.z)
-        return (
-            {"kind": "lambda", "y": args.y, "z": args.z},
-            {"lo": ls.lo, "hi": ls.hi, "lambda": ls.lam},
-        )
-    raise InputError(f"unknown proba kind {kind!r}")
+    # kind == "lambda"
+    ls = lambda_split(args.y, args.z)
+    return (
+        {"kind": "lambda", "y": args.y, "z": args.z},
+        {"lo": ls.lo, "hi": ls.hi, "lambda": ls.lam},
+    )
 
 
 def _cmd_simulate(args) -> tuple[dict, dict]:
@@ -477,13 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form bound formulas")
     form = p.add_subparsers(dest="formula", required=True)
     q = form.add_parser("phi")
-    q.add_argument("--s", type=int, required=True)
+    q.add_argument("--s", type=_positive_int, required=True)
     q = form.add_parser("high-degree")
-    q.add_argument("--s", type=int, required=True)
-    q.add_argument("--t", type=int, default=None)
+    q.add_argument("--s", type=_positive_int, required=True)
+    q.add_argument("--t", type=_positive_int, default=None)
     q.add_argument("--ind-reduced", type=_finite_float, default=1.0, dest="ind_reduced")
     q = form.add_parser("uniform")
-    q.add_argument("--tau", type=int, required=True)
+    q.add_argument("--tau", type=_positive_int, required=True)
     q.add_argument("--beta", type=_finite_float, required=True)
     q.add_argument("--eps", type=_finite_float, required=True)
     q = form.add_parser("sparse")
@@ -559,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             inputs, outputs = _HANDLERS[args.cmd](args)
             code = EXIT_OK
+        timing = getattr(args, "timing", False)
+        elapsed = int((time.monotonic() - start) * 1000) if timing else None
+        text = _document(args.cmd, inputs, outputs, elapsed)
     except (InputError, CheckpointError) as exc:
         print(json.dumps({"error": str(exc), "exit": EXIT_BAD_INPUT}), file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -575,9 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(json.dumps({"error": error, "exit": EXIT_INTERNAL}), file=sys.stderr)
         return EXIT_INTERNAL
-    timing = getattr(args, "timing", False)
-    elapsed = int((time.monotonic() - start) * 1000) if timing else None
-    _emit(args.cmd, inputs, outputs, elapsed)
+    _emit(text)
     return code
 
 

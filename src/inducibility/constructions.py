@@ -41,8 +41,6 @@ class ConstructionReport:
     target_density: Fraction | None  # full induced density, when affordable
     seed: int | None = None
 
-MAX_MATERIALIZED = 64
-
 
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
@@ -75,9 +73,9 @@ def split_construction(k: int, r: int, n: int, sigma: float) -> ConstructionRepo
     if small < r:
         raise InputError(f"small part {small} cannot host {r} picks")
     big = n - small
-    graph = Graph.complete_bipartite(small, big) if n <= MAX_MATERIALIZED else None
+    graph = Graph.complete_bipartite(small, big) if n <= MAX_VERTICES else None
     target: Graph | None = None
-    if k <= MAX_MATERIALIZED:
+    if k <= MAX_VERTICES:
         target = Graph.star(k - 1) if r == 1 else Graph.complete_bipartite(r, k - r)
     achieved = Fraction(
         math.comb(small, r) * math.comb(big, k - r), math.comb(n, k)
@@ -145,9 +143,9 @@ def split_plus_edge(k: int, n: int) -> ConstructionReport:
     big = n - small
     if big < k - 2:
         raise InputError(f"large part {big} cannot host {k - 2} picks")
-    graph = _join_clique_to_independent(small, big) if n <= MAX_MATERIALIZED else None
+    graph = _join_clique_to_independent(small, big) if n <= MAX_VERTICES else None
     target: Graph | None = None
-    if k <= MAX_MATERIALIZED:
+    if k <= MAX_VERTICES:
         # pattern: complete bipartite 2 x (k-2) plus the edge inside the 2-side
         rows = list(Graph.complete_bipartite(2, k - 2).adj)
         rows[0] |= 1 << 1
@@ -197,7 +195,7 @@ def dtame_blowup(h: Graph, v0, n: int) -> ConstructionReport:
         h.has_edge(u, v) for i, u in enumerate(rest) for v in rest[i + 1 :]
     )
     graph: Graph | None = None
-    if n <= MAX_MATERIALIZED:
+    if n <= MAX_VERTICES:
         rows = [0] * n
         if rest and rest_is_clique and sizes[d] >= 2:
             gm = group_mask(d)

@@ -121,9 +121,12 @@ def lambda_split(y: float, z: float) -> LambdaSplit:
     """
     if y < 0 or z < 0:
         raise InputError("y and z must be nonnegative")
-    lo = y * y * math.exp(2 - y - z) / 4
+    yy = y * y
+    # y * y overflows only for y above about 1.3e154, where e^(2 - y - z)
+    # is so small that the exact lo lies below the smallest float
+    lo = 0.0 if math.isinf(yy) else yy * math.exp(2 - y - z) / 4
     hi = 1 - z * math.exp(1 - y - z)
-    if lo > hi + FLOAT_TOL:
+    if not lo <= hi + FLOAT_TOL:  # also catches a NaN
         raise RuntimeError(
             f"empty lambda interval at y={y}, z={z}: lo={lo} > hi={hi};"
             " this contradicts a proven inequality, aborting"

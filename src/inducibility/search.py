@@ -299,7 +299,10 @@ def save_checkpoint(path: str | Path, state: _SearchState) -> None:
         "best_density": f"{state.best_copies}/{total}",
         "since_improve": state.since_improve,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="ascii")
+    try:
+        Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="ascii")
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
 
 
 def load_checkpoint(
@@ -375,8 +378,9 @@ def ind_local_search(
     """Simulated-annealing lower bound on the maximum induced density.
 
     Deterministic per seed; if `checkpoint` names an existing file the run
-    resumes from it bit-exactly.  The checkpoint file is written once, when
-    the run ends.
+    resumes from it bit-exactly.  The checkpoint file is written before the
+    first iteration, so an unwritable path fails before any work, and again
+    when the run ends.
     """
     if h.n > n:
         raise InputError(f"pattern has {h.n} vertices but n = {n}")
@@ -405,6 +409,8 @@ def ind_local_search(
             best_copies=copies,
             since_improve=0,
         )
+    if checkpoint is not None:
+        save_checkpoint(checkpoint, st)
 
     total = math.comb(n, h.n)
     while st.iteration < iters:

@@ -18,7 +18,11 @@ from inducibility.bounds import (
     sparse_regime_bound,
     uniform_degree_bound,
 )
-from inducibility.brightness import brightness_exact
+from inducibility.brightness import (
+    BRIGHTNESS_EXACT_LIMIT,
+    brightness_exact,
+    brightness_lower_bounds,
+)
 from inducibility.errors import InputError, PreconditionError
 from inducibility.graphs import Graph, complement, degree_profile, with_isolated
 
@@ -169,6 +173,29 @@ class TestNonUniformPredicate:
         assert not non_uniform_predicate(Graph.empty(5), 0.9, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: high_degree_pair_bound(0, 1),
+    lambda: high_degree_pair_bound(1, 0),
+    lambda: uniform_degree_bound(0, 0.5, 0.1),
+    lambda: uniform_degree_bound(1, 0.0, 0.1),
+    lambda: uniform_degree_bound(1, 1.5, 0.1),
+    lambda: uniform_degree_bound(1, 0.5, 0.0),
+    lambda: uniform_degree_bound(1, 0.01, 1e-300),  # a rational eps of 0
+    lambda: find_degree_gap(Graph.star(10), 0.0, 1.0),
+    lambda: find_degree_gap(Graph.star(10), 0.5, -1.0),
+    lambda: sparse_regime_bound(-0.1, 0.5),
+    lambda: sparse_regime_bound(0.1, 1.5),
+    lambda: sparse_regime_bound(1e308, 0.5),  # the value overflows
+    lambda: non_uniform_predicate(Graph.star(10), 1.0, 1.0),
+    lambda: non_uniform_predicate(Graph.star(10), 0.0, 1.0),
+], ids=["pair-s", "pair-t", "uniform-tau", "uniform-beta-0", "uniform-beta-big",
+        "uniform-eps", "uniform-eps-rounds-to-0", "gap-eps", "gap-C", "sparse-alpha",
+        "sparse-nu", "sparse-overflow", "non-uniform-beta-1", "non-uniform-beta-0"])
+def test_domain_errors(call):
+    with pytest.raises(InputError):
+        call()
+
+
 class TestSelector:
     def test_high_degree_star(self):
         rep = regime_selector(Graph.star(63), SelectorParams(C=1.0, eps=0.5))
@@ -194,6 +221,17 @@ class TestSelector:
         rep = regime_selector(h, SelectorParams(C=0.5))
         assert rep.regime == "dense_external"
         assert rep.asymptotic_only
+
+    def test_sparse_core_above_exact_limit_uses_closed_form(self):
+        core = Graph.path(12)
+        assert core.n > BRIGHTNESS_EXACT_LIMIT
+        rep = regime_selector(with_isolated(core, 40), SelectorParams(alpha=0.5))
+        assert rep.regime == "sparse_core"
+        assert rep.inputs["nu_kind"] == "closed_form_floor"
+        lbs = brightness_lower_bounds(core)
+        best = max(lbs.lb_m2, lbs.lb_m1, lbs.special_m1, Fraction(1, 12))
+        assert rep.inputs["nu"] == float(best)
+        assert rep.finite_value == sparse_regime_bound(12 / 52, float(best))
 
     def test_uniform_regime(self):
         h = Graph.from_edges(8, [(2 * i, 2 * i + 1) for i in range(4)])

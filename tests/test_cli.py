@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import inducibility
-from inducibility import cli
+from inducibility import cli, search
 from inducibility.cli import main
 from inducibility.graphs import Graph, is_isomorphic, parse_graph6, to_graph6
 from inducibility.structure import is_tamed_by
@@ -23,13 +23,30 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: it holds {name}")
+
+
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0, out
-    doc = json.loads(out)
+    doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["version"] == "0.1.0"
     assert "elapsed_ms" not in doc
     return doc
+
+
+def run_error(capsys, exit_code, *argv):
+    """A command that fails in its handler: the given exit code, one JSON error
+    line, no stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    doc = json.loads(line)
+    assert doc["exit"] == exit_code
+    return doc["error"]
 
 
 def run_bad_flags(capsys, *argv):
@@ -101,6 +118,16 @@ class TestInd:
     def test_negative_iters_exit_2(self, capsys):
         code, out = run_cli(capsys, "ind", "C~", "--n", "6", "--search", "--iters", "-5")
         assert code == 2 and out == ""
+
+    def test_unwritable_checkpoint_exit_2_before_search(self, capsys, monkeypatch, tmp_path):
+        def flip_delta(*args):
+            raise AssertionError("the search ran before the checkpoint path was checked")
+
+        monkeypatch.setattr(search, "_flip_delta", flip_delta)
+        cp = tmp_path / "missing" / "cp.json"
+        error = run_error(capsys, 2, "ind", "Bg", "--n", "5", "--search", "--iters", "5",
+                          "--checkpoint", str(cp))
+        assert "cannot write checkpoint" in error
 
     def test_exact_size_limit_exit_3(self, capsys):
         code, _ = run_cli(capsys, "ind", "Bg", "--n", "12", "--exact")
@@ -234,6 +261,37 @@ class TestOtherCommands:
     def test_bounds_solve_eps(self, capsys):
         doc = run_json(capsys, "bounds", "solve-eps", "--c", "1.0")
         assert 0 < doc["outputs"]["eps"] < 1
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "phi", "--s", "-1"),
+        ("bounds", "high-degree", "--s", "0"),
+        ("bounds", "high-degree", "--s", "2", "--t", "0"),
+        ("bounds", "uniform", "--tau", "0", "--beta", "0.5", "--eps", "0.1"),
+    ], ids=["phi-s", "high-degree-s", "high-degree-t", "uniform-tau"])
+    def test_bounds_int_below_1_exit_2(self, capsys, argv):
+        assert "must be an integer >= 1" in run_bad_flags(capsys, *argv)
+
+    def test_bounds_uniform_eps_rounding_to_0_exit_2(self, capsys):
+        error = run_error(capsys, 2, "bounds", "uniform", "--tau", "1", "--beta", "0.01",
+                          "--eps", "1e-300")
+        assert "rounds to 0" in error
+
+    def test_bounds_sparse_overflow_exit_2(self, capsys):
+        error = run_error(capsys, 2, "bounds", "sparse", "--alpha", "1e308", "--nu", "0.5")
+        assert "overflows" in error
+
+    def test_proba_lambda_overflowing_square(self, capsys):
+        doc = run_json(capsys, "proba", "lambda", "--y", "1e300", "--z", "1e300")
+        assert doc["outputs"] == {"lo": 0.0, "hi": 1.0, "lambda": 0.5}
+
+    def test_non_finite_output_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "classify", lambda args: ({}, {"x": float("nan")}))
+        assert "not JSON compliant" in run_error(capsys, 4, "classify", "Bg")
+
+    def test_bounds_solve_eps_early_exits(self, capsys):
+        doc = run_json(capsys, "bounds", "solve-eps", "--c", "1e-308")
+        assert doc["outputs"]["eps"] == 1.0  # the whole interval qualifies
+        assert "unreachable" in run_error(capsys, 2, "bounds", "solve-eps", "--c", "1e308")
 
     def test_construct_split_plus_edge_and_blowup(self, capsys):
         doc = run_json(capsys, "construct", "split-plus-edge", "--k", "4", "--n", "8")

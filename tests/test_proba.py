@@ -136,6 +136,11 @@ class TestLambdaSplit:
         dfz = (math.exp(y + z + eps) - y * y * E * E / 4 - (z + eps) * E - f) / eps
         assert abs(dfy) < 1e-5 and abs(dfz) < 1e-5
 
+    def test_overflowing_square(self):
+        # y * y overflows to inf, where the exact lo is below the smallest float
+        ls = lambda_split(1e300, 1e300)
+        assert ls.lo == 0.0 and ls.hi == 1.0 and ls.lam == 0.5
+
     def test_domain(self):
         with pytest.raises(InputError):
             lambda_split(-1.0, 0.0)
