@@ -50,11 +50,24 @@ REGIME_DENSE = "dense_external"
 REGIME_DEGENERATE = "complement_first"
 
 
+# phi switches to Stirling's series here: s ln s - ln s! - s loses about
+# s ln s ulps to cancellation, and the series' first omitted term,
+# 1/(1188 s^9), is below 1e-18
+PHI_SERIES_FROM = 50
+
+
 def phi(s: int) -> float:
-    """s^s / (s! e^s), evaluated as exp(s ln s - ln s! - s)."""
+    """s^s / (s! e^s), evaluated as exp(s ln s - ln s! - s), or from
+    s = PHI_SERIES_FROM on as exp(-ln(2 pi s)/2 - 1/(12s) + 1/(360s^3)
+    - 1/(1260s^5) + 1/(1680s^7))."""
     if s < 1:
         raise PreconditionError("phi requires s >= 1")
-    return math.exp(s * math.log(s) - math.lgamma(s + 1) - s)
+    if s < PHI_SERIES_FROM:
+        return math.exp(s * math.log(s) - math.lgamma(s + 1) - s)
+    c = 1 / s  # int true division: 0.0 rather than an overflow for huge s
+    c2 = c * c
+    series = c * (1 / 12 - c2 * (1 / 360 - c2 * (1 / 1260 - c2 / 1680)))
+    return math.exp(-(math.log(2 * math.pi) + math.log(s)) / 2 - series)
 
 
 def high_degree_bound(s: int, ind_reduced: float = 1.0) -> float:
@@ -183,20 +196,17 @@ def find_sparse_alpha() -> tuple[float, float]:
     return alpha, sparse_regime_bound(alpha / 2, 1 / 12)
 
 
-def solve_epsilon(C: float, target: float | None = None) -> float:
-    """Largest eps with 2 (2/e)^(sqrt(1/(8 C eps)) - 1) <= target
-    (default target 2/e^2), found by bisection to 1e-12."""
+def solve_epsilon(C: float) -> float:
+    """Largest eps with 2 (2/e)^(sqrt(1/(8 C eps)) - 1) <= 2/e^2, found by
+    bisection to 1e-12."""
     if C <= 0:
         raise InputError("C must be positive")
-    goal = 2 / (E * E) if target is None else target
-    if not 0 < goal < 2:
-        raise InputError("target must be in (0, 2)")
 
     def ok(eps: float) -> bool:
-        return 2 * (2 / E) ** (math.sqrt(1 / (8 * C * eps)) - 1) <= goal
+        return 2 * (2 / E) ** (math.sqrt(1 / (8 * C * eps)) - 1) <= 2 / (E * E)
 
     if not ok(1e-15):
-        raise InputError("target unreachable even at eps = 1e-15")
+        raise InputError("the 2/e^2 target is unreachable even at eps = 1e-15")
     if ok(1.0):
         return 1.0
     return _bisect(ok, 1e-15, 1.0)
@@ -223,6 +233,14 @@ class SelectorParams:
     eps: float | None = None
     alpha: float | None = None
     beta: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.C <= 0 or (self.eps is not None and self.eps <= 0):
+            raise InputError("C and eps must be positive")
+        if self.alpha is not None and self.alpha < 0:
+            raise InputError("alpha must be nonnegative")
+        if self.beta is not None and not 0 < self.beta <= 1:
+            raise InputError("beta must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -350,36 +350,26 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
     g = _read_graph(args.host)
     h = _read_graph(args.pattern)
     s = simulate(g, h, args.trials, args.seed, max_steps=args.max_steps)
+    counts = {
+        f.name.removeprefix("count_"): getattr(s, f.name)
+        for f in fields(s)
+        if f.name.startswith("count_")
+    }
     ne = s.count_full_match
     outputs = {
         "trials": s.trials,
         "truncated": s.truncated,
-        "counts": {
-            "prefix_match_km2": s.count_prefix_km2,
-            "prefix_match_km1": s.count_prefix_km1,
-            "prefix_match_k": s.count_prefix_k,
-            "full_match": s.count_full_match,
-            "two_green": s.count_two_green,
-            "one_red": s.count_one_red,
-            "consecutive_nonblack": s.count_consecutive_nonblack,
-            "two_green_and_match": s.count_two_green_and_match,
-            "one_red_and_match": s.count_one_red_and_match,
-            "consecutive_and_match": s.count_consecutive_and_match,
-            "two_green_no_consecutive": s.count_two_green_no_consecutive,
-        },
+        "counts": counts,
         "violations": {
             "match_outside_signatures": s.match_outside_signatures,
             "isolated_nonblack": s.isolated_nonblack_violations,
         },
         "frequencies": {
-            "full_match": s.freq(s.count_full_match),
-            "two_green": s.freq(s.count_two_green),
-            "one_red": s.freq(s.count_one_red),
+            key: s.freq(counts[key]) for key in ("full_match", "two_green", "one_red")
         },
         "conditional": {
-            "two_green_given_match": s.conditional(s.count_two_green_and_match, ne),
-            "one_red_given_match": s.conditional(s.count_one_red_and_match, ne),
-            "consecutive_given_match": s.conditional(s.count_consecutive_and_match, ne),
+            f"{key}_given_match": s.conditional(counts[f"{key}_and_match"], ne)
+            for key in ("two_green", "one_red", "consecutive")
         },
     }
     return (

@@ -3,13 +3,13 @@
 Vertices of a host graph are drawn uniformly with replacement.  A drawn
 vertex is black when the non-isolated core of the graph induced by the
 black vertices so far plus itself matches neither the pattern's core nor
-the core of the pattern minus one detectable vertex.  Once the stream has
-accumulated k-2 black terms (at step L), every non-black term up to L is
-classified retroactively against the set U of those black vertices: red if
-adding it to U recreates the pattern's core, green otherwise.  Retroactive
-assignment is forced by the definition: red/green depend on U, which is
-only known at L.  Terms after L are classified with the same rule but do
-not enter the green/red counts.
+the core of the pattern minus one detectable vertex.  A non-black term is
+red if adding it to U, the black vertices among the first L terms (L is the
+step of the (k-2)nd black term), recreates the pattern's core, and green
+otherwise.  U is only known at L, so a non-black term drawn before L is
+coloured at L, and one drawn after L is coloured on arrival and does not
+enter the green/red counts.  A trace that reaches its step limit before L
+is truncated and leaves its non-black terms uncoloured ("nonblack").
 
 Per-trace flags record whether the first j draws were distinct with a core
 matching the pattern's (j = k-2, k-1, k), the conjunction of the first and
@@ -27,12 +27,13 @@ from dataclasses import dataclass, fields
 from .errors import InputError, PreconditionError
 from .graphs import (
     Graph,
+    _canon_cached,
     _induced_rows,
     canonical_key,
     induced_subgraph,
     non_isolated_core,
 )
-from .mc import split_samples, stream_seed
+from .mc import trial_rngs
 from .structure import classify_vertices
 
 # the core-code memo is cleared when it outgrows this many masks, about
@@ -97,7 +98,7 @@ class _ColorContext:
                 m ^= low
                 if adj[v] & mask:
                     verts.append(v)
-            code = canonical_key(Graph(len(verts), _induced_rows(adj, verts)))
+            code = _canon_cached(len(verts), _induced_rows(adj, verts))
             if len(self._core_by_mask) >= CORE_MEMO_LIMIT:
                 self._core_by_mask.clear()
             self._core_by_mask[mask] = code
@@ -107,98 +108,72 @@ class _ColorContext:
         code = self.core_code_of_mask(black_mask | (1 << v))
         return code != self.core_code and code not in self.deleted_codes
 
+    def color(self, u_mask: int, v: int) -> str:
+        """Colour of a non-black term v given the black set U at L."""
+        return RED if self.core_code_of_mask(u_mask | (1 << v)) == self.core_code else GREEN
+
 
 def _run(ctx: _ColorContext, rng: random.Random) -> ColoredTrace:
-    g, k, max_steps = ctx.g, ctx.k, ctx.max_steps
-    adj = g.adj
-    n = g.n
-    draws: list[int] = []
-    black_flags: list[bool] = []
-    black_mask = 0
-    black_terms = 0
+    k, max_steps, core_code = ctx.k, ctx.max_steps, ctx.core_code
+    adj, n = ctx.g.adj, ctx.g.n
+    is_black, color = ctx.is_black, ctx.color
+    steps: list[tuple[int, str]] = []
+    black_seq: list[int] = []  # black terms up to the stop index
+    waiting: list[int] = []  # positions in steps of the non-black terms before L
+    black_mask = drawn_mask = u_mask = 0
     stop_index: int | None = None
-    drawn_mask = 0
-    isolated_violations = 0
+    isolated_violations = red = 0
     distinct_prefix = True
+    prev_nonblack = consecutive = False
     prefix_flags = {k - 2: False, k - 1: False, k: False}
 
-    while True:
-        i = len(draws) + 1
-        if stop_index is None and i > max_steps:
-            break
-        if stop_index is not None and i > max(stop_index, k):
-            break
+    i = 0
+    while i < (max_steps if stop_index is None else max(stop_index, k)):
+        i += 1
         v = rng.randrange(n)
-        is_black = ctx.is_black(black_mask, v)
-        draws.append(v)
-        black_flags.append(is_black)
-        if (adj[v] & drawn_mask) == 0 and not is_black:
+        bit = 1 << v
+        black = is_black(black_mask, v)
+        if not black and (adj[v] & drawn_mask) == 0:
             isolated_violations += 1
-        if i <= k and (drawn_mask >> v) & 1:
+        if i <= k and drawn_mask & bit:
             distinct_prefix = False
-        drawn_mask |= 1 << v
-        if is_black:
-            black_mask |= 1 << v
-            black_terms += 1
-            if black_terms == k - 2 and stop_index is None:
-                stop_index = i
+        drawn_mask |= bit
+        if black:
+            black_mask |= bit
+            steps.append((v, BLACK))
+            if stop_index is None:
+                black_seq.append(v)
+                prev_nonblack = False
+                if len(black_seq) == k - 2:
+                    stop_index, u_mask = i, black_mask
+                    for j in waiting:
+                        w = steps[j][0]
+                        c = color(u_mask, w)
+                        steps[j] = (w, c)
+                        red += c == RED
+        elif stop_index is None:
+            # U is not known yet: the colour waits for L
+            waiting.append(len(steps))
+            steps.append((v, "nonblack"))
+            consecutive = consecutive or prev_nonblack
+            prev_nonblack = True
+        else:
+            steps.append((v, color(u_mask, v)))
         if i in prefix_flags:
-            prefix_flags[i] = distinct_prefix and (
-                ctx.core_code_of_mask(drawn_mask) == ctx.core_code
-            )
+            prefix_flags[i] = distinct_prefix and ctx.core_code_of_mask(drawn_mask) == core_code
 
     truncated = stop_index is None
-    if truncated:
-        u_mask = black_mask
-        u_seq = tuple(v for v, b in zip(draws, black_flags) if b)
-    else:
-        u_seq = tuple(
-            v for v, b in zip(draws[:stop_index], black_flags[:stop_index]) if b
-        )
-        u_mask = 0
-        for v in u_seq:
-            u_mask |= 1 << v
-
-    steps: list[tuple[int, str]] = []
-    green = red = 0
-    prev_nonblack = False
-    consecutive = False
-    for idx, (v, is_black) in enumerate(zip(draws, black_flags), start=1):
-        if is_black:
-            steps.append((v, BLACK))
-            if stop_index is not None and idx <= stop_index:
-                prev_nonblack = False
-            continue
-        if truncated:
-            # U is undetermined, leave the classification open
-            steps.append((v, "nonblack"))
-            continue
-        code = ctx.core_code_of_mask(u_mask | (1 << v))
-        color = RED if code == ctx.core_code else GREEN
-        steps.append((v, color))
-        if idx <= stop_index:
-            if color == GREEN:
-                green += 1
-            else:
-                red += 1
-            if prev_nonblack:
-                consecutive = True
-            prev_nonblack = True
-
-    e_km2 = prefix_flags[k - 2]
-    e_km1 = prefix_flags[k - 1]
-    e_k = prefix_flags[k]
-    full = e_km2 and e_k
+    green = len(waiting) - red
     return ColoredTrace(
         steps=tuple(steps),
         stop_index=stop_index,
-        black_prefix=u_seq,
+        black_prefix=tuple(black_seq),
         green_count=None if truncated else green,
         red_count=None if truncated else red,
-        prefix_match_km2=e_km2,
-        prefix_match_km1=e_km1,
-        prefix_match_k=e_k,
-        full_match=full,
+        prefix_match_km2=prefix_flags[k - 2],
+        prefix_match_km1=prefix_flags[k - 1],
+        prefix_match_k=prefix_flags[k],
+        full_match=prefix_flags[k - 2] and prefix_flags[k],
         two_green=(not truncated) and green == 2 and red == 0,
         one_red=(not truncated) and green == 0 and red == 1,
         consecutive_nonblack=(not truncated) and consecutive,
@@ -220,9 +195,9 @@ class ColoringSummary:
     trials: int
     seed: int
     truncated: int
-    count_prefix_km2: int
-    count_prefix_km1: int
-    count_prefix_k: int
+    count_prefix_match_km2: int
+    count_prefix_match_km1: int
+    count_prefix_match_k: int
     count_full_match: int
     count_two_green: int
     count_one_red: int
@@ -250,23 +225,21 @@ def simulate(
         raise InputError("trials must be >= 1")
     ctx = _ColorContext(g, h, max_steps)
     total = {f.name: 0 for f in fields(ColoringSummary) if f.name not in ("trials", "seed")}
-    for idx, count in enumerate(split_samples(trials)):
-        rng = random.Random(stream_seed(seed, idx))
-        for _ in range(count):
-            tr = _run(ctx, rng)
-            total["truncated"] += tr.truncated
-            total["count_prefix_km2"] += tr.prefix_match_km2
-            total["count_prefix_km1"] += tr.prefix_match_km1
-            total["count_prefix_k"] += tr.prefix_match_k
-            total["count_full_match"] += tr.full_match
-            total["count_two_green"] += tr.two_green
-            total["count_one_red"] += tr.one_red
-            total["count_consecutive_nonblack"] += tr.consecutive_nonblack
-            total["count_two_green_and_match"] += tr.two_green and tr.full_match
-            total["count_one_red_and_match"] += tr.one_red and tr.full_match
-            total["count_consecutive_and_match"] += tr.consecutive_nonblack and tr.full_match
-            total["count_two_green_no_consecutive"] += tr.two_green and not tr.consecutive_nonblack
-            if tr.full_match and not tr.truncated:
-                total["match_outside_signatures"] += not (tr.two_green or tr.one_red)
-            total["isolated_nonblack_violations"] += tr.isolated_nonblack_violations
+    for rng in trial_rngs(trials, seed):
+        tr = _run(ctx, rng)
+        total["truncated"] += tr.truncated
+        total["count_prefix_match_km2"] += tr.prefix_match_km2
+        total["count_prefix_match_km1"] += tr.prefix_match_km1
+        total["count_prefix_match_k"] += tr.prefix_match_k
+        total["count_full_match"] += tr.full_match
+        total["count_two_green"] += tr.two_green
+        total["count_one_red"] += tr.one_red
+        total["count_consecutive_nonblack"] += tr.consecutive_nonblack
+        total["count_two_green_and_match"] += tr.two_green and tr.full_match
+        total["count_one_red_and_match"] += tr.one_red and tr.full_match
+        total["count_consecutive_and_match"] += tr.consecutive_nonblack and tr.full_match
+        total["count_two_green_no_consecutive"] += tr.two_green and not tr.consecutive_nonblack
+        if tr.full_match and not tr.truncated:
+            total["match_outside_signatures"] += not (tr.two_green or tr.one_red)
+        total["isolated_nonblack_violations"] += tr.isolated_nonblack_violations
     return ColoringSummary(trials=trials, seed=seed, **total)

@@ -57,9 +57,6 @@ class Graph:
 
     # -- basic accessors -------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
 
@@ -78,9 +75,6 @@ class Graph:
                     yield (v, u)
                 row >>= 1
                 u += 1
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def isolated_mask(self) -> int:
         mask = 0

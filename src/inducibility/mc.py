@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 STREAM_COUNT = 16
 
@@ -28,15 +28,23 @@ def split_samples(samples: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(STREAM_COUNT)]
 
 
-def wilson_interval(successes: int, samples: int, z: float = Z95) -> tuple[float, float]:
+def trial_rngs(samples: int, seed: int) -> Iterator[random.Random]:
+    """The generator of each of `samples` trials, substream by substream."""
+    for idx, count in enumerate(split_samples(samples)):
+        rng = random.Random(stream_seed(seed, idx))
+        for _ in range(count):
+            yield rng
+
+
+def wilson_interval(successes: int, samples: int) -> tuple[float, float]:
     """95% Wilson score interval; well behaved at estimates near 0 and 1."""
     if samples <= 0:
         raise ValueError("samples must be positive")
     phat = successes / samples
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / samples
     center = phat + z2 / (2 * samples)
-    half = z * ((phat * (1 - phat) / samples + z2 / (4 * samples * samples)) ** 0.5)
+    half = Z95 * ((phat * (1 - phat) / samples + z2 / (4 * samples * samples)) ** 0.5)
     lo = (center - half) / denom
     hi = (center + half) / denom
     return (max(0.0, lo), min(1.0, hi))
@@ -55,12 +63,7 @@ class MCEstimate:
 def run_bernoulli_streams(
     trial: Callable[[random.Random], bool], samples: int, seed: int
 ) -> MCEstimate:
-    successes = 0
-    for idx, count in enumerate(split_samples(samples)):
-        rng = random.Random(stream_seed(seed, idx))
-        for _ in range(count):
-            if trial(rng):
-                successes += 1
+    successes = sum(1 for rng in trial_rngs(samples, seed) if trial(rng))
     lo, hi = wilson_interval(successes, samples)
     return MCEstimate(
         estimate=successes / samples,

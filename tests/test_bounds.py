@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,29 @@ class TestPhi:
 
     def test_no_overflow_at_large_s(self):
         assert 0 < phi(500) < phi(100)
+
+    def test_relative_error_against_40_digits(self):
+        def ln_factorial(s):
+            # ln s! summed over products of consecutive factors below 2^3000
+            total, block = Decimal(0), 1
+            for i in range(2, s + 1):
+                block *= i
+                if block.bit_length() > 3000:
+                    total, block = total + Decimal(block).ln(), 1
+            return total + Decimal(block).ln()
+
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for s in [*range(1, 120), 500, 10**3, 10**4, 10**5]:
+                d = Decimal(s)
+                exact = (d * d.ln() - ln_factorial(s) - d).exp()
+                assert abs(Decimal(phi(s)) / exact - 1) <= Decimal("1e-12"), s
+
+    def test_stirling_limit_at_huge_s(self):
+        # in doubles, s ln s - ln s! - s cancels to 0 at s = 10^16
+        for s in (10**16, 10**22, 10**300):
+            assert math.isclose(phi(s), 1 / math.sqrt(2 * math.pi * s), rel_tol=1e-12)
+        assert phi(10**5000) == 0.0
 
     def test_rejects_zero(self):
         with pytest.raises(PreconditionError):
@@ -188,9 +212,16 @@ class TestNonUniformPredicate:
     lambda: sparse_regime_bound(1e308, 0.5),  # the value overflows
     lambda: non_uniform_predicate(Graph.star(10), 1.0, 1.0),
     lambda: non_uniform_predicate(Graph.star(10), 0.0, 1.0),
+    lambda: SelectorParams(alpha=-1.0),
+    lambda: SelectorParams(beta=0.0),
+    lambda: SelectorParams(beta=1.5),
+    lambda: SelectorParams(eps=0.0),
+    lambda: SelectorParams(C=0.0),
 ], ids=["pair-s", "pair-t", "uniform-tau", "uniform-beta-0", "uniform-beta-big",
         "uniform-eps", "uniform-eps-rounds-to-0", "gap-eps", "gap-C", "sparse-alpha",
-        "sparse-nu", "sparse-overflow", "non-uniform-beta-1", "non-uniform-beta-0"])
+        "sparse-nu", "sparse-overflow", "non-uniform-beta-1", "non-uniform-beta-0",
+        "selector-alpha", "selector-beta-0", "selector-beta-big", "selector-eps",
+        "selector-C"])
 def test_domain_errors(call):
     with pytest.raises(InputError):
         call()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -270,6 +271,22 @@ class TestOtherCommands:
     ], ids=["phi-s", "high-degree-s", "high-degree-t", "uniform-tau"])
     def test_bounds_int_below_1_exit_2(self, capsys, argv):
         assert "must be an integer >= 1" in run_bad_flags(capsys, *argv)
+
+    @pytest.mark.parametrize("flags", [
+        ("--alpha", "-1", "--eps", "0.9"),
+        ("--beta", "-1"),
+        ("--beta", "1.5"),
+        ("--eps", "0"),
+        ("--c", "-1", "--eps", "0.5"),
+    ], ids=["alpha", "beta-negative", "beta-above-1", "eps", "c"])
+    def test_bounds_select_out_of_range_exit_2(self, capsys, flags):
+        run_error(capsys, 2, "bounds", "select", "DQc", *flags)
+
+    def test_bounds_phi_huge_s(self, capsys):
+        doc = run_json(capsys, "bounds", "phi", "--s", str(10**22))
+        # Stirling's value to the 12 significant digits the CLI prints
+        stirling = 1 / math.sqrt(2 * math.pi * 1e22)
+        assert doc["outputs"]["value"] == float(format(stirling, ".12g"))
 
     def test_bounds_uniform_eps_rounding_to_0_exit_2(self, capsys):
         error = run_error(capsys, 2, "bounds", "uniform", "--tau", "1", "--beta", "0.01",

@@ -1,11 +1,15 @@
+import dataclasses
+import functools
+import hashlib
 import math
+import random
 
 import pytest
 
 from inducibility import verify
 from inducibility.coloring import _ColorContext, run_trial, simulate
 from inducibility.errors import InputError, PreconditionError
-from inducibility.graphs import Graph, with_isolated
+from inducibility.graphs import Graph, disjoint_union, with_isolated
 
 
 @pytest.fixture
@@ -94,6 +98,31 @@ class TestRunTrial:
         else:
             assert tr.stop_index is not None
 
+    def test_traces_pinned(self, host, pattern):
+        # SHA-256 of every field of 1,600 traces, recorded before the trace
+        # was coloured in one pass; the step limits of the middle three
+        # pairs truncate 54 traces, and 1,433 traces draw past L
+        rng = random.Random(5)
+        sparse = Graph.from_edges(
+            40, [(i, j) for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.1]
+        )
+        cases = [
+            (host, pattern, 300, None),
+            (functools.reduce(disjoint_union, [Graph.path(3)] * 3), pattern, 300, 5),
+            (with_isolated(Graph.complete(5), 5), pattern, 300, 6),
+            (with_isolated(Graph.cycle(6), 2), pattern, 300, 5),
+            (sparse, with_isolated(Graph.path(4), 3), 200, None),
+            (with_isolated(Graph.cycle(12), 4), with_isolated(Graph.star(3), 2), 200, None),
+        ]
+        digest = hashlib.sha256()
+        for g, h, seeds, max_steps in cases:
+            for seed in range(seeds):
+                tr = run_trial(g, h, seed, max_steps)
+                digest.update(repr(dataclasses.astuple(tr)).encode())
+        assert digest.hexdigest() == (
+            "746b7e4d54ba3d15ad16a7072302e345afba7a5457e4450165bf83d5f1dfa84e"
+        )
+
     def test_max_steps_too_small(self, host, pattern):
         with pytest.raises(InputError):
             run_trial(host, pattern, seed=0, max_steps=2)
@@ -124,7 +153,9 @@ class TestSimulate:
         a = simulate(host, pattern, 4000, seed=9)
         b = simulate(host, pattern, 4000, seed=9)
         assert a == b
-        assert (a.count_prefix_km2, a.count_prefix_km1, a.count_prefix_k) == (22, 51, 93)
+        assert (
+            a.count_prefix_match_km2, a.count_prefix_match_km1, a.count_prefix_match_k
+        ) == (22, 51, 93)
         assert (a.count_full_match, a.count_two_green, a.count_one_red) == (6, 55, 23)
         assert a.count_consecutive_nonblack == 53
 
@@ -150,9 +181,9 @@ class TestSimulate:
             se = math.sqrt(p_true * (1 - p_true) / trials)
             return abs(count / trials - p_true) <= 4 * se + 1e-12
 
-        assert within(s.count_prefix_km2, 6 / 1000)
-        assert within(s.count_prefix_km1, 7 * 24 / 10**4)
-        assert within(s.count_prefix_k, 21 * 120 / 10**5)
+        assert within(s.count_prefix_match_km2, 6 / 1000)
+        assert within(s.count_prefix_match_km1, 7 * 24 / 10**4)
+        assert within(s.count_prefix_match_k, 21 * 120 / 10**5)
         assert within(s.count_full_match, 6 / 1000 * 42 / 100)
         ne = s.count_full_match
         p_a1 = s.count_two_green_and_match / ne
