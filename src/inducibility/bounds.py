@@ -41,6 +41,17 @@ def _as_fraction(x: float | Fraction | int) -> Fraction:
     return Fraction(x).limit_denominator(10**12)
 
 
+def _positive_fraction(name: str, x: float | Fraction) -> Fraction:
+    """`_as_fraction(x)` for a parameter that must be positive, where a
+    positive float below about 5e-13 would read as the rational 0."""
+    if x <= 0:
+        raise InputError(f"{name} must be positive")
+    value = _as_fraction(x)
+    if value == 0:
+        raise InputError(f"{name} {x} rounds to 0 at the 1e-12 resolution of rationals")
+    return value
+
+
 REGIME_HIGH_DEGREE_S = "high_degree_s"
 REGIME_HIGH_DEGREE_ST = "high_degree_st"
 REGIME_UNIFORM = "uniform_low_degree"
@@ -96,11 +107,7 @@ def uniform_degree_bound(tau: int, beta: float, eps: float) -> tuple[int, float]
         raise InputError("tau must be >= 1")
     if not 0 < beta <= 1:
         raise InputError("beta must be in (0, 1]")
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    eps_f = _as_fraction(eps)
-    if eps_f == 0:  # a positive eps below about 5e-13 reads as the rational 0
-        raise InputError(f"eps {eps} rounds to 0 at the 1e-12 resolution of rationals")
+    eps_f = _positive_fraction("eps", eps)
     ratio = _as_fraction(beta) / (tau * eps_f)
     f = math.isqrt(ratio.numerator // ratio.denominator)
     return f, 2.0 * (phi(tau) / beta) ** f
@@ -124,10 +131,8 @@ def find_degree_gap(h: Graph, eps: float | Fraction, C: float | Fraction) -> Deg
     """
     k = h.n
     prof = degree_profile(h)
-    eps_f = _as_fraction(eps)
-    c_f = _as_fraction(C)
-    if c_f <= 0 or eps_f <= 0:
-        raise InputError("eps and C must be positive")
+    eps_f = _positive_fraction("eps", eps)
+    c_f = _positive_fraction("C", C)
     if prof.edge_count > c_f * k:
         raise PreconditionError(f"edge count {prof.edge_count} exceeds C*k = {float(c_f * k)}")
     if prof.max_degree < eps_f * k:

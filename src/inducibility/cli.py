@@ -81,6 +81,8 @@ EXIT_BAD_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
 
+DIGIT_LIMIT = 4300  # CPython's default cap on the digits str(int) converts
+
 
 def _fmt(value: Any) -> Any:
     """JSON-ready rendering: Fractions as p/q, floats at 12 significant digits,
@@ -308,14 +310,32 @@ def _cmd_bounds(args) -> tuple[dict, Any]:
     return {"formula": "solve-eps", "C": args.c}, {"eps": solve_epsilon(args.c)}
 
 
+def _log10_comb(n: int, k: int) -> float:
+    """log10 C(n, k) as the sum of log10((n - i) / (i + 1)) over i < min(k, n - k),
+    0 outside 0 < k < n.  Each term is positive, and the first 14,300 sum to at
+    least log10 C(28,600, 14,300) > 8,600, so longer sums stop there."""
+    return sum(math.log10(n - i) - math.log10(i + 1) for i in range(min(k, n - k, 14_300)))
+
+
+def _refuse_long_denominator(log10_denominator: float) -> None:
+    """An exact value whose denominator could pass DIGIT_LIMIT digits cannot be
+    printed, and computing it can take unbounded time."""
+    if log10_denominator >= DIGIT_LIMIT:
+        raise UnsupportedSizeError(f"the exact value's denominator could pass {DIGIT_LIMIT} digits")
+
+
 def _cmd_proba(args) -> tuple[dict, dict]:
     kind = args.kind
     if kind == "binom":
         p = _parse_rational(args.p)
+        # the denominator divides q^k for p = a/q in lowest terms; with
+        # q >= 2 every k above 10^6 passes the limit
+        _refuse_long_denominator(min(max(args.k, 0), 10**6) * math.log10(p.denominator))
         value = binom_point(args.k, p, args.s)
         return {"kind": "binom", "k": args.k, "p": p, "s": args.s}, {"value": value}
     if kind == "hypergeom":
         params = HypergeomParams(args.population, args.successes, args.sample, args.hits)
+        _refuse_long_denominator(_log10_comb(args.population, args.sample))
         return (
             {
                 "kind": "hypergeom",
@@ -327,6 +347,7 @@ def _cmd_proba(args) -> tuple[dict, dict]:
             {"value": hypergeom_point(params)},
         )
     if kind == "multi":
+        _refuse_long_denominator(_log10_comb(args.population, args.sample))
         value = multi_hypergeom_joint(args.population, args.sample, args.parts, args.s)
         return (
             {

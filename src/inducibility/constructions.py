@@ -2,15 +2,16 @@
 and the blow-up of a tamed graph.
 
 Each generator returns the exact probability of its defining pick event at
-this n and the closed-form n -> infinity value of that probability; these
-are plain binomial-coefficient formulas and work for any n.  The concrete
-host graph (and the pattern, and the pattern's full induced density in the
-host) is materialized only when it fits the 64-vertex graph universe.  The defining event
-(say, exactly r picks on the small side) always induces the pattern, but
-for some parameter coincidences other pick patterns induce it as well, so
-the full induced density of the pattern can strictly exceed the event
-probability; when the subset budget allows, that full density is computed
-through the density module and reported separately.
+this n, from the hypergeometric kernels of the proba module, and the
+closed-form n -> infinity value of that probability; both work for any n.
+The concrete host graph (and the pattern, and the pattern's full induced
+density in the host) is materialized only when it fits the 64-vertex graph
+universe.  The defining event (say, exactly r picks on the small side)
+always induces the pattern, but for some parameter coincidences other pick
+patterns induce it as well, so the full induced density of the pattern can
+strictly exceed the event probability; when the subset budget allows, that
+full density is computed through the density module and reported
+separately.
 
 Part sizes use round-half-up with the residue absorbed by the large part,
 so achieved-versus-limit gaps include rounding effects.
@@ -22,10 +23,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .density import induced_density
 from .errors import InputError, PreconditionError
 from .graphs import MAX_VERTICES, Graph, with_isolated
+from .proba import HypergeomParams, hypergeom_point, multi_hypergeom_joint
 from .structure import is_tamed_by
 
 DENSITY_BUDGET = 2_000_000
@@ -54,12 +57,29 @@ def _maybe_density(target: Graph | None, graph: Graph | None) -> Fraction | None
     return induced_density(target, graph).density
 
 
-def _join_clique_to_independent(a: int, b: int) -> Graph:
-    """K_a joined completely to an independent set of size b."""
-    full = (1 << (a + b)) - 1
-    rows = [full ^ (1 << v) for v in range(a)]
-    rows += [(1 << a) - 1 for _ in range(b)]
-    return Graph(a + b, tuple(rows))
+def _two_part(
+    k: int, r: int, n: int, small: int, sigma: float, clique: bool
+) -> ConstructionReport:
+    """A `small`-vertex side, a clique when `clique` is set, joined completely
+    to an independent side of the other n - small vertices.  The defining
+    event picks r vertices on the small side and k - r on the other, so the
+    target is the same graph at sizes (r, k - r)."""
+
+    def host(a: int, b: int) -> Graph:
+        full, side = (1 << (a + b)) - 1, (1 << a) - 1
+        rows = [full ^ (1 << v if clique else side) for v in range(a)] + [side] * b
+        return Graph(a + b, tuple(rows))
+
+    graph = host(small, n - small) if n <= MAX_VERTICES else None
+    target = host(r, k - r) if k <= MAX_VERTICES else None
+    return ConstructionReport(
+        graph=graph,
+        target=target,
+        achieved=hypergeom_point(HypergeomParams(n, small, k, r)),
+        limit_formula=math.comb(k, r) * sigma**r * (1 - sigma) ** (k - r),
+        sigma=sigma,
+        target_density=_maybe_density(target, graph),
+    )
 
 
 def split_construction(k: int, r: int, n: int, sigma: float) -> ConstructionReport:
@@ -72,23 +92,7 @@ def split_construction(k: int, r: int, n: int, sigma: float) -> ConstructionRepo
     small = _round_half_up(sigma * n)
     if small < r:
         raise InputError(f"small part {small} cannot host {r} picks")
-    big = n - small
-    graph = Graph.complete_bipartite(small, big) if n <= MAX_VERTICES else None
-    target: Graph | None = None
-    if k <= MAX_VERTICES:
-        target = Graph.star(k - 1) if r == 1 else Graph.complete_bipartite(r, k - r)
-    achieved = Fraction(
-        math.comb(small, r) * math.comb(big, k - r), math.comb(n, k)
-    )
-    limit = math.comb(k, r) * sigma**r * (1 - sigma) ** (k - r)
-    return ConstructionReport(
-        graph=graph,
-        target=target,
-        achieved=achieved,
-        limit_formula=limit,
-        sigma=sigma,
-        target_density=_maybe_density(target, graph),
-    )
+    return _two_part(k, r, n, small, sigma, clique=False)
 
 
 def gnp_construction(k: int, n: int, seed: int) -> ConstructionReport:
@@ -102,28 +106,15 @@ def gnp_construction(k: int, n: int, seed: int) -> ConstructionReport:
     if n > MAX_VERTICES:
         raise InputError(f"gnp host has {n} vertices, above the {MAX_VERTICES}-vertex limit")
     pairs = math.comb(k, 2)
-    p = Fraction(1, pairs)
-    rng = random.Random(seed)
-    pf = float(p)
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < pf:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    graph = Graph(n, tuple(rows))
+    p = 1 / pairs
+    graph = Graph.gnp(random.Random(seed), n, p)
     target = with_isolated(Graph.complete(2), k - 2)
-    if pairs == 1:
-        limit = 1.0
-    else:
-        limit = pairs * float(p) * (1 - float(p)) ** (pairs - 1)
     density = _maybe_density(target, graph)
-    achieved = density if density is not None else Fraction(0)
     return ConstructionReport(
         graph=graph,
         target=target,
-        achieved=achieved,
-        limit_formula=limit,
+        achieved=density if density is not None else Fraction(0),
+        limit_formula=pairs * p * (1 - p) ** (pairs - 1),
         sigma=None,
         target_density=density,
         seed=seed,
@@ -140,28 +131,9 @@ def split_plus_edge(k: int, n: int) -> ConstructionReport:
     small = _round_half_up(2 * n / k)
     if small < 2:
         raise InputError(f"small part {small} cannot host 2 picks")
-    big = n - small
-    if big < k - 2:
-        raise InputError(f"large part {big} cannot host {k - 2} picks")
-    graph = _join_clique_to_independent(small, big) if n <= MAX_VERTICES else None
-    target: Graph | None = None
-    if k <= MAX_VERTICES:
-        # pattern: complete bipartite 2 x (k-2) plus the edge inside the 2-side
-        rows = list(Graph.complete_bipartite(2, k - 2).adj)
-        rows[0] |= 1 << 1
-        rows[1] |= 1 << 0
-        target = Graph(k, tuple(rows))
-    achieved = Fraction(math.comb(small, 2) * math.comb(big, k - 2), math.comb(n, k))
-    sigma = 2 / k
-    limit = math.comb(k, 2) * sigma**2 * (1 - sigma) ** (k - 2)
-    return ConstructionReport(
-        graph=graph,
-        target=target,
-        achieved=achieved,
-        limit_formula=limit,
-        sigma=sigma,
-        target_density=_maybe_density(target, graph),
-    )
+    if n - small < k - 2:
+        raise InputError(f"large part {n - small} cannot host {k - 2} picks")
+    return _two_part(k, 2, n, small, 2 / k, clique=True)
 
 
 def dtame_blowup(h: Graph, v0, n: int) -> ConstructionReport:
@@ -184,43 +156,23 @@ def dtame_blowup(h: Graph, v0, n: int) -> ConstructionReport:
     if group_size < 1:
         raise InputError("n too small for one vertex per group")
     sizes = [group_size] * d + [n - d * group_size]
-    # group i spans [starts[i], starts[i] + sizes[i])
-    starts = [sum(sizes[:i]) for i in range(d + 1)]
-
-    def group_mask(i: int) -> int:
-        return ((1 << sizes[i]) - 1) << starts[i]
-
-    rest_mask = sum(1 << u for u in rest)
-    rest_is_clique = all(
-        h.has_edge(u, v) for i, u in enumerate(rest) for v in rest[i + 1 :]
-    )
     graph: Graph | None = None
     if n <= MAX_VERTICES:
-        rows = [0] * n
-        if rest and rest_is_clique and sizes[d] >= 2:
-            gm = group_mask(d)
-            for v in range(starts[d], starts[d] + sizes[d]):
-                rows[v] |= gm ^ (1 << v)
+        # group i stands for v0[i] and the rest group for rest[0], which
+        # taming makes attach to each v0[i] all-or-none; with no rest the
+        # leftover group stands for no vertex and stays isolated
+        reps = v0 + rest[:1]
+        rest_is_clique = bool(rest) and all(h.has_edge(u, v) for u, v in combinations(rest, 2))
+        group = [i for i, size in enumerate(sizes) for _ in range(size)]
 
-        def join(i: int, j: int) -> None:
-            mi, mj = group_mask(i), group_mask(j)
-            for v in range(starts[i], starts[i] + sizes[i]):
-                rows[v] |= mj
-            for v in range(starts[j], starts[j] + sizes[j]):
-                rows[v] |= mi
+        def adjacent(i: int, j: int) -> bool:
+            if i == j:
+                return i == d and rest_is_clique
+            return max(i, j) < len(reps) and h.has_edge(reps[i], reps[j])
 
-        for i in range(d):
-            for j in range(i + 1, d):
-                if h.has_edge(v0[i], v0[j]):
-                    join(i, j)
-            # taming guarantees all-or-none attachment to the rest class
-            if rest and (h.adj[v0[i]] & rest_mask):
-                join(i, d)
-        graph = Graph(n, tuple(rows))
-    ways = math.comb(sizes[d], k - d)
-    for i in range(d):
-        ways *= sizes[i]
-    achieved = Fraction(ways, math.comb(n, k))
+        graph = Graph.from_edges(
+            n, [(x, y) for x, y in combinations(range(n), 2) if adjacent(group[x], group[y])]
+        )
     # multinomial limit at group fractions 1/k each and (k-d)/k for the rest
     limit = (
         math.factorial(k)
@@ -231,7 +183,7 @@ def dtame_blowup(h: Graph, v0, n: int) -> ConstructionReport:
     return ConstructionReport(
         graph=graph,
         target=h,
-        achieved=achieved,
+        achieved=multi_hypergeom_joint(n, k, sizes[:d], 1),
         limit_formula=limit,
         sigma=None,
         target_density=_maybe_density(h, graph),

@@ -56,6 +56,7 @@ class _Pattern:
         self._levels = [{_degrees(h.adj)}]  # sizes k, k - 1, ...
         self._rows = {h.adj}  # distinct induced rows of the lowest level derived
         self._spent = 0
+        self.adj = h.adj
         # labelled rows of k - 1 vertices -> the neighbour masks of a new
         # vertex that complete a copy; filled by `search._through`
         self.joins: dict[tuple[int, ...], list[int]] = {}

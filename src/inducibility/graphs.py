@@ -23,6 +23,7 @@ path; `automorphism_count` reads that order.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -126,6 +127,13 @@ class Graph:
     @staticmethod
     def star(leaves: int) -> "Graph":
         return Graph.complete_bipartite(1, leaves)
+
+    @staticmethod
+    def gnp(rng: random.Random, n: int, p: float) -> "Graph":
+        """G(n, p): each pair u < v, in increasing order, is an edge when
+        rng.random() < p."""
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Graph.from_edges(n, [e for e in pairs if rng.random() < p])
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

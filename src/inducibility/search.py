@@ -19,7 +19,9 @@ off every subset of every class of `_tree(n - 1)`, and a class met twice
 does not change a maximum.  The copies through v for all subsets of a
 parent come from one table per parent: for each (k - 1)-subset S, the
 patterns of v's neighbours in S that complete a copy, found once per
-labelled S by the density module's matcher.  Only the hosts at the maximum
+labelled S by the density module's matcher.  A copy through v makes S some
+h - u, so the matcher runs only for an S whose canonical key is one of
+theirs; every other S has an empty table.  Only the hosts at the maximum
 are labelled, to pick the witness.  So scoring builds `_tree` up to n - 1,
 and `_tree(n)` is built only to enumerate the n-vertex classes.
 
@@ -55,8 +57,8 @@ from typing import Iterator
 
 from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, UnsupportedSizeError
-from .graphs import Graph, _canonical_search, _from_columns, _induced_rows, _orbit, _pack_key
-from .graphs import canonical_key, induced_subgraph, parse_graph6, to_graph6
+from .graphs import Graph, _canon_cached, _canonical_search, _from_columns, _induced_rows, _orbit
+from .graphs import _pack_key, parse_graph6, to_graph6
 
 ENUM_LIMIT = 9
 
@@ -161,6 +163,14 @@ def _layout(m: int, j: int) -> tuple[tuple[tuple[int, ...], list[int], list[int]
     return tuple(layout)
 
 
+@lru_cache(maxsize=None)
+def _deletions(k: int, adj: tuple[int, ...]) -> dict[bytes, tuple[int, ...]]:
+    """The vertex deletions h - u of the k-vertex `adj`, one labelled row
+    tuple per canonical key."""
+    deletions = (_induced_rows(adj, [w for w in range(k) if w != u]) for u in range(k))
+    return {_canon_cached(k - 1, rows): rows for rows in deletions}
+
+
 def _through(pattern: _Pattern, rows: tuple[int, ...]) -> list[int]:
     """Copies of the pattern through a new vertex joined to the m-vertex
     `rows` by each of the 2^m masks, indexed by mask."""
@@ -172,10 +182,14 @@ def _through(pattern: _Pattern, rows: tuple[int, ...]) -> list[int]:
         sub = _induced_rows(rows, subset)
         joins = pattern.joins.get(sub)
         if joins is None:
-            # the patterns t of a new vertex's neighbours in S that complete a copy
-            joins = pattern.joins[sub] = [
-                t for t in range(len(spread)) if _count_matches(pattern, _child(sub, t), range(k))
-            ]
+            # the patterns t of a new vertex's neighbours in S that complete a
+            # copy; a copy makes S some h - u, so one labelling settles any other S
+            joins = pattern.joins[sub] = []
+            if _canon_cached(k - 1, sub) in _deletions(k, pattern.adj):
+                joins += [
+                    t for t in range(len(spread))
+                    if _count_matches(pattern, _child(sub, t), range(k))
+                ]
         for t in joins:
             # every mask that meets S in t
             for rest in rests:
@@ -202,9 +216,8 @@ def _host_counts(pattern: _Pattern, n: int) -> list[int]:
 def _deck_counts(h: Graph, n: int) -> list[int]:
     """The (h.n - 1)-subsets of each `_tree(n)` class that induce some h - u,
     summed over h's distinct vertex deletions: a subset induces one class."""
-    deletions = [induced_subgraph(h, [w for w in range(h.n) if w != u]) for u in range(h.n)]
-    distinct = {canonical_key(g): g for g in deletions}.values()
-    return [sum(c) for c in zip(*(_host_counts(_Pattern(g), n) for g in distinct))]
+    distinct = _deletions(h.n, h.adj).values()
+    return [sum(c) for c in zip(*(_host_counts(_Pattern(Graph(h.n - 1, g)), n) for g in distinct))]
 
 
 def ind_exact(h: Graph, n: int) -> IndResult:

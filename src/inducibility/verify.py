@@ -73,13 +73,6 @@ def _named(name: str) -> Callable[[Callable[[], tuple[bool, str]]], Check]:
     return lambda body: functools.wraps(body)(lambda: CheckResult(name, *body()))
 
 
-def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
-
-
 def _se(p: float, trials: int) -> float:
     """Standard error of a frequency p over `trials` draws, floored above 0."""
     return math.sqrt(max(p * (1 - p), 1e-12) / trials)
@@ -242,7 +235,7 @@ def _witness_draws():
         rng = random.Random(seed)
         for _ in range(trials):
             n = rng.randint(1, 12)
-            yield rng, _random_graph(rng, n, rng.uniform(lo, hi))
+            yield rng, Graph.gnp(rng, n, rng.uniform(lo, hi))
     rng = random.Random(20250)
     for _ in range(1000):
         n = rng.randint(1, 12)
@@ -365,7 +358,7 @@ def _check_all_detectable():
 @_named("brightness_ignores_isolated_vertices")
 def _check_isolated_invariance():
     rng = random.Random(555)
-    cases = [(_random_graph(rng, rng.randint(2, 6), 0.5), (1, 3)) for _ in range(30)]
+    cases = [(Graph.gnp(rng, rng.randint(2, 6), 0.5), (1, 3)) for _ in range(30)]
     for h, extras in cases + [(Graph.path(3), (1, 2, 5))]:
         base = brightness_exact(h)
         for extra in extras:

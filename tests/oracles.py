@@ -121,6 +121,20 @@ def complete_bipartite_ind(s: int, t: int, n: int) -> Fraction:
     return Fraction(best, comb(n, s + t))
 
 
+def brute_event_share(k: int, blocks: list[tuple[int, int]]) -> Fraction:
+    """Share of the k-subsets of a host, whose vertices run through
+    consecutive blocks of the given sizes, that take exactly the given
+    number of vertices from each block: a construction's defining event,
+    tested subset by subset."""
+    block = [i for i, (size, _) in enumerate(blocks) for _ in range(size)]
+    hits = total = 0
+    for verts in combinations(range(len(block)), k):
+        taken = Counter(block[v] for v in verts)
+        hits += all(taken[i] == want for i, (_, want) in enumerate(blocks))
+        total += 1
+    return Fraction(hits, total)
+
+
 def brute_count_induced(h: Graph, g: Graph) -> int:
     count = 0
     for verts in combinations(range(g.n), h.n):

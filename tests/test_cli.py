@@ -293,6 +293,14 @@ class TestOtherCommands:
                           "--eps", "1e-300")
         assert "rounds to 0" in error
 
+    @pytest.mark.parametrize("argv", [
+        ("gap", "Bg", "--eps", "1e-300", "--c", "1"),
+        ("gap", "Bg", "--eps", "0.5", "--c", "1e-300"),
+        ("select", "DQc", "--eps", "1e-300"),
+    ], ids=["gap-eps", "gap-c", "select-eps"])
+    def test_bounds_gap_rounding_to_0_exit_2(self, capsys, argv):
+        assert "rounds to 0" in run_error(capsys, 2, "bounds", *argv)
+
     def test_bounds_sparse_overflow_exit_2(self, capsys):
         error = run_error(capsys, 2, "bounds", "sparse", "--alpha", "1e308", "--nu", "0.5")
         assert "overflows" in error
@@ -330,6 +338,27 @@ class TestOtherCommands:
             "--parts", "2,2", "--s", "1",
         )
         assert doc["outputs"]["value"] == "2/5"
+
+    @pytest.mark.parametrize("argv", [
+        ("binom", "--k", "9013", "--p", "1/3", "--s", "2"),
+        ("binom", "--k", "100000000", "--p", "1/3", "--s", "2"),
+        ("hypergeom", "--population", "100000", "--successes", "50000", "--sample", "50000",
+         "--hits", "25000"),
+        ("multi", "--population", "100000", "--sample", "50000", "--parts", "1000,1000",
+         "--s", "500"),
+    ], ids=["binom-first-over", "binom-huge-k", "hypergeom", "multi"])
+    def test_proba_unprintable_denominator_exit_3(self, capsys, argv):
+        start = time.monotonic()
+        assert "4300 digits" in run_error(capsys, 3, "proba", *argv)
+        assert time.monotonic() - start < 1
+
+    def test_proba_longest_printable_denominator(self, capsys):
+        # 3^9012 has 4,300 digits, the most str(int) prints
+        doc = run_json(capsys, "proba", "binom", "--k", "9012", "--p", "1/3", "--s", "2")
+        assert len(doc["outputs"]["value"].split("/")[1]) == 4300
+        doc = run_json(capsys, "proba", "hypergeom", "--population", str(10**20),
+                       "--successes", "5", "--sample", "1", "--hits", "1")
+        assert doc["outputs"]["value"] == f"1/{2 * 10**19}"
 
     def test_blowup_invalid_taming_set_exit_3(self, capsys):
         code, _ = run_cli(

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from inducibility.cli import _fmt
 from inducibility.constructions import (
     dtame_blowup,
     gnp_construction,
@@ -12,6 +16,9 @@ from inducibility.constructions import (
 from inducibility.density import induced_density
 from inducibility.errors import InputError, PreconditionError
 from inducibility.graphs import Graph, is_isomorphic
+from inducibility.search import _classes
+from inducibility.structure import is_tamed_by
+from oracles import brute_event_share
 
 E = math.e
 
@@ -139,3 +146,87 @@ class TestBlowup:
     def test_invalid_taming_set_rejected(self, p4):
         with pytest.raises(PreconditionError):
             dtame_blowup(p4, {1, 2}, 8)
+
+
+def _split_cases():
+    for k in range(2, 6):
+        for r in range(1, k):
+            for n in (k, 7, 12):
+                for sigma in (0.2, 1 / 3, 0.5, 0.75):
+                    small = math.floor(sigma * n + 0.5)
+                    if k <= n and r <= small:
+                        yield (k, r, n, sigma), small
+
+
+class TestAchievedAgainstBruteEvent:
+    """`achieved` equals the share of k-subsets meeting the defining event,
+    counted one subset at a time on hosts of at most 12 vertices."""
+
+    def test_split(self):
+        for (k, r, n, sigma), small in _split_cases():
+            blocks = [(small, r), (n - small, k - r)]
+            assert split_construction(k, r, n, sigma).achieved == brute_event_share(k, blocks)
+
+    def test_split_plus_edge(self):
+        for k in range(4, 7):
+            for n in range(k, 13):
+                small = math.floor(2 * n / k + 0.5)
+                if small >= 2 and n - small >= k - 2:
+                    blocks = [(small, 2), (n - small, k - 2)]
+                    assert split_plus_edge(k, n).achieved == brute_event_share(k, blocks)
+
+    def test_blowup(self, classes_by_n):
+        for k in range(1, 5):
+            for h in classes_by_n[k]:
+                for d in range(k + 1):
+                    for v0 in combinations(range(k), d):
+                        if not is_tamed_by(h, v0):
+                            continue
+                        for n in (k, k + 1, 2 * k + 1, 12):
+                            g = n // k
+                            blocks = [(g, 1)] * d + [(n - d * g, k - d)]
+                            rep = dtame_blowup(h, v0, n)
+                            assert rep.achieved == brute_event_share(k, blocks), (h, v0, n)
+
+
+def _sweep_calls():
+    """Every construction across its domain edges: r = 0 and r = k, n < k,
+    sigma at 0 and 1, hosts above 64 vertices, and the blow-up of every
+    class on at most 5 vertices with every v0 (d = k included) plus one
+    out-of-range vertex.  Only three hosts have 64 vertices, since their
+    full densities dominate the time."""
+    for k in range(1, 6):
+        for r in range(k + 1):
+            for n in (k - 1, k, k + 4, 12, 65):
+                for sigma in (0.0, 0.3, 0.5, 1 / 3, 1.0):
+                    yield split_construction, (k, r, n, sigma)
+    yield split_construction, (3, 1, 64, 0.25)
+    for k in range(1, 6):
+        for n in (k - 1, k, 9, 65):
+            for seed in (0, 7):
+                yield gnp_construction, (k, n, seed)
+    yield gnp_construction, (3, 64, 1)
+    for k in range(3, 9):
+        for n in (k - 1, k, k + 1, 2 * k, 12, 65):
+            yield split_plus_edge, (k, n)
+    yield split_plus_edge, (4, 64)
+    for m in range(1, 6):
+        for h in _classes(m):
+            for n in (m - 1, m, 2 * m + 1, 65):
+                for d in range(m + 1):
+                    for v0 in combinations(range(m), d):
+                        yield dtame_blowup, (h, v0, n)
+                yield dtame_blowup, (h, (m,), n)
+
+
+def test_sweep_pinned():
+    """One digest over the CLI rendering of each report, or the error's
+    type and text, for every call of the sweep."""
+    digest = hashlib.sha256()
+    for build, args in _sweep_calls():
+        try:
+            out = json.dumps(_fmt(build(*args)), sort_keys=True)
+        except (InputError, PreconditionError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{build.__name__}{_fmt(list(args))}: {out}\n".encode())
+    assert digest.hexdigest() == "47c6d49cc47be0b634e83e18aa989da7205f3b8c78e687aace566870dd027e22"

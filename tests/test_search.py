@@ -33,6 +33,7 @@ from inducibility.search import (
 )
 from inducibility.verify import _aut_floor_holds
 from oracles import (
+    all_labeled_graphs,
     brute_census,
     brute_classes,
     brute_count_induced,
@@ -197,6 +198,19 @@ class TestIndExact:
                             _count_matches(pattern, _child(g.adj, mask), (m,))
                             for mask in range(1 << m)
                         ], (to_graph6(h), to_graph6(g))
+
+    def test_join_filter_keeps_every_join(self, classes_by_n):
+        """The join table of each labelled (k - 1)-vertex S, which skips the
+        matcher when S is no h - u, equals the matcher's unfiltered table:
+        through S alone, a mask's copies are its one table entry."""
+        for k in range(1, 6):
+            for h in classes_by_n[k]:
+                pattern = _Pattern(h)
+                for s in all_labeled_graphs(k - 1):
+                    assert _through(pattern, s.adj) == [
+                        _count_matches(pattern, _child(s.adj, t), range(k))
+                        for t in range(1 << (k - 1))
+                    ], (to_graph6(h), to_graph6(s))
 
     def test_census_matches_brute_count(self, classes_by_n):
         for k in range(5):

@@ -2,6 +2,7 @@ import pytest
 
 from inducibility import verify
 from inducibility.coloring import _ColorContext
+from inducibility.proba import hypergeom_point, multi_hypergeom_joint
 from inducibility.verify import SUITES, CheckResult, run_suite
 
 
@@ -48,3 +49,23 @@ def test_match_trace_shape_fails_on_inverted_colouring(monkeypatch):
     monkeypatch.setattr(_ColorContext, "is_black", lambda ctx, mask, v: not is_black(ctx, mask, v))
     result = verify._check_match_trace_shape()
     assert result.name == "match_trace_shape" and not result.ok, result.detail
+
+
+def _zero_without_hits(params):
+    return 0 if params.hits == 0 else hypergeom_point(params)
+
+
+def _first_part_only(n, k, parts, s):
+    return multi_hypergeom_joint(n, k, tuple(parts)[:1], s)
+
+
+@pytest.mark.parametrize("kernel, mutant, check", [
+    ("hypergeom_point", _zero_without_hits, verify._check_hypergeom_normalization),
+    ("hypergeom_point", lambda params: 2 * hypergeom_point(params),
+     verify._check_hypergeom_binomial_cap),
+    ("multi_hypergeom_joint", _first_part_only, verify._check_multi_joint_cap),
+], ids=["hypergeom-zero-without-hits", "hypergeom-doubled", "joint-first-part-only"])
+def test_kernel_checks_fail_on_a_wrong_kernel(monkeypatch, kernel, mutant, check):
+    monkeypatch.setattr(verify, kernel, mutant)
+    result = check()
+    assert not result.ok, result.detail
