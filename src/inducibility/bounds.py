@@ -208,7 +208,8 @@ def solve_epsilon(C: float) -> float:
         raise InputError("C must be positive")
 
     def ok(eps: float) -> bool:
-        return 2 * (2 / E) ** (math.sqrt(1 / (8 * C * eps)) - 1) <= 2 / (E * E)
+        x = 8 * C * eps  # when it underflows to 0 the exponent is +inf and the bound holds
+        return x == 0 or 2 * (2 / E) ** (math.sqrt(1 / x) - 1) <= 2 / (E * E)
 
     if not ok(1e-15):
         raise InputError("the 2/e^2 target is unreachable even at eps = 1e-15")

@@ -92,6 +92,8 @@ def split_construction(k: int, r: int, n: int, sigma: float) -> ConstructionRepo
     small = _round_half_up(sigma * n)
     if small < r:
         raise InputError(f"small part {small} cannot host {r} picks")
+    if n - small < k - r:
+        raise InputError(f"large part {n - small} cannot host {k - r} picks")
     return _two_part(k, r, n, small, sigma, clique=False)
 
 

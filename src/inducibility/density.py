@@ -4,8 +4,9 @@ One matcher, `_count_matches`, answers "which k-subsets of the host induce
 h?" for every caller.  It walks increasing vertex subsets depth-first,
 extends the prefix's induced rows one vertex at a time, and prunes every
 prefix whose sorted degree sequence is not that of an induced subgraph of h
-of its size.  A whole k-subset that passes is compared with h by canonical
-key, so counts are exact.  All densities are exact rationals.
+of its size.  The last vertex is settled by the join table of the
+(k - 1)-vertex prefix, carried from h's rooted deck by a labelling of the
+prefix, so counts are exact.  All densities are exact rationals.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import InputError, UnsupportedSizeError
-from .graphs import Graph, _canon_cached, _induced_rows
+from .graphs import Graph, _canon_cached, _canonical_search, _induced_rows, _orbit, _pack_key
 from .mc import MCEstimate, run_bernoulli_streams
 
 DEFAULT_SUBSET_BUDGET = 10**8
@@ -39,6 +41,12 @@ def _degrees(rows: Sequence[int]) -> int:
     return sum(1 << 7 * r.bit_count() for r in rows)  # 7-bit count per degree
 
 
+def _delete(rows: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """`rows` less vertex v: the bits below v stay and those above shift down."""
+    low = (1 << v) - 1
+    return tuple((r & low) | ((r >> 1) & ~low) for r in rows[:v] + rows[v + 1 :])
+
+
 class _Pattern:
     """What the walk tests a prefix of the host against, derived from h.
 
@@ -48,18 +56,50 @@ class _Pattern:
     for an asymmetric h, so levels are derived only while the deletions made
     stay within the subsets the calling walk covers; a level not derived
     prunes nothing.
+
+    `deck` is h's rooted deck and `joins(rows)` the join table of a labelled
+    (k - 1)-vertex S: the masks t that make S plus a vertex joined to t a copy
+    of h.  A copy through u carries N_h(u) to t by an isomorphism h - u -> S,
+    so t is a deck mask carried to S and moved by Aut(S), which also moves the
+    mask of every u in u's orbit there: one u per orbit is enough.
     """
 
     def __init__(self, h: Graph) -> None:
         self.k = h.n
-        self.key = _canon_cached(h.n, h.adj)
+        cols, _, self._gens, _ = _canonical_search(h.n, h.adj)  # the generators serve `deck`
+        self.key = _pack_key(h.n, cols)
         self._levels = [{_degrees(h.adj)}]  # sizes k, k - 1, ...
         self._rows = {h.adj}  # distinct induced rows of the lowest level derived
         self._spent = 0
         self.adj = h.adj
-        # labelled rows of k - 1 vertices -> the neighbour masks of a new
-        # vertex that complete a copy; filled by `search._through`
-        self.joins: dict[tuple[int, ...], list[int]] = {}
+        self.joins = lru_cache(maxsize=1 << 18)(self._joins)  # bounded: a search keeps one pattern
+
+    @cached_property
+    def deck(self) -> dict[bytes, tuple[tuple[int, ...], list[int]]]:
+        """h - u's canonical key -> its canonical columns and N_h(u) in that
+        order, for one u per Aut(h)-orbit."""
+        deck: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
+        for u in sorted({min(_orbit(u, self._gens)) for u in range(self.k)}):
+            cols, order, _, _ = _canonical_search(self.k - 1, _delete(self.adj, u))
+            mask = sum(1 << i for i, w in enumerate(order) if (self.adj[u] >> (w + (w >= u))) & 1)
+            deck.setdefault(_pack_key(self.k - 1, cols), (cols, []))[1].append(mask)
+        return deck
+
+    def _joins(self, rows: tuple[int, ...]) -> frozenset[int] | None:
+        """The join table of S = `rows`, or None past 2^12 masks, which needs k > 13."""
+        roots = self.deck.get(_canon_cached(self.k - 1, rows))  # S's key is shared by every pattern
+        if roots is None:
+            return frozenset()
+        _, order, gens, _ = _canonical_search(self.k - 1, rows)
+        table = {sum(1 << w for i, w in enumerate(order) if (t >> i) & 1) for t in roots[1]}
+        stack = list(table)
+        for t in stack:  # grows with each new image
+            images = {sum(1 << y for x, y in enumerate(perm) if (t >> x) & 1) for perm in gens} - table
+            table |= images
+            stack += images
+            if len(table) > 1 << 12:
+                return None
+        return frozenset(table)
 
     def levels(self, j: int, subsets: int) -> list[set[int] | None]:
         """The levels of sizes j, j + 1, ..., k, in that order."""
@@ -70,9 +110,7 @@ class _Pattern:
             self._spent += m * len(self._rows)
             below: set[tuple[int, ...]] = set()
             for rows in self._rows:
-                for v in range(m):
-                    low = (1 << v) - 1  # delete v: keep the bits below it, shift those above down
-                    below.add(tuple((r & low) | ((r >> 1) & ~low) for r in rows[:v] + rows[v + 1 :]))
+                below.update(_delete(rows, v) for v in range(m))
             self._rows = below
             self._levels.append({_degrees(rows) for rows in self._rows})
         known = self._levels[self.k - j :: -1]
@@ -117,7 +155,10 @@ def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] 
                 ext = tuple(grown)
                 if level is not None and grown_degs not in level:
                     extended[nbrs] = None
-                elif complete and _canon_cached(k, ext) != pattern.key:
+                elif complete and (  # the prefix's join table, or None when too long to list
+                    last not in joins if (joins := pattern.joins(rows)) is not None
+                    else _canon_cached(k, ext) != pattern.key
+                ):
                     extended[nbrs] = None
                 else:
                     extended[nbrs] = ext, grown_degs

@@ -42,6 +42,8 @@ def binom_point(k: int, p: Fraction, s: int) -> Fraction:
         raise InputError("p must be in [0, 1]")
     if not 0 <= s <= k:
         raise InputError("need 0 <= s <= k")
+    if p in (0, 1):  # a point mass at k p; C(k, s) alone could take minutes
+        return Fraction(s == k * p)
     return math.comb(k, s) * p**s * (1 - p) ** (k - s)
 
 

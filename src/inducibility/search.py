@@ -17,13 +17,12 @@ The top level is scored from its parents without being built: every
 n-vertex host is some (n - 1)-vertex class plus v, so the maximum is read
 off every subset of every class of `_tree(n - 1)`, and a class met twice
 does not change a maximum.  The copies through v for all subsets of a
-parent come from one table per parent: for each (k - 1)-subset S, the
-patterns of v's neighbours in S that complete a copy, found once per
-labelled S by the density module's matcher.  A copy through v makes S some
-h - u, so the matcher runs only for an S whose canonical key is one of
-theirs; every other S has an empty table.  Only the hosts at the maximum
-are labelled, to pick the witness.  So scoring builds `_tree` up to n - 1,
-and `_tree(n)` is built only to enumerate the n-vertex classes.
+parent come from the join tables of its (k - 1)-subsets S: the patterns of
+v's neighbours in S that complete a copy, which the density module's
+pattern builds from h's rooted deck once per labelled S.  An S whose
+canonical key is no h - u's has an empty table.  Only the hosts at the maximum are
+labelled, to pick the witness.  So scoring builds `_tree` up to n - 1, and
+`_tree(n)` is built only to enumerate the n-vertex classes.
 
 Parents are scored best-first.  A copy through v is v plus a (k - 1)-subset
 of the parent inducing some h - u, and each such subset makes at most one
@@ -57,7 +56,7 @@ from typing import Iterator
 
 from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, UnsupportedSizeError
-from .graphs import Graph, _canon_cached, _canonical_search, _from_columns, _induced_rows, _orbit
+from .graphs import Graph, _canonical_search, _from_columns, _induced_rows, _orbit
 from .graphs import _pack_key, parse_graph6, to_graph6
 
 ENUM_LIMIT = 9
@@ -163,34 +162,14 @@ def _layout(m: int, j: int) -> tuple[tuple[tuple[int, ...], list[int], list[int]
     return tuple(layout)
 
 
-@lru_cache(maxsize=None)
-def _deletions(k: int, adj: tuple[int, ...]) -> dict[bytes, tuple[int, ...]]:
-    """The vertex deletions h - u of the k-vertex `adj`, one labelled row
-    tuple per canonical key."""
-    deletions = (_induced_rows(adj, [w for w in range(k) if w != u]) for u in range(k))
-    return {_canon_cached(k - 1, rows): rows for rows in deletions}
-
-
 def _through(pattern: _Pattern, rows: tuple[int, ...]) -> list[int]:
     """Copies of the pattern through a new vertex joined to the m-vertex
     `rows` by each of the 2^m masks, indexed by mask."""
-    k = pattern.k
     through = [0] * (1 << len(rows))
-    if k == 0:
+    if pattern.k == 0:
         return through
-    for subset, spread, rests in _layout(len(rows), k - 1):
-        sub = _induced_rows(rows, subset)
-        joins = pattern.joins.get(sub)
-        if joins is None:
-            # the patterns t of a new vertex's neighbours in S that complete a
-            # copy; a copy makes S some h - u, so one labelling settles any other S
-            joins = pattern.joins[sub] = []
-            if _canon_cached(k - 1, sub) in _deletions(k, pattern.adj):
-                joins += [
-                    t for t in range(len(spread))
-                    if _count_matches(pattern, _child(sub, t), range(k))
-                ]
-        for t in joins:
+    for subset, spread, rests in _layout(len(rows), pattern.k - 1):
+        for t in pattern.joins(_induced_rows(rows, subset)):
             # every mask that meets S in t
             for rest in rests:
                 through[spread[t] | rest] += 1
@@ -213,11 +192,11 @@ def _host_counts(pattern: _Pattern, n: int) -> list[int]:
     return counts
 
 
-def _deck_counts(h: Graph, n: int) -> list[int]:
-    """The (h.n - 1)-subsets of each `_tree(n)` class that induce some h - u,
+def _deck_counts(pattern: _Pattern, n: int) -> list[int]:
+    """The (k - 1)-subsets of each `_tree(n)` class that induce some h - u,
     summed over h's distinct vertex deletions: a subset induces one class."""
-    distinct = _deletions(h.n, h.adj).values()
-    return [sum(c) for c in zip(*(_host_counts(_Pattern(Graph(h.n - 1, g)), n) for g in distinct))]
+    deletions = (Graph(pattern.k - 1, _from_columns(pattern.k - 1, c)) for c, _ in pattern.deck.values())
+    return [sum(c) for c in zip(*(_host_counts(_Pattern(g), n) for g in deletions))]
 
 
 def ind_exact(h: Graph, n: int) -> IndResult:
@@ -245,7 +224,7 @@ def ind_exact(h: Graph, n: int) -> IndResult:
         return IndResult(Fraction(1), Graph(n, _from_columns(n, _canonical_search(n, h.adj)[0])), "exact")
     pattern = _Pattern(h)
     counts = _host_counts(pattern, n - 1)
-    bound = [c + d for c, d in zip(counts, _deck_counts(h, n - 1))]
+    bound = [c + d for c, d in zip(counts, _deck_counts(pattern, n - 1))]
     tree = _tree(n - 1)[0]
     best, tied = -1, []
     for p in sorted(range(len(tree)), key=bound.__getitem__, reverse=True):

@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, combinations, product
 from typing import Callable
 
 from .bounds import phi
@@ -124,7 +125,15 @@ def _check_multi_joint_cap():
                     pmf = multi_hypergeom_joint(n, k, parts, s)
                     if float(pmf) > phi(s) ** f + 0.05:
                         return False, f"s={s} f={f} parts={parts}: {float(pmf)}"
-    return True, "s in {1,2}, f in {1,2,3}, 6 draws each"
+    # exact on a small grid: parts are consecutive blocks of range(n), each k-subset counted
+    for n, parts in ((8, (3,)), (9, (2, 3)), (10, (2, 2, 3))):
+        ends = list(accumulate(parts, initial=0))
+        for k, s in product(range(n + 1), range(3)):
+            hits = sum(all(sum(a <= v < b for v in sub) == s for a, b in zip(ends, ends[1:]))
+                       for sub in combinations(range(n), k))
+            if multi_hypergeom_joint(n, k, parts, s) != Fraction(hits, math.comb(n, k)):
+                return False, f"n={n} k={k} parts={parts} s={s}: not {hits}/{math.comb(n, k)}"
+    return True, "s in {1,2}, f in {1,2,3}, 6 draws each; exact for n <= 10"
 
 
 @_named("poisson_mass_strictly_decreasing")

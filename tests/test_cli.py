@@ -360,6 +360,29 @@ class TestOtherCommands:
                        "--successes", "5", "--sample", "1", "--hits", "1")
         assert doc["outputs"]["value"] == f"1/{2 * 10**19}"
 
+    @pytest.mark.parametrize("p, s, value", [
+        ("1", "50000000", "0/1"), ("1", "100000000", "1/1"), ("0", "0", "1/1"),
+    ])
+    def test_proba_binom_point_mass(self, capsys, p, s, value):
+        # at p = 0 or 1 the mass sits on s = k p; C(k, s) is never computed
+        start = time.monotonic()
+        doc = run_json(capsys, "proba", "binom", "--k", "100000000", "--p", p, "--s", s)
+        assert doc["outputs"]["value"] == value
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("argv", [
+        ("solve-eps", "--c", "5e-324"), ("solve-eps", "--c", "1e-320"),
+        ("select", "A_", "--c", "5e-324", "--beta", "1e-300"),
+    ])
+    def test_bounds_underflowing_c_exit_0(self, capsys, argv):
+        # 8 C eps underflows to 0: the exponent is +inf and every eps satisfies the bound
+        run_json(capsys, "bounds", *argv)
+
+    def test_split_impossible_event_exit_2(self, capsys):
+        error = run_error(capsys, 2, "construct", "split", "--k", "5", "--r", "1", "--n", "5",
+                          "--sigma", "0.5")
+        assert "large part 2 cannot host 4 picks" in error
+
     def test_blowup_invalid_taming_set_exit_3(self, capsys):
         code, _ = run_cli(
             capsys, "construct", "blowup", to_graph6(Graph.path(4)), "--v0", "1,2",

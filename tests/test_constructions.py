@@ -165,7 +165,12 @@ class TestAchievedAgainstBruteEvent:
     def test_split(self):
         for (k, r, n, sigma), small in _split_cases():
             blocks = [(small, r), (n - small, k - r)]
-            assert split_construction(k, r, n, sigma).achieved == brute_event_share(k, blocks)
+            if n - small < k - r:  # the large part cannot host its picks: no event to report
+                assert brute_event_share(k, blocks) == 0
+                with pytest.raises(InputError, match="large part"):
+                    split_construction(k, r, n, sigma)
+            else:
+                assert split_construction(k, r, n, sigma).achieved == brute_event_share(k, blocks)
 
     def test_split_plus_edge(self):
         for k in range(4, 7):
@@ -229,4 +234,4 @@ def test_sweep_pinned():
         except (InputError, PreconditionError) as exc:
             out = f"{type(exc).__name__}: {exc}"
         digest.update(f"{build.__name__}{_fmt(list(args))}: {out}\n".encode())
-    assert digest.hexdigest() == "47c6d49cc47be0b634e83e18aa989da7205f3b8c78e687aace566870dd027e22"
+    assert digest.hexdigest() == "013d47eef87f4328097e047ad9d731af966ae20377e59cc7165be40e9faa2e99"

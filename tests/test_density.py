@@ -60,6 +60,19 @@ class TestCountInduced:
         assert copies >= 2  # h on 0..19, and again with 20 in place of 0
         assert copies == brute_count_induced(h, g)
 
+    @pytest.mark.parametrize("a", [6, 8])
+    def test_prefix_with_a_long_join_table(self, a):
+        """h is K1,a plus a isolated vertices, and g is h plus an isolated
+        vertex with the centre last, so one prefix is edgeless on 2a vertices
+        and its join table holds C(2a, a) masks: listed at a = 6, too long to
+        list at a = 8.  Dropping any isolated vertex of g leaves h."""
+        k = 2 * a + 1
+        h = Graph.from_edges(k, [(v, k - 1) for v in range(a)])
+        g = Graph.from_edges(k + 1, [(v, k) for v in range(a)])
+        start = time.perf_counter()
+        assert count_induced(h, g) == a + 1
+        assert time.perf_counter() - start < 1
+
     def test_pattern_larger_than_host(self):
         with pytest.raises(InputError):
             count_induced(Graph.complete(4), Graph.complete(3))

@@ -16,8 +16,10 @@ from inducibility.graphs import (
     _from_columns,
     canonical_key,
     complement,
+    induced_subgraph,
     is_isomorphic,
     parse_graph6,
+    relabel,
     to_graph6,
 )
 from inducibility.search import (
@@ -200,17 +202,31 @@ class TestIndExact:
                         ], (to_graph6(h), to_graph6(g))
 
     def test_join_filter_keeps_every_join(self, classes_by_n):
-        """The join table of each labelled (k - 1)-vertex S, which skips the
-        matcher when S is no h - u, equals the matcher's unfiltered table:
-        through S alone, a mask's copies are its one table entry."""
+        """The join table of each labelled (k - 1)-vertex S, built from h's
+        rooted deck, equals the matcher's table read off whole k-vertex keys:
+        through S alone, a mask's copies are its one table entry.  Every class
+        with k <= 5 meets every labelled S, a seeded sample of six-vertex
+        classes every labelled 5-vertex S, and Gi\\sVg a seeded sample."""
+
+        def agree(h, samples):
+            pattern = _Pattern(h)
+            for s in samples:
+                assert _through(pattern, s.adj) == [
+                    _count_matches(pattern, _child(s.adj, t), range(h.n))
+                    for t in range(1 << (h.n - 1))
+                ], (to_graph6(h), to_graph6(s))
+
         for k in range(1, 6):
             for h in classes_by_n[k]:
-                pattern = _Pattern(h)
-                for s in all_labeled_graphs(k - 1):
-                    assert _through(pattern, s.adj) == [
-                        _count_matches(pattern, _child(s.adj, t), range(k))
-                        for t in range(1 << (k - 1))
-                    ], (to_graph6(h), to_graph6(s))
+                agree(h, all_labeled_graphs(k - 1))
+        rng = random.Random(16)
+        for h in rng.sample(classes_by_n[6], 7):
+            agree(h, all_labeled_graphs(5))
+        h = parse_graph6("Gi\\sVg")
+        # each h - u under random labellings, whose tables are not empty, and random S
+        deck = [induced_subgraph(h, [w for w in range(8) if w != u]) for u in range(8)]
+        agree(h, [relabel(g, rng.sample(range(7), 7)) for g in deck for _ in range(4)]
+              + [Graph.gnp(rng, 7, 0.5) for _ in range(32)])
 
     def test_census_matches_brute_count(self, classes_by_n):
         for k in range(5):

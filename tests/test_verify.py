@@ -64,7 +64,9 @@ def _first_part_only(n, k, parts, s):
     ("hypergeom_point", lambda params: 2 * hypergeom_point(params),
      verify._check_hypergeom_binomial_cap),
     ("multi_hypergeom_joint", _first_part_only, verify._check_multi_joint_cap),
-], ids=["hypergeom-zero-without-hits", "hypergeom-doubled", "joint-first-part-only"])
+    ("multi_hypergeom_joint", lambda *args: 3 * multi_hypergeom_joint(*args),
+     verify._check_multi_joint_cap),
+], ids=["hypergeom-zero-without-hits", "hypergeom-doubled", "joint-first-part-only", "joint-tripled"])
 def test_kernel_checks_fail_on_a_wrong_kernel(monkeypatch, kernel, mutant, check):
     monkeypatch.setattr(verify, kernel, mutant)
     result = check()
