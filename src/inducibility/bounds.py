@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .brightness import BRIGHTNESS_EXACT_LIMIT, brightness_exact, brightness_lower_bounds
 from .errors import InputError, InternalCheckError, PreconditionError
 from .graphs import Graph, canonical_key, complement, degree_profile, non_isolated_core
 
@@ -135,9 +134,9 @@ def find_degree_gap(h: Graph, eps: float | Fraction, C: float | Fraction) -> Deg
     c_f = _positive_fraction("C", C)
     if prof.edge_count > c_f * k:
         raise PreconditionError(f"edge count {prof.edge_count} exceeds C*k = {float(c_f * k)}")
-    if prof.max_degree < eps_f * k:
+    if prof.max_degree == 0 or prof.max_degree < eps_f * k:  # eps*k is 0 at k = 0
         raise PreconditionError(
-            f"max degree {prof.max_degree} below eps*k = {float(eps_f * k)}"
+            f"max degree {prof.max_degree} is 0 or below eps*k = {float(eps_f * k)}"
         )
     delta = eps_f * eps_f / (8 * c_f)
     degrees = set(prof.degrees)
@@ -264,6 +263,8 @@ class BoundReport:
 def _nu_lower_bound(core: Graph) -> tuple[float, str]:
     """Deterministic lower bound on the bright-labeling probability: exact
     when the core is small, otherwise the best closed-form floor."""
+    from .brightness import BRIGHTNESS_EXACT_LIMIT, brightness_exact, brightness_lower_bounds
+
     if core.n <= BRIGHTNESS_EXACT_LIMIT:
         return float(brightness_exact(core)), "exact"
     lbs = brightness_lower_bounds(core)

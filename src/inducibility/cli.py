@@ -9,7 +9,8 @@ keyed by its field names, so each output schema is defined once, by the
 dataclass; `MCEstimate` leaves out its success count.  Output is
 byte-identical across runs for fixed flags and seeds; wall-clock timing is
 therefore only included when --timing is passed, before or after the
-subcommand.
+subcommand.  Each handler imports the modules it runs, so a command loads
+only those, and its elapsed_ms includes that import.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 precondition or size-limit violation, 4 internal error.  Errors are one JSON
@@ -36,44 +37,14 @@ from fractions import Fraction
 from typing import Any, NoReturn
 
 from . import __version__
-from .bounds import (
-    SelectorParams,
-    find_degree_gap,
-    find_sparse_alpha,
-    high_degree_bound,
-    high_degree_pair_bound,
-    phi,
-    regime_selector,
-    solve_epsilon,
-    sparse_regime_bound,
-    uniform_degree_bound,
-)
-from .brightness import brightness_report
-from .coloring import simulate
-from .constructions import (
-    dtame_blowup,
-    gnp_construction,
-    split_construction,
-    split_plus_edge,
-)
-from .density import induced_density, induced_density_mc
 from .errors import (
     CheckpointError,
     InputError,
     PreconditionError,
     UnsupportedSizeError,
 )
-from .graphs import (
-    Graph,
-    degree_profile,
-    parse_graph6,
-    to_graph6,
-)
+from .graphs import Graph, degree_profile, parse_graph6, to_graph6
 from .mc import MCEstimate
-from .proba import HypergeomParams, binom_point, hypergeom_point, lambda_split, multi_hypergeom_joint
-from .search import ind_exact, ind_local_search
-from .structure import classify_vertices, minimal_taming_number, tame_witness_from
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -182,10 +153,26 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
+def _suite(text: str) -> str:
+    """argparse type for the verify suite; `verify` is imported only when
+    that subcommand is parsed."""
+    from .verify import SUITES
+
+    names = [*SUITES, "all"]
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})"
+        )
+    return text
+
+
 # -- command handlers -------------------------------------------------------
 
 
 def _cmd_classify(args) -> tuple[dict, Any]:
+    from .brightness import brightness_report
+    from .structure import classify_vertices, minimal_taming_number
+
     h = _read_graph(args.graph)
     if args.mc < 0:  # brightness_report rejects it too, but runs only on 2 or more edges
         raise InputError(f"mc samples must be >= 0, got {args.mc}")
@@ -209,6 +196,8 @@ def _cmd_classify(args) -> tuple[dict, Any]:
 
 
 def _cmd_tame(args) -> tuple[dict, Any]:
+    from .structure import minimal_taming_number, tame_witness_from
+
     h = _read_graph(args.graph)
     inputs: dict[str, Any] = {"graph": to_graph6(h)}
     if args.set is not None:
@@ -219,12 +208,16 @@ def _cmd_tame(args) -> tuple[dict, Any]:
 
 
 def _cmd_brightness(args) -> tuple[dict, Any]:
+    from .brightness import brightness_report
+
     h = _read_graph(args.graph)
     rep = brightness_report(h, mc_samples=args.mc, seed=args.seed)
     return {"graph": to_graph6(h), "mc": args.mc, "seed": args.seed}, rep
 
 
 def _cmd_density(args) -> tuple[dict, Any]:
+    from .density import induced_density, induced_density_mc
+
     h = _read_graph(args.pattern)
     g = _read_graph(args.host)
     inputs = {"pattern": to_graph6(h), "host": to_graph6(g)}
@@ -235,6 +228,8 @@ def _cmd_density(args) -> tuple[dict, Any]:
 
 
 def _cmd_ind(args) -> tuple[dict, Any]:
+    from .search import ind_exact, ind_local_search
+
     h = _read_graph(args.pattern)
     inputs: dict[str, Any] = {"pattern": to_graph6(h), "n": args.n}
     if args.exact:
@@ -244,6 +239,8 @@ def _cmd_ind(args) -> tuple[dict, Any]:
 
 
 def _cmd_construct(args) -> tuple[dict, Any]:
+    from .constructions import dtame_blowup, gnp_construction, split_construction, split_plus_edge
+
     if args.family == "split":
         rep = split_construction(args.k, args.r, args.n, args.sigma)
         inputs = {"family": "split", "k": args.k, "r": args.r, "n": args.n,
@@ -262,6 +259,19 @@ def _cmd_construct(args) -> tuple[dict, Any]:
 
 
 def _cmd_bounds(args) -> tuple[dict, Any]:
+    from .bounds import (
+        SelectorParams,
+        find_degree_gap,
+        find_sparse_alpha,
+        high_degree_bound,
+        high_degree_pair_bound,
+        phi,
+        regime_selector,
+        solve_epsilon,
+        sparse_regime_bound,
+        uniform_degree_bound,
+    )
+
     formula = args.formula
     if formula == "phi":
         return {"formula": "phi", "s": args.s}, {"value": phi(args.s)}
@@ -325,6 +335,8 @@ def _refuse_long_denominator(log10_denominator: float) -> None:
 
 
 def _cmd_proba(args) -> tuple[dict, dict]:
+    from .proba import HypergeomParams, binom_point, hypergeom_point, lambda_split, multi_hypergeom_joint
+
     kind = args.kind
     if kind == "binom":
         p = _parse_rational(args.p)
@@ -368,6 +380,8 @@ def _cmd_proba(args) -> tuple[dict, dict]:
 
 
 def _cmd_simulate(args) -> tuple[dict, dict]:
+    from .coloring import simulate
+
     g = _read_graph(args.host)
     h = _read_graph(args.pattern)
     s = simulate(g, h, args.trials, args.seed, max_steps=args.max_steps)
@@ -405,6 +419,8 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, int]:
+    from .verify import run_suite
+
     timing = getattr(args, "timing", False)
     checks = []
     for r, seconds in run_suite(args.suite):
@@ -557,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
 
     p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("suite", choices=[*SUITES, "all"])
+    p.add_argument("suite", type=_suite, help="a suite of inducibility.verify, or all")
     return parser
 
 

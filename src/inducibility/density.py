@@ -57,11 +57,12 @@ class _Pattern:
     stay within the subsets the calling walk covers; a level not derived
     prunes nothing.
 
-    `deck` is h's rooted deck and `joins(rows)` the join table of a labelled
-    (k - 1)-vertex S: the masks t that make S plus a vertex joined to t a copy
-    of h.  A copy through u carries N_h(u) to t by an isomorphism h - u -> S,
-    so t is a deck mask carried to S and moved by Aut(S), which also moves the
-    mask of every u in u's orbit there: one u per orbit is enough.
+    `deck` and `rooted` hold h's rooted deck, and `joins(rows)` is the join
+    table of a labelled (k - 1)-vertex S: the masks t that make S plus a
+    vertex joined to t a copy of h.  A copy through u carries N_h(u) to t by
+    an isomorphism h - u -> S, so t is a deck mask carried to S and moved by
+    Aut(S), which also moves the mask of every u in u's orbit there: one u
+    per orbit is enough, and only a u whose h - u has S's degree multiset.
     """
 
     def __init__(self, h: Graph) -> None:
@@ -73,21 +74,33 @@ class _Pattern:
         self._spent = 0
         self.adj = h.adj
         self.joins = lru_cache(maxsize=1 << 18)(self._joins)  # bounded: a search keeps one pattern
+        self.rooted = lru_cache(maxsize=None)(self._rooted)  # one entry per key of `deck` at most
 
     @cached_property
-    def deck(self) -> dict[bytes, tuple[tuple[int, ...], list[int]]]:
-        """h - u's canonical key -> its canonical columns and N_h(u) in that
-        order, for one u per Aut(h)-orbit."""
-        deck: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
+    def deck(self) -> dict[int, list[int]]:
+        """h - u's degree multiset (`_degrees`) -> one u per Aut(h)-orbit with it."""
+        deck: dict[int, list[int]] = {}
         for u in sorted({min(_orbit(u, self._gens)) for u in range(self.k)}):
+            deck.setdefault(_degrees(_delete(self.adj, u)), []).append(u)
+        return deck
+
+    def _rooted(self, degrees: int) -> dict[bytes, tuple[tuple[int, ...], list[int]]]:
+        """h - u's canonical key -> its canonical columns and N_h(u) in that
+        order, for the u of `deck[degrees]`: only an S of those degrees can
+        meet them, so each is labelled when such an S first comes."""
+        rooted: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
+        for u in self.deck.get(degrees, ()):
             cols, order, _, _ = _canonical_search(self.k - 1, _delete(self.adj, u))
             mask = sum(1 << i for i, w in enumerate(order) if (self.adj[u] >> (w + (w >= u))) & 1)
-            deck.setdefault(_pack_key(self.k - 1, cols), (cols, []))[1].append(mask)
-        return deck
+            rooted.setdefault(_pack_key(self.k - 1, cols), (cols, []))[1].append(mask)
+        return rooted
 
     def _joins(self, rows: tuple[int, ...]) -> frozenset[int] | None:
         """The join table of S = `rows`, or None past 2^12 masks, which needs k > 13."""
-        roots = self.deck.get(_canon_cached(self.k - 1, rows))  # S's key is shared by every pattern
+        degrees = _degrees(rows)
+        if degrees not in self.deck:  # no h - u, so S is not labelled
+            return frozenset()
+        roots = self.rooted(degrees).get(_canon_cached(self.k - 1, rows))  # S's key is shared by every pattern
         if roots is None:
             return frozenset()
         _, order, gens, _ = _canonical_search(self.k - 1, rows)

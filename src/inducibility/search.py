@@ -195,7 +195,8 @@ def _host_counts(pattern: _Pattern, n: int) -> list[int]:
 def _deck_counts(pattern: _Pattern, n: int) -> list[int]:
     """The (k - 1)-subsets of each `_tree(n)` class that induce some h - u,
     summed over h's distinct vertex deletions: a subset induces one class."""
-    deletions = (Graph(pattern.k - 1, _from_columns(pattern.k - 1, c)) for c, _ in pattern.deck.values())
+    deletions = (Graph(pattern.k - 1, _from_columns(pattern.k - 1, c))
+                 for degrees in pattern.deck for c, _ in pattern.rooted(degrees).values())
     return [sum(c) for c in zip(*(_host_counts(_Pattern(g), n) for g in deletions))]
 
 
@@ -372,7 +373,8 @@ def ind_local_search(
     Deterministic per seed; if `checkpoint` names an existing file the run
     resumes from it bit-exactly.  The checkpoint file is written before the
     first iteration, so an unwritable path fails before any work, and again
-    when the run ends.
+    when the run ends.  Below two vertices no pair can flip, so the seed
+    host, the only host, is returned whatever `iters` is.
     """
     if h.n > n:
         raise InputError(f"pattern has {h.n} vertices but n = {n}")
@@ -405,7 +407,7 @@ def ind_local_search(
         save_checkpoint(checkpoint, st)
 
     total = math.comb(n, h.n)
-    while st.iteration < iters:
+    while st.iteration < iters and n >= 2:
         u = st.rng.randrange(n)
         v = st.rng.randrange(n)
         while v == u:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -48,6 +49,10 @@ def run_error(capsys, exit_code, *argv):
     doc = json.loads(line)
     assert doc["exit"] == exit_code
     return doc["error"]
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the command did not finish within 5 s")
 
 
 def run_bad_flags(capsys, *argv):
@@ -129,6 +134,20 @@ class TestInd:
         error = run_error(capsys, 2, "ind", "Bg", "--n", "5", "--search", "--iters", "5",
                           "--checkpoint", str(cp))
         assert "cannot write checkpoint" in error
+
+    @pytest.mark.parametrize("pattern, n", [("@", 1), ("?", 0)])
+    def test_search_below_two_vertices_returns_the_seed_host(self, capsys, pattern, n):
+        # no pair can flip; the one n-vertex host is the answer whatever --iters is
+        previous = signal.signal(signal.SIGALRM, _timeout)
+        try:
+            for iters in ("0", "1", "3"):
+                signal.alarm(5)  # a hang exits 4 through the CLI's last-resort handler
+                doc = run_json(capsys, "ind", pattern, "--n", str(n), "--search", "--iters", iters)
+                signal.alarm(0)
+                assert doc["outputs"] == {"mode": "lower_bound", "value": "1/1", "witness": pattern}
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_exact_size_limit_exit_3(self, capsys):
         code, _ = run_cli(capsys, "ind", "Bg", "--n", "12", "--exact")
@@ -249,6 +268,12 @@ class TestOtherCommands:
             "--c", "1.0",
         )
         assert doc["outputs"]["s"] == 1 and doc["outputs"]["S"] == [0]
+
+    @pytest.mark.parametrize("graph", ["?", "@", "A?"])
+    def test_bounds_gap_without_edges_exit_3(self, capsys, graph):
+        # eps*k is 0 on the 0-vertex graph, and no degree gap exists there either
+        assert "max degree 0" in run_error(capsys, 3, "bounds", "gap", graph, "--eps", "0.1",
+                                           "--c", "1")
 
     def test_bounds_uniform_and_high_degree(self, capsys):
         doc = run_json(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from inducibility import density, graphs
 from inducibility.density import (
     count_induced,
     induced_density,
@@ -59,6 +60,24 @@ class TestCountInduced:
         assert time.perf_counter() - start < 10
         assert copies >= 2  # h on 0..19, and again with 20 in place of 0
         assert copies == brute_count_induced(h, g)
+
+    def test_self_count_labels_only_the_matching_deletion(self, monkeypatch):
+        """Counting an asymmetric 64-vertex graph in itself labels h, the one
+        (k - 1)-vertex prefix twice (its key, then its table) and the one h - u
+        with the prefix's degree multiset, not all 64 vertex deletions."""
+        g = Graph.gnp(random.Random(3), 64, 0.5)
+        assert automorphism_count(g) == 1
+        calls = []
+        search = graphs._canonical_search
+
+        def counted(n, adj):
+            calls.append(n)
+            return search(n, adj)
+
+        monkeypatch.setattr(graphs, "_canonical_search", counted)
+        monkeypatch.setattr(density, "_canonical_search", counted)
+        assert count_induced(g, g) == 1
+        assert len(calls) <= 4, calls
 
     @pytest.mark.parametrize("a", [6, 8])
     def test_prefix_with_a_long_join_table(self, a):

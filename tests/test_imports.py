@@ -1,0 +1,63 @@
+"""Each command imports only the modules it runs, and the package's public
+names resolve on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import inducibility
+
+BASE = {"cli", "errors", "graphs", "mc"}  # what parsing and printing need
+
+
+def loaded_after(source: str) -> list[str]:
+    """The inducibility submodules a fresh interpreter holds after `source`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(inducibility.__file__).parents[1]))
+    probe = (
+        f"import sys\n{source}\n"
+        "print(__import__('json').dumps(sorted(m for m in sys.modules"
+        " if m.startswith('inducibility.'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["density", "Bg", "DQc"], {"density"}),
+    (["density", "Bg", "DQc", "--mc", "100"], {"density"}),
+    (["ind", "Bg", "--n", "5", "--search", "--iters", "5"], {"density", "search"}),
+    (["ind", "Bg", "--n", "5", "--exact"], {"density", "search"}),
+    (["classify", "Bw", "--mc", "10"], {"brightness", "density", "structure"}),
+    (["bounds", "phi", "--s", "2"], {"bounds"}),
+    (["proba", "binom", "--k", "3", "--p", "1/3", "--s", "1"], {"proba"}),
+], ids=["density", "density-mc", "ind-search", "ind-exact", "classify", "bounds-phi",
+         "proba-binom"])
+def test_command_loads_only_its_modules(argv, modules):
+    source = f"from inducibility import cli\nassert cli.main({argv!r}) == 0"
+    assert loaded_after(source) == sorted(f"inducibility.{m}" for m in BASE | modules)
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import inducibility") == []
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    assert inducibility.__all__ == sorted(set(inducibility.__all__))
+    listed = dir(inducibility)
+    for name in inducibility.__all__:
+        value = getattr(inducibility, name)
+        assert value is getattr(importlib.import_module(value.__module__), name)
+        assert value.__module__.startswith("inducibility.")
+        assert name in listed
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(inducibility, "no_such_name")
