@@ -21,7 +21,7 @@ _EXPORTS = {
     "errors": "CheckpointError Graph6Error InputError PreconditionError UnsupportedSizeError",
     "graphs": "CanonicalCode DegreeProfile Graph automorphism_count canonical_code"
     " canonical_key complement degree_profile disjoint_union induced_subgraph is_isomorphic"
-    " non_isolated_core parse_graph6 relabel to_graph6 with_isolated",
+    " non_isolated_core parse_graph6 to_graph6 with_isolated",
     "proba": "HypergeomParams LambdaSplit binom_point binom_point_max_bound hypergeom_point"
     " lambda_split multi_hypergeom_joint poly_exp_check",
     "search": "IndResult enumerate_graphs ind_exact ind_local_search",

@@ -6,11 +6,11 @@ Exact rationals are rendered as "p/q" strings, approximate values as
 decimals with 12 significant digits, and graphs as graph6, so commands pipe
 into each other losslessly.  A report dataclass is rendered as an object
 keyed by its field names, so each output schema is defined once, by the
-dataclass; `MCEstimate` leaves out its success count.  Output is
-byte-identical across runs for fixed flags and seeds; wall-clock timing is
-therefore only included when --timing is passed, before or after the
-subcommand.  Each handler imports the modules it runs, so a command loads
-only those, and its elapsed_ms includes that import.
+dataclass, `MCEstimate` included.  Output is byte-identical across runs
+for fixed flags and seeds; wall-clock timing is therefore only included
+when --timing is passed, before or after the subcommand.  Each handler
+imports the modules it runs, so a command loads only those, and its
+elapsed_ms includes that import.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 precondition or size-limit violation, 4 internal error.  Errors are one JSON
@@ -44,7 +44,6 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .graphs import Graph, degree_profile, parse_graph6, to_graph6
-from .mc import MCEstimate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -65,14 +64,6 @@ def _fmt(value: Any) -> Any:
         return float(format(value, ".12g"))
     if isinstance(value, Graph):
         return to_graph6(value)
-    if isinstance(value, MCEstimate):  # the success count is not printed
-        return {
-            "estimate": _fmt(value.estimate),
-            "ci_low": _fmt(value.ci_low),
-            "ci_high": _fmt(value.ci_high),
-            "samples": value.samples,
-            "seed": value.seed,
-        }
     if is_dataclass(value):
         return {f.name: _fmt(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):

@@ -11,6 +11,9 @@ coloured at L, and one drawn after L is coloured on arrival and does not
 enter the green/red counts.  A trace that reaches its step limit before L
 is truncated and leaves its non-black terms uncoloured ("nonblack").
 
+Every core, the pattern's and the host's, is keyed by one function of a
+vertex mask, `_core_key`; the host's keys are memoized per mask.
+
 Per-trace flags record whether the first j draws were distinct with a core
 matching the pattern's (j = k-2, k-1, k), the conjunction of the first and
 last of those, the green/red count signatures (2,0) and (0,1), and whether
@@ -25,14 +28,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .errors import InputError, PreconditionError
-from .graphs import (
-    Graph,
-    _canon_cached,
-    _induced_rows,
-    canonical_key,
-    induced_subgraph,
-    non_isolated_core,
-)
+from .graphs import Graph, _canon_cached, _induced_rows
 from .mc import trial_rngs
 from .structure import classify_vertices
 
@@ -63,10 +59,24 @@ class ColoredTrace:
     isolated_nonblack_violations: int
 
 
+def _core_key(adj: tuple[int, ...], mask: int) -> bytes:
+    """The canonical key of the non-isolated core of the subgraph of `adj`
+    induced on the vertices in `mask`."""
+    verts = []
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        if adj[v] & mask:
+            verts.append(v)
+    return _canon_cached(len(verts), _induced_rows(adj, verts))
+
+
 class _ColorContext:
-    """Pattern-derived canonical codes, the trace step limit (see
-    `run_trial`) and a per-host memo of core codes, cleared wholesale once
-    it holds `CORE_MEMO_LIMIT` masks."""
+    """Pattern-derived core keys, the trace step limit (see `run_trial`)
+    and a per-host memo of core keys, cleared wholesale once it holds
+    `CORE_MEMO_LIMIT` masks."""
 
     def __init__(self, g: Graph, h: Graph, max_steps: int | None = None):
         if h.n < 3 or h.edge_count() < 2:
@@ -78,27 +88,17 @@ class _ColorContext:
             raise InputError("max_steps must allow at least k draws")
         self.g = g
         self.k = h.n
-        self.core_code = canonical_key(non_isolated_core(h))
-        deleted = set()
-        for v in classify_vertices(h).detectable:
-            rest = [u for u in range(h.n) if u != v]
-            deleted.add(canonical_key(non_isolated_core(induced_subgraph(h, rest))))
-        self.deleted_codes = frozenset(deleted)
+        full = (1 << h.n) - 1
+        self.core_code = _core_key(h.adj, full)
+        self.deleted_codes = frozenset(
+            _core_key(h.adj, full ^ (1 << v)) for v in classify_vertices(h).detectable
+        )
         self._core_by_mask: dict[int, bytes] = {}
 
     def core_code_of_mask(self, mask: int) -> bytes:
         code = self._core_by_mask.get(mask)
         if code is None:
-            adj = self.g.adj
-            verts = []
-            m = mask
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                if adj[v] & mask:
-                    verts.append(v)
-            code = _canon_cached(len(verts), _induced_rows(adj, verts))
+            code = _core_key(self.g.adj, mask)
             if len(self._core_by_mask) >= CORE_MEMO_LIMIT:
                 self._core_by_mask.clear()
             self._core_by_mask[mask] = code

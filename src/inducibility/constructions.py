@@ -150,6 +150,8 @@ def dtame_blowup(h: Graph, v0, n: int) -> ConstructionReport:
     if not is_tamed_by(h, v0):
         raise PreconditionError("v0 is not a taming set of h")
     k = h.n
+    if k == 0:  # the empty set tames it, but there is no group to size
+        raise InputError("the 0-vertex pattern has nothing to blow up")
     if n < k:
         raise InputError("need n >= k")
     d = len(v0)

@@ -85,14 +85,15 @@ class _Pattern:
         return deck
 
     def _rooted(self, degrees: int) -> dict[bytes, tuple[tuple[int, ...], list[int]]]:
-        """h - u's canonical key -> its canonical columns and N_h(u) in that
+        """h - u's canonical key -> its canonical rows and N_h(u) in that
         order, for the u of `deck[degrees]`: only an S of those degrees can
         meet them, so each is labelled when such an S first comes."""
         rooted: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for u in self.deck.get(degrees, ()):
-            cols, order, _, _ = _canonical_search(self.k - 1, _delete(self.adj, u))
+            rows = _delete(self.adj, u)
+            cols, order, _, _ = _canonical_search(self.k - 1, rows)
             mask = sum(1 << i for i, w in enumerate(order) if (self.adj[u] >> (w + (w >= u))) & 1)
-            rooted.setdefault(_pack_key(self.k - 1, cols), (cols, []))[1].append(mask)
+            rooted.setdefault(_pack_key(self.k - 1, cols), (_induced_rows(rows, order), []))[1].append(mask)
         return rooted
 
     def _joins(self, rows: tuple[int, ...]) -> frozenset[int] | None:

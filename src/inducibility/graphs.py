@@ -17,7 +17,9 @@ prunes by the automorphisms it finds along the way (twin transpositions and
 the mappings of `_colored_iso`), which stays exact, and returns them as
 generators of the group, which host enumeration prunes its augmentations
 by.  The same search counts the group by orbit-stabilizer along its first
-path; `automorphism_count` reads that order.
+path; `automorphism_count` reads that order.  The canonical form's rows are
+`_induced_rows(adj, order)` for the order the search returns, and its key
+packs the columns (`_pack_key`); callers build either only where needed.
 """
 
 from __future__ import annotations
@@ -254,7 +256,9 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> Graph:
 
 
 def _induced_rows(adj: Sequence[int], verts: Sequence[int]) -> tuple[int, ...]:
-    # fast path used by hot counting loops; verts must be sorted and in range
+    """The rows of the subgraph on `verts`, with verts[i] as vertex i; the
+    unchecked fast path of the counting loops.  For the order that
+    `_canonical_search` returns, these are the canonical rows."""
     rows = []
     for v in verts:
         row = adj[v]
@@ -449,15 +453,6 @@ def _canonical_search(
     return best[0], best[1], gens, size
 
 
-def _from_columns(n: int, cols: Sequence[int]) -> tuple[int, ...]:
-    """The rows of the graph whose columns in the order 0..n-1 are `cols`."""
-    rows = [0, *cols][:n]
-    for j, col in enumerate(cols, start=1):
-        for i in range(j):
-            rows[i] |= ((col >> i) & 1) << j
-    return tuple(rows)
-
-
 def _pack_key(n: int, cols: Sequence[int]) -> bytes:
     """The canonical columns as bytes: n, then the column bits
     most-significant-first, zero-padded to whole bytes."""
@@ -583,20 +578,3 @@ def _orbit(v: int, gens: Sequence[Sequence[int]]) -> set[int]:
 def automorphism_count(g: Graph) -> int:
     """Exact order of the automorphism group, from the canonical search."""
     return _canonical_search(g.n, g.adj)[3]
-
-
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Image of g under the vertex map v -> perm[v]."""
-    if sorted(perm) != list(range(g.n)):
-        raise InputError("perm is not a permutation of the vertex set")
-    rows = [0] * g.n
-    for v in range(g.n):
-        row = g.adj[v]
-        new = 0
-        while row:
-            low = row & -row
-            new |= 1 << perm[low.bit_length() - 1]
-            row ^= low
-        rows[perm[v]] = new
-    return Graph(g.n, tuple(rows))
-

@@ -57,7 +57,6 @@ class MCEstimate:
     ci_high: float
     samples: int
     seed: int
-    successes: int
 
 
 def run_bernoulli_streams(
@@ -71,6 +70,5 @@ def run_bernoulli_streams(
         ci_high=hi,
         samples=samples,
         seed=seed,
-        successes=successes,
     )
 

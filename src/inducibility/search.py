@@ -56,7 +56,7 @@ from typing import Iterator
 
 from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, UnsupportedSizeError
-from .graphs import Graph, _canonical_search, _from_columns, _induced_rows, _orbit
+from .graphs import Graph, _canonical_search, _induced_rows, _orbit
 from .graphs import _pack_key, parse_graph6, to_graph6
 
 ENUM_LIMIT = 9
@@ -132,9 +132,9 @@ def _tree(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[i
                 continue
             cols, order, gens, _ = _canonical_search(n, rows)
             if v in _orbit(next(u for u in order if f.get(u) == f[v]), gens):
-                keyed.append((_pack_key(n, cols), cols, p, mask))
-    _, cols, parents, masks = zip(*sorted(keyed))
-    return tuple(_from_columns(n, c) for c in cols), parents, masks
+                keyed.append((_pack_key(n, cols), _induced_rows(rows, order), p, mask))
+    _, canonical, parents, masks = zip(*sorted(keyed))
+    return canonical, parents, masks
 
 
 def _classes(n: int) -> tuple[Graph, ...]:
@@ -195,8 +195,8 @@ def _host_counts(pattern: _Pattern, n: int) -> list[int]:
 def _deck_counts(pattern: _Pattern, n: int) -> list[int]:
     """The (k - 1)-subsets of each `_tree(n)` class that induce some h - u,
     summed over h's distinct vertex deletions: a subset induces one class."""
-    deletions = (Graph(pattern.k - 1, _from_columns(pattern.k - 1, c))
-                 for degrees in pattern.deck for c, _ in pattern.rooted(degrees).values())
+    deletions = (Graph(pattern.k - 1, rows)
+                 for degrees in pattern.deck for rows, _ in pattern.rooted(degrees).values())
     return [sum(c) for c in zip(*(_host_counts(_Pattern(g), n) for g in deletions))]
 
 
@@ -222,7 +222,7 @@ def ind_exact(h: Graph, n: int) -> IndResult:
         return IndResult(Fraction(1), Graph.empty(n), "exact")
     if h.n == n:
         # h's class is the one host holding a copy
-        return IndResult(Fraction(1), Graph(n, _from_columns(n, _canonical_search(n, h.adj)[0])), "exact")
+        return IndResult(Fraction(1), Graph(n, _induced_rows(h.adj, _canonical_search(n, h.adj)[1])), "exact")
     pattern = _Pattern(h)
     counts = _host_counts(pattern, n - 1)
     bound = [c + d for c, d in zip(counts, _deck_counts(pattern, n - 1))]
@@ -238,8 +238,9 @@ def ind_exact(h: Graph, n: int) -> IndResult:
             best, tied = top, []
         if top == best:
             tied += [_child(rows, mask) for mask, c in enumerate(through) if counts[p] + c == best]
-    cols = min((_canonical_search(n, adj)[0] for adj in tied), key=lambda c: _pack_key(n, c))
-    return IndResult(Fraction(best, math.comb(n, h.n)), Graph(n, _from_columns(n, cols)), "exact")
+    _, adj, order = min((_pack_key(n, cols), adj, order)
+                        for adj in tied for cols, order, _, _ in [_canonical_search(n, adj)])
+    return IndResult(Fraction(best, math.comb(n, h.n)), Graph(n, _induced_rows(adj, order)), "exact")
 
 
 # -- local search ----------------------------------------------------------

@@ -3,10 +3,11 @@
 Every finite statement the package checks is defined here once, as a
 zero-argument check returning its name, a pass flag and a short detail
 string; on failure the detail carries a graph6 counterexample whenever one
-exists.  `SUITES` is the table of each suite's checks, in order, and "all"
-runs the tables one after another.  The pytest suite reads these same
-checks, each run at most once per session, and `run_check` times one check
-for both it and `verify --timing`.
+exists.  Each check is declared once, with its suite, and `SUITES` lists
+each suite's checks in definition order; "all" runs the suites one after
+another.  The pytest suite reads these same checks, each run at most once
+per session, and `run_check` times one check for both it and
+`verify --timing`.
 """
 
 from __future__ import annotations
@@ -69,9 +70,19 @@ class CheckResult:
 Check = Callable[[], CheckResult]
 
 
-def _named(name: str) -> Callable[[Callable[[], tuple[bool, str]]], Check]:
-    """The check `name` made from a body returning (ok, detail)."""
-    return lambda body: functools.wraps(body)(lambda: CheckResult(name, *body()))
+SUITES: dict[str, list[Check]] = {}  # each suite's checks, in definition order
+
+
+def _check(suite: str, name: str) -> Callable[[Callable[[], tuple[bool, str]]], Check]:
+    """The check `name` made from a body returning (ok, detail), appended to
+    `SUITES[suite]`."""
+
+    def make(body: Callable[[], tuple[bool, str]]) -> Check:
+        check = functools.wraps(body)(lambda: CheckResult(name, *body()))
+        SUITES.setdefault(suite, []).append(check)
+        return check
+
+    return make
 
 
 def _se(p: float, trials: int) -> float:
@@ -82,7 +93,7 @@ def _se(p: float, trials: int) -> float:
 # -- appendix suite --------------------------------------------------------
 
 
-@_named("hypergeom_pmf_sums_to_one")
+@_check("appendix", "hypergeom_pmf_sums_to_one")
 def _check_hypergeom_normalization():
     for seed, max_n in ((20240, 60), (20251, 70), (61, 80)):
         rng = random.Random(seed)
@@ -98,7 +109,7 @@ def _check_hypergeom_normalization():
     return True, "600 random parameter sets, n <= 80"
 
 
-@_named("hypergeom_capped_by_binomial_mode")
+@_check("appendix", "hypergeom_capped_by_binomial_mode")
 def _check_hypergeom_binomial_cap():
     rng = random.Random(20241)
     for _ in range(40):
@@ -113,7 +124,7 @@ def _check_hypergeom_binomial_cap():
     return True, "40 random large-population sets"
 
 
-@_named("joint_hits_capped_by_poisson_mass")
+@_check("appendix", "joint_hits_capped_by_poisson_mass")
 def _check_multi_joint_cap():
     n, k = 10**4, 100
     for seed, draws in ((20242, 5), (62, 1)):
@@ -136,13 +147,13 @@ def _check_multi_joint_cap():
     return True, "s in {1,2}, f in {1,2,3}, 6 draws each; exact for n <= 10"
 
 
-@_named("poisson_mass_strictly_decreasing")
+@_check("appendix", "poisson_mass_strictly_decreasing")
 def _check_phi_decreasing():
     ok = all(phi(s) > phi(s + 1) for s in range(1, 100)) and phi(100) < 0.04
     return ok, f"phi(100)={phi(100):.6f}"
 
 
-@_named("poisson_mass_is_binomial_limit")
+@_check("appendix", "poisson_mass_is_binomial_limit")
 def _check_phi_binomial_limit():
     for s in (1, 2, 3):
         val = float(binom_point(10**4, Fraction(s, 10**4), s))
@@ -151,7 +162,7 @@ def _check_phi_binomial_limit():
     return True, "s in {1,2,3} at k=10^4"
 
 
-@_named("poly_times_exp_capped")
+@_check("appendix", "poly_times_exp_capped")
 def _check_poly_exp_grid():
     for s in range(1, 21):
         for i in range(501):
@@ -162,7 +173,7 @@ def _check_poly_exp_grid():
     return True, "grid s<=20, x<=50"
 
 
-@_named("lambda_interval_nonempty")
+@_check("appendix", "lambda_interval_nonempty")
 def _check_lambda_grid():
     # the slack exp(y+z) - y^2 e^2/4 - z e is nonnegative on the whole grid;
     # it is tight at (2, 0), the equality point of the poly-exp bound at s = 2
@@ -180,7 +191,7 @@ def _check_lambda_grid():
     )
 
 
-@_named("binomial_mode_is_maximum")
+@_check("appendix", "binomial_mode_is_maximum")
 def _check_binomial_mode_sweep():
     for k, s in ((4, 2), (7, 3), (12, 5), (9, 1), (9, 4), (12, 1), (10, 3), (6, 5)):
         cap = binom_point_max_bound(k, s)
@@ -194,9 +205,14 @@ def _check_binomial_mode_sweep():
 # -- structure suite -------------------------------------------------------
 
 
-@_named("detectable_characterization")
+def _small_classes() -> list[Graph]:
+    """One graph per isomorphism class with 1 to MAX_N vertices."""
+    return [h for n in range(1, MAX_N + 1) for h in _classes(n)]
+
+
+@_check("structure", "detectable_characterization")
 def _check_detectable_characterization():
-    graphs = [h for n in range(1, MAX_N + 1) for h in _classes(n)]
+    graphs = _small_classes()
     for n in range(1, 6):  # and every labelled graph, so no labelling is favoured
         pairs = [(i, j) for j in range(n) for i in range(j)]
         for bits in range(1 << len(pairs)):
@@ -216,25 +232,23 @@ def _check_detectable_characterization():
     )
 
 
-@_named("happy_count_floor")
+@_check("structure", "happy_count_floor")
 def _check_happy_floor():
-    for n in range(1, MAX_N + 1):
-        for h in _classes(n):
-            prof_m2 = sum(1 for v in range(n) if h.adj[v].bit_count() >= 2)
-            if len(classify_vertices(h).happy) < prof_m2:
-                return False, to_graph6(h)
+    for h in _small_classes():
+        prof_m2 = sum(1 for row in h.adj if row.bit_count() >= 2)
+        if len(classify_vertices(h).happy) < prof_m2:
+            return False, to_graph6(h)
     return True, f"all graphs with n <= {MAX_N}"
 
 
-@_named("detectable_deletion_keeps_an_edge")
+@_check("structure", "detectable_deletion_keeps_an_edge")
 def _check_detectable_deletion():
-    for n in range(2, MAX_N + 1):
-        for h in _classes(n):
-            if h.edge_count() < 2:
-                continue
-            for v in classify_vertices(h).detectable:
-                if h.edge_count() - h.adj[v].bit_count() < 1:
-                    return False, f"graph {to_graph6(h)} vertex {v}"
+    for h in _small_classes():
+        if h.edge_count() < 2:
+            continue
+        for v in classify_vertices(h).detectable:
+            if h.edge_count() - h.adj[v].bit_count() < 1:
+                return False, f"graph {to_graph6(h)} vertex {v}"
     return True, f"all graphs with n <= {MAX_N}"
 
 
@@ -257,7 +271,7 @@ def _witness_draws():
         yield rng, Graph.from_edges(n, edges)
 
 
-@_named("closure_witness_always_tames")
+@_check("structure", "closure_witness_always_tames")
 def _check_closure_witness():
     for rng, h in _witness_draws():
         s = {v for v in range(h.n) if rng.random() < 0.4}
@@ -298,15 +312,14 @@ def _aut_floor_holds(h: Graph) -> bool:
     return automorphism_count(h) >= math.factorial(h.n - minimal_taming_number(h)[0])
 
 
-@_named("aut_floor_from_taming")
+@_check("structure", "aut_floor_from_taming")
 def _check_aut_vs_taming():
     large = _large_hosts()
     named = [(Graph.path(4), 3), (Graph.star(3), 1)]
     for h, d in named + [(Graph.complete(k), 0) for k in range(MAX_N + 1)] + large:
         if minimal_taming_number(h)[0] != d:
             return False, f"{to_graph6(h)}: minimal taming number is not {d}"
-    small = [h for n in range(1, MAX_N + 1) for h in _classes(n)]
-    for h in small + [h for h, _ in large]:
+    for h in _small_classes() + [h for h, _ in large]:
         if not _aut_floor_holds(h):
             return False, to_graph6(h)
     return True, (
@@ -315,10 +328,10 @@ def _check_aut_vs_taming():
     )
 
 
-@_named("taming_complement_invariant")
+@_check("structure", "taming_complement_invariant")
 def _check_taming_complement():
     large = [h for h, _ in _large_hosts()]
-    for h in [h for n in range(1, MAX_N + 1) for h in _classes(n)] + large:
+    for h in _small_classes() + large:
         if minimal_taming_number(h)[0] != minimal_taming_number(complement(h))[0]:
             return False, to_graph6(h)
     return True, f"all graphs with n <= {MAX_N} and {len(large)} hosts with 20-64 vertices"
@@ -335,7 +348,7 @@ def _core_family():
             yield h
 
 
-@_named("brightness_floor_one_twelfth")
+@_check("brightness", "brightness_floor_one_twelfth")
 def _check_brightness_floor():
     floor = Fraction(1, 12)
     count = 0
@@ -346,7 +359,7 @@ def _check_brightness_floor():
     return True, f"{count} cores with m <= {MAX_M}"
 
 
-@_named("closed_form_bounds_below_exact")
+@_check("brightness", "closed_form_bounds_below_exact")
 def _check_brightness_bounds():
     for h in _core_family():
         nu = brightness_exact(h)
@@ -356,7 +369,7 @@ def _check_brightness_bounds():
     return True, f"all cores with m <= {MAX_M}"
 
 
-@_named("all_detectable_gives_one")
+@_check("brightness", "all_detectable_gives_one")
 def _check_all_detectable():
     for h in _core_family():
         if len(classify_vertices(h).detectable) == h.n and brightness_exact(h) != 1:
@@ -364,7 +377,7 @@ def _check_all_detectable():
     return True, f"all cores with m <= {MAX_M}"
 
 
-@_named("brightness_ignores_isolated_vertices")
+@_check("brightness", "brightness_ignores_isolated_vertices")
 def _check_isolated_invariance():
     rng = random.Random(555)
     cases = [(Graph.gnp(rng, rng.randint(2, 6), 0.5), (1, 3)) for _ in range(30)]
@@ -376,7 +389,7 @@ def _check_isolated_invariance():
     return True, "30 random cores, +1/+3 isolated; P3, +1/+2/+5 isolated"
 
 
-@_named("named_brightness_values")
+@_check("brightness", "named_brightness_values")
 def _check_named_brightness():
     p3 = Graph.path(3)
     two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -388,7 +401,7 @@ def _check_named_brightness():
     return ok, "P3=1/3, 2K2=1, K3=1"
 
 
-@_named("mc_interval_coverage")
+@_check("brightness", "mc_interval_coverage")
 def _check_mc_coverage():
     p3 = Graph.path(3)
     truth = Fraction(1, 3)
@@ -403,7 +416,7 @@ def _check_mc_coverage():
 # -- coloring suite --------------------------------------------------------
 
 
-@_named("match_inside_signature_union")
+@_check("coloring", "match_inside_signature_union")
 def _check_coloring_inclusions():
     # the proven inclusions, P[A1 | match] >= 1/3 and the caps 2/e^2 and 1/e
     g = with_isolated(Graph.path(3), 7)
@@ -432,7 +445,7 @@ def _check_coloring_inclusions():
     )
 
 
-@_named("match_trace_shape")
+@_check("coloring", "match_trace_shape")
 def _check_match_trace_shape():
     # `run_trial` per seed on one context; 3P3 matches twice as often as P3 + 7K1
     g = functools.reduce(disjoint_union, [Graph.path(3)] * 3)
@@ -456,7 +469,7 @@ def _check_match_trace_shape():
     return seen >= 300, f"{seen} matching traces: a signature, Y+Z <= 2, L in {{k-1, k}}"
 
 
-@_named("consecutive_conditional_bound")
+@_check("coloring", "consecutive_conditional_bound")
 def _check_conditional_consecutive():
     # k = 20 puts the bound near 0.55; 6P3 matches three times as often as P3 + 61K1
     g = with_isolated(functools.reduce(disjoint_union, [Graph.path(3)] * 6), 46)
@@ -470,7 +483,7 @@ def _check_conditional_consecutive():
     return p <= bound, f"P[consecutive|match]={p:.4f} <= {bound:.4f} ({ne} matches)"
 
 
-@_named("signature_probability_caps")
+@_check("coloring", "signature_probability_caps")
 def _check_signature_caps():
     for extra_host, extra_pat, seed in ((7, 2, 3), (17, 5, 4)):
         g = with_isolated(Graph.path(3), extra_host)
@@ -481,42 +494,6 @@ def _check_signature_caps():
         if p1 > 2 / E**2 + 4 * _se(p1, s.trials) or p2 > 1 / E + 4 * _se(p2, s.trials):
             return False, f"host+{extra_host}: A1&!B={p1:.4f}, A2={p2:.4f}"
     return True, "two host sizes, 20000 trials each"
-
-
-SUITES: dict[str, tuple[Check, ...]] = {
-    "appendix": (
-        _check_hypergeom_normalization,
-        _check_hypergeom_binomial_cap,
-        _check_multi_joint_cap,
-        _check_phi_decreasing,
-        _check_phi_binomial_limit,
-        _check_poly_exp_grid,
-        _check_lambda_grid,
-        _check_binomial_mode_sweep,
-    ),
-    "structure": (
-        _check_detectable_characterization,
-        _check_happy_floor,
-        _check_detectable_deletion,
-        _check_closure_witness,
-        _check_aut_vs_taming,
-        _check_taming_complement,
-    ),
-    "brightness": (
-        _check_brightness_floor,
-        _check_brightness_bounds,
-        _check_all_detectable,
-        _check_isolated_invariance,
-        _check_named_brightness,
-        _check_mc_coverage,
-    ),
-    "coloring": (
-        _check_coloring_inclusions,
-        _check_match_trace_shape,
-        _check_conditional_consecutive,
-        _check_signature_caps,
-    ),
-}
 
 
 def run_check(check: Check) -> tuple[CheckResult, float]:

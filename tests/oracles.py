@@ -49,6 +49,22 @@ def ref_decode_graph6(line: str) -> tuple[int, set[frozenset[int]]]:
     return n, edges
 
 
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """Image of g under the vertex map v -> perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm is not a permutation of the vertex set")
+    rows = [0] * g.n
+    for v in range(g.n):
+        row = g.adj[v]
+        new = 0
+        while row:
+            low = row & -row
+            new |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        rows[perm[v]] = new
+    return Graph(g.n, tuple(rows))
+
+
 def edge_set(g: Graph) -> set[frozenset[int]]:
     return {frozenset(e) for e in g.edges()}
 

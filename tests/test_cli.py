@@ -408,6 +408,15 @@ class TestOtherCommands:
                           "--sigma", "0.5")
         assert "large part 2 cannot host 4 picks" in error
 
+    def test_blowup_of_the_empty_pattern_exit_2(self, capsys):
+        error = run_error(capsys, 2, "construct", "blowup", "?", "--n", "3")
+        assert "0-vertex pattern" in error
+
+    @pytest.mark.parametrize("p", ["abc", "1/0"])
+    def test_proba_unparsable_rational_exit_2(self, capsys, p):
+        error = run_error(capsys, 2, "proba", "binom", "--k", "3", "--p", p, "--s", "1")
+        assert error.startswith(f"cannot parse rational {p!r}")
+
     def test_blowup_invalid_taming_set_exit_3(self, capsys):
         code, _ = run_cli(
             capsys, "construct", "blowup", to_graph6(Graph.path(4)), "--v0", "1,2",

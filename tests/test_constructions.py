@@ -147,6 +147,11 @@ class TestBlowup:
         with pytest.raises(PreconditionError):
             dtame_blowup(p4, {1, 2}, 8)
 
+    def test_empty_pattern_rejected(self):
+        # the empty set tames the 0-vertex graph, which has no group to size
+        with pytest.raises(InputError, match="0-vertex pattern"):
+            dtame_blowup(Graph.empty(0), set(), 3)
+
 
 def _split_cases():
     for k in range(2, 6):

@@ -10,6 +10,7 @@ from inducibility.graphs import (
     Graph,
     _canonical_search,
     _encode_order,
+    _induced_rows,
     automorphism_count,
     canonical_code,
     canonical_key,
@@ -20,7 +21,6 @@ from inducibility.graphs import (
     is_isomorphic,
     non_isolated_core,
     parse_graph6,
-    relabel,
     to_graph6,
     with_isolated,
 )
@@ -31,6 +31,7 @@ from oracles import (
     brute_isomorphic,
     edge_set,
     ref_decode_graph6,
+    relabel,
 )
 
 
@@ -181,6 +182,22 @@ class TestCanonical:
                 rng.shuffle(p)
                 assert canonical_key(g) == canonical_key(relabel(g, p))
                 assert is_isomorphic(g, relabel(g, p))
+
+    def test_relabel_rejects_a_non_permutation(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            relabel(Graph.path(3), [0, 0, 1])
+
+    def test_canonical_rows_come_from_the_order(self):
+        # the rows induced in the order the search returns encode to its columns
+        rng = random.Random(18)
+        graphs = [g for n in range(5) for g in all_labeled_graphs(n)] + [
+            random_graph(rng, n, rng.uniform(0.05, 0.95))
+            for n in (5, 6, 7, 8, 16, 33, 64) for _ in range(10)
+        ]
+        for g in graphs:
+            cols, order, _, _ = _canonical_search(g.n, g.adj)
+            rows = _induced_rows(g.adj, order)
+            assert _encode_order(g.n, rows, range(g.n)) == cols
 
     def test_distinct_classes_on_four_vertices(self):
         codes = {canonical_key(g) for g in all_labeled_graphs(4)}

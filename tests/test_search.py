@@ -13,13 +13,12 @@ from inducibility.graphs import (
     Graph,
     _canonical_search,
     _encode_order,
-    _from_columns,
+    _induced_rows,
     canonical_key,
     complement,
     induced_subgraph,
     is_isomorphic,
     parse_graph6,
-    relabel,
     to_graph6,
 )
 from inducibility.search import (
@@ -42,6 +41,7 @@ from oracles import (
     brute_form,
     brute_ind_over_labeled,
     complete_bipartite_ind,
+    relabel,
 )
 
 BIPARTITE = ((1, 2), (1, 3), (2, 2), (1, 4), (2, 3))
@@ -120,7 +120,7 @@ class TestEnumerate:
         # the same representatives in the same order, not only as many
         for n in range(8):
             forms = tuple(
-                Graph(n, _from_columns(n, _canonical_search(n, g.adj)[0]))
+                Graph(n, _induced_rows(g.adj, _canonical_search(n, g.adj)[1]))
                 for g in brute_classes(n)
             )
             assert _classes(n) == forms
