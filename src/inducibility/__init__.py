@@ -19,7 +19,7 @@ _EXPORTS = {
     " split_plus_edge",
     "density": "DensityResult count_induced induced_density induced_density_mc",
     "errors": "CheckpointError Graph6Error InputError PreconditionError UnsupportedSizeError",
-    "graphs": "CanonicalCode DegreeProfile Graph automorphism_count canonical_code"
+    "graphs": "DegreeProfile Graph automorphism_count canonical_code"
     " canonical_key complement degree_profile disjoint_union induced_subgraph is_isomorphic"
     " non_isolated_core parse_graph6 to_graph6 with_isolated",
     "proba": "HypergeomParams LambdaSplit binom_point binom_point_max_bound hypergeom_point"

@@ -233,7 +233,6 @@ def non_uniform_predicate(h: Graph, beta: float, C: float) -> bool:
 
 @dataclass(frozen=True)
 class SelectorParams:
-    gamma: float | None = None
     C: float = 1.0
     eps: float | None = None
     alpha: float | None = None
@@ -284,8 +283,6 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
 
     k = h.n
     inputs: dict[str, Any] = {"C": C, "eps": eps, "alpha": alpha}
-    if p.gamma is not None:
-        inputs["gamma"] = p.gamma
     if k == 0:
         inputs["k"] = 0
         return BoundReport(regime=REGIME_DEGENERATE, finite_value=None, inputs=inputs,
@@ -341,7 +338,8 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
                                finite_value=high_degree_pair_bound(gap.s, t), inputs=inputs,
                                citation="high-degree split with partially attached"
                                " outside vertices: phi(s) * phi(t)")
-        return BoundReport(regime=REGIME_HIGH_DEGREE_S, finite_value=phi(gap.s), inputs=inputs,
+        return BoundReport(regime=REGIME_HIGH_DEGREE_S, finite_value=high_degree_bound(gap.s),
+                           inputs=inputs,
                            citation="high-degree split: phi(s), taking the reduced"
                            " graph's density bound at 1")
 

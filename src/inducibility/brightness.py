@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, PreconditionError, UnsupportedSizeError
-from .graphs import Graph, degree_profile
+from .graphs import Graph, _induced_rows, degree_profile
 from .mc import MCEstimate, run_bernoulli_streams
 from .structure import classify_vertices
 
@@ -30,9 +30,7 @@ BRIGHTNESS_EXACT_LIMIT = 10
 def is_bright(h: Graph, labeling: Sequence[int]) -> bool:
     if sorted(labeling) != list(range(h.n)):
         raise InputError("labeling is not a permutation of the vertex set")
-    detect_mask = 0
-    for v in classify_vertices(h).detectable:
-        detect_mask |= 1 << v
+    detect_mask = sum(1 << v for v in classify_vertices(h).detectable)
     return _bright_given_masks(h.adj, labeling, detect_mask)
 
 
@@ -69,7 +67,7 @@ def brightness_exact(h: Graph) -> Fraction:
     if m == 0:
         return Fraction(0)
     detectable = classify_vertices(h).detectable
-    rows = [sum(1 << i for i, u in enumerate(core) if h.has_edge(u, v)) for v in core]
+    rows = _induced_rows(h.adj, core)
     full = (1 << m) - 1
     # counts[prefix][state]: orderings of the prefix set that end in state
     counts = [[0, 0, 0, 0] for _ in range(full + 1)]
@@ -96,9 +94,7 @@ def brightness_mc(h: Graph, samples: int, seed: int) -> MCEstimate:
     """Estimate over uniformly random labelings, 95% Wilson interval."""
     if samples < 1:
         raise InputError("samples must be >= 1")
-    detect_mask = 0
-    for v in classify_vertices(h).detectable:
-        detect_mask |= 1 << v
+    detect_mask = sum(1 << v for v in classify_vertices(h).detectable)
     verts = list(range(h.n))
     adj = h.adj
 

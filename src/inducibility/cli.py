@@ -300,8 +300,7 @@ def _cmd_bounds(args) -> tuple[dict, Any]:
     if formula == "select":
         h = _read_graph(args.graph)
         params = SelectorParams(
-            gamma=args.gamma, C=args.c, eps=args.eps_opt, alpha=args.alpha_opt,
-            beta=args.beta_opt,
+            C=args.c, eps=args.eps_opt, alpha=args.alpha_opt, beta=args.beta_opt,
         )
         return {"formula": "select", "graph": to_graph6(h)}, regime_selector(h, params)
     if formula == "alpha":
@@ -527,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--c", type=_finite_float, required=True)
     q = form.add_parser("select")
     q.add_argument("graph")
-    q.add_argument("--gamma", type=_finite_float, default=None)
     q.add_argument("--c", type=_finite_float, default=1.0)
     q.add_argument("--eps", type=_finite_float, default=None, dest="eps_opt")
     q.add_argument("--alpha", type=_finite_float, default=None, dest="alpha_opt")

@@ -184,20 +184,19 @@ def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] 
     return walk(0, tuple(forced), sum(1 << v for v in forced), rows, _degrees(rows))
 
 
-def count_induced(h: Graph, g: Graph, budget: int | None = None) -> int:
+def count_induced(h: Graph, g: Graph) -> int:
     """Number of |V(h)|-subsets of g inducing a copy of h."""
     _check_sizes(h, g)
     total = math.comb(g.n, h.n)
-    limit = DEFAULT_SUBSET_BUDGET if budget is None else budget
-    if total > limit:
+    if total > DEFAULT_SUBSET_BUDGET:
         raise UnsupportedSizeError(
-            f"C({g.n},{h.n}) = {total} subsets exceeds the work budget {limit}"
+            f"C({g.n},{h.n}) = {total} subsets exceeds the work budget {DEFAULT_SUBSET_BUDGET}"
         )
     return _count_matches(_Pattern(h), g.adj)
 
 
-def induced_density(h: Graph, g: Graph, budget: int | None = None) -> DensityResult:
-    copies = count_induced(h, g, budget)
+def induced_density(h: Graph, g: Graph) -> DensityResult:
+    copies = count_induced(h, g)
     total = math.comb(g.n, h.n)
     return DensityResult(copies=copies, total=total, density=Fraction(copies, total))
 

@@ -3,8 +3,7 @@
 Sampling work is split over a fixed number of independent substreams whose
 seeds derive only from (seed, stream index), and results are aggregated in
 stream-index order, so every estimate is bit-identical for a fixed seed.
-The streams run one after another: the trials are pure Python, so a thread
-pool only added overhead under the GIL.
+The streams run one after another in one thread.
 """
 
 from __future__ import annotations

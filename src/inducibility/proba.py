@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 
 FLOAT_TOL = 1e-12
 
@@ -98,8 +98,8 @@ def poly_exp_check(s: int, x: float) -> tuple[float, float, bool]:
     """
     if s < 1:
         raise InputError("s must be >= 1")
-    if x < 0:
-        raise InputError("x must be nonnegative")
+    if not 0 <= x < math.inf:
+        raise InputError("x must be finite and nonnegative")
     lhs = 0.0 if x == 0 else math.exp(s * math.log(x) - x)
     rhs = math.exp(s * math.log(s) - s)
     return lhs, rhs, lhs <= rhs + FLOAT_TOL * max(1.0, rhs)
@@ -121,15 +121,15 @@ def lambda_split(y: float, z: float) -> LambdaSplit:
     here would falsify that inequality, so it aborts instead of clamping.
     The midpoint is returned, keeping the weight away from both ends.
     """
-    if y < 0 or z < 0:
-        raise InputError("y and z must be nonnegative")
+    if not (0 <= y < math.inf and 0 <= z < math.inf):
+        raise InputError("y and z must be finite and nonnegative")
     yy = y * y
     # y * y overflows only for y above about 1.3e154, where e^(2 - y - z)
     # is so small that the exact lo lies below the smallest float
     lo = 0.0 if math.isinf(yy) else yy * math.exp(2 - y - z) / 4
     hi = 1 - z * math.exp(1 - y - z)
     if not lo <= hi + FLOAT_TOL:  # also catches a NaN
-        raise RuntimeError(
+        raise InternalCheckError(
             f"empty lambda interval at y={y}, z={z}: lo={lo} > hi={hi};"
             " this contradicts a proven inequality, aborting"
         )

@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .density import _count_matches, _Pattern
-from .errors import CheckpointError, InputError, UnsupportedSizeError
+from .errors import CheckpointError, InputError, InternalCheckError, UnsupportedSizeError
 from .graphs import Graph, _canonical_search, _induced_rows, _orbit
 from .graphs import _pack_key, parse_graph6, to_graph6
 
@@ -443,5 +443,5 @@ def ind_local_search(
     if checkpoint is not None:
         save_checkpoint(checkpoint, st)
     if _count_matches(pattern, st.best_adj) != st.best_copies:
-        raise AssertionError("incremental copy count drifted; implementation bug")
+        raise InternalCheckError("incremental copy count drifted; implementation bug")
     return IndResult(Fraction(st.best_copies, total), Graph(n, st.best_adj), "lower_bound")

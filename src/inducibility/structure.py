@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .density import _count_matches, _Pattern
-from .errors import InputError, PreconditionError, UnsupportedSizeError
+from .errors import InputError, InternalCheckError, PreconditionError, UnsupportedSizeError
 from .graphs import Graph, _induced_rows, _twins, induced_subgraph, non_isolated_core
 
 OBSCURE_ORACLE_LIMIT = 10
@@ -23,7 +23,7 @@ OBSCURE_ORACLE_LIMIT = 10
 class TameWitness:
     v0: frozenset[int]
     valid: bool
-    source: str  # "closure", "exact_min", or "user"
+    source: str  # "closure" or "exact_min"
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def tame_witness_from(h: Graph, s) -> TameWitness:
             v0_mask |= low  # has a neighbor outside s
     v0 = frozenset(v for v in range(h.n) if (v0_mask >> v) & 1)
     if not _mask_tames(h, v0_mask):
-        raise AssertionError("closure witness failed to tame; implementation bug")
+        raise InternalCheckError("closure witness failed to tame; implementation bug")
     return TameWitness(v0=v0, valid=True, source="closure")
 
 

@@ -118,8 +118,7 @@ def test_criterion_09_coloring_simulation(verified):
 
 
 def test_criterion_10_cli_determinism(capsys):
-    # each command's stdout SHA-256, recorded before the Monte-Carlo
-    # substreams stopped running on a thread pool
+    # each command's stdout SHA-256
     commands = [
         (["classify", "Bg"],
          "11304c10d46376b55cd314a685198b14258a33b24880b0eda06ec8583b353a30"),

@@ -475,12 +475,15 @@ class TestOtherCommands:
         ("bounds", "uniform", "--tau", "1", "--beta", "0.5", "--eps", "inf"),
         ("bounds", "sparse", "--alpha", "nan", "--nu", "0.5"),
         ("bounds", "gap", "Bg", "--eps", "nan", "--c", "1.0"),
-        ("bounds", "select", "Bg", "--gamma=-inf"),
+        ("bounds", "select", "Bg", "--beta=-inf"),
         ("bounds", "solve-eps", "--c", "nan"),
         ("proba", "lambda", "--y=-Infinity", "--z", "0.5"),
     ], ids=lambda a: "-".join(a[:2]))
     def test_non_finite_float_exit_2(self, capsys, argv):
         assert "not a finite number" in run_bad_flags(capsys, *argv)
+
+    def test_select_has_no_gamma_flag(self, capsys):
+        assert "--gamma" in run_bad_flags(capsys, "bounds", "select", "Bg", "--gamma", "0.4")
 
     @pytest.mark.parametrize("argv", [
         ("ind", "Bg", "--n", "x", "--exact"),
@@ -602,9 +605,8 @@ class TestPinnedOutputs:
          "76834675cb0de11cc5964b94f4147b3935962d76ce23439025c56e8cdc0e8184"),
         (("bounds", "select", "DQc", "--c", "1.0"),
          "4bb3fe69fa8f85e371563a8c0d66c418cc4f51cc0460817e59619c38d6f191d4"),
-        (("bounds", "select", STAR20, "--gamma", "0.4", "--eps", "0.1", "--alpha",
-          "0.01", "--beta", "0.9"),
-         "5e564957c2c181da232ce66f8d73cd3563d1a14d3e67a59a5c08dcfc855831f4"),
+        (("bounds", "select", STAR20, "--eps", "0.1", "--alpha", "0.01", "--beta", "0.9"),
+         "bedd3d0867ca99c0796a47aced4abb1dfa2c9e2e17a9c40077b3c6c81da062f2"),
         (("bounds", "solve-eps", "--c", "2.0"),
          "1c763cd18a26d5855ef89275985c620f58edb1af9bd1008285a92f41f75037f4"),
         (("proba", "binom", "--k", "4", "--p", "1/3", "--s", "2"),

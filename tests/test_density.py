@@ -96,9 +96,10 @@ class TestCountInduced:
         with pytest.raises(InputError):
             count_induced(Graph.complete(4), Graph.complete(3))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(density, "DEFAULT_SUBSET_BUDGET", 100)
         with pytest.raises(UnsupportedSizeError):
-            count_induced(Graph.complete(3), Graph.complete(30), budget=100)
+            count_induced(Graph.complete(3), Graph.complete(30))
 
     def test_injective_map_identity(self):
         rng = random.Random(32)

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from inducibility import verify
-from inducibility.errors import InputError
+from inducibility import proba, verify
+from inducibility.errors import InputError, InternalCheckError
 from inducibility.proba import (
     HypergeomParams,
     binom_point,
@@ -144,3 +144,26 @@ class TestLambdaSplit:
     def test_domain(self):
         with pytest.raises(InputError):
             lambda_split(-1.0, 0.0)
+
+    def test_empty_interval_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(proba, "FLOAT_TOL", -10)
+        with pytest.raises(InternalCheckError, match="empty lambda interval"):
+            lambda_split(0.0, 0.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lambda_split(NAN, 0.0),
+    lambda: lambda_split(0.0, NAN),
+    lambda: lambda_split(0.0, INF),
+    lambda: lambda_split(INF, INF),
+    lambda: poly_exp_check(1, NAN),
+    lambda: poly_exp_check(1, INF),
+], ids=["lambda-nan-y", "lambda-nan-z", "lambda-inf-z", "lambda-inf-both", "polyexp-nan",
+        "polyexp-inf"])
+def test_non_finite_argument_is_an_input_error(call):
+    """Not a broken inequality: neither an abort nor a counterexample."""
+    with pytest.raises(InputError, match="finite"):
+        call()

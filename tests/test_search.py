@@ -8,7 +8,7 @@ import pytest
 
 from inducibility import search
 from inducibility.density import _count_matches, _Pattern, count_induced, induced_density
-from inducibility.errors import CheckpointError, InputError, UnsupportedSizeError
+from inducibility.errors import CheckpointError, InputError, InternalCheckError, UnsupportedSizeError
 from inducibility.graphs import (
     Graph,
     _canonical_search,
@@ -177,6 +177,20 @@ class TestEnumerate:
 
 
 class TestIndExact:
+    def test_values_and_witnesses_are_pinned(self):
+        """One line per pattern class with 2 <= k <= 5 and host size k <= n <= 8
+        (229 calls), hashed; recorded before this pin was added."""
+        digest = hashlib.sha256()
+        for k in range(2, 6):
+            for h in _classes(k):
+                for n in range(k, 9):
+                    r = ind_exact(h, n)
+                    line = f"{to_graph6(h)} {n} {r.value} {to_graph6(r.witness)}\n"
+                    digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "6b21d617daf1b5b18631ab6ed4d3e0de87527edc27da3c7b611d7c7a7f426589"
+        )
+
     def test_tree_counts_match_host_counts(self, classes_by_n):
         """A host's copies from its parent's plus those through the new
         vertex equal one unforced count of the host, below k included."""
@@ -422,6 +436,11 @@ class TestLocalSearch:
         res = ind_local_search(p3, 6, 300, seed=1, checkpoint=cp)
         assert res.value == induced_density(p3, res.witness).density
         assert json.loads(cp.read_text())["temperature"] == float.hex(0.0)
+
+    def test_count_drift_is_an_internal_error(self, monkeypatch, p3):
+        monkeypatch.setattr(search, "_flip_delta", lambda pattern, adj, u, v: 1)
+        with pytest.raises(InternalCheckError, match="drifted"):
+            ind_local_search(p3, 6, 10, seed=1)
 
     def test_stale_density_rejected(self, p3, tmp_path):
         cp = tmp_path / "run.json"

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from inducibility import verify
-from inducibility.errors import PreconditionError, UnsupportedSizeError
+from inducibility import structure, verify
+from inducibility.errors import InternalCheckError, PreconditionError, UnsupportedSizeError
 from inducibility.graphs import Graph, to_graph6, with_isolated
 from inducibility.structure import (
     TameWitness,
@@ -66,6 +66,11 @@ class TestTaming:
         w = tame_witness_from(with_isolated(Graph.path(3), 2), set())
         assert w.v0 == frozenset({0, 1, 2})
         assert w.source == "closure"
+
+    def test_untamed_closure_is_an_internal_error(self, monkeypatch, p4):
+        monkeypatch.setattr(structure, "_mask_tames", lambda h, mask: False)
+        with pytest.raises(InternalCheckError, match="closure witness"):
+            tame_witness_from(p4, {1})
 
     def test_witness_validates_randomly(self, verified):
         assert verified(verify._check_closure_witness).ok

@@ -73,6 +73,16 @@ def test_match_trace_shape_fails_on_inverted_colouring(monkeypatch):
     assert result.name == "match_trace_shape" and not result.ok, result.detail
 
 
+def test_signature_union_stops_on_inverted_colouring(monkeypatch):
+    """The inverted colouring stops no trace; the check's cap of 50 steps
+    truncates all of them in seconds instead of running for minutes."""
+    is_black = _ColorContext.is_black
+    monkeypatch.setattr(_ColorContext, "is_black", lambda ctx, mask, v: not is_black(ctx, mask, v))
+    result = verify._check_coloring_inclusions()
+    assert result.name == "match_inside_signature_union" and not result.ok
+    assert "seed=7:" in result.detail and "truncated=50000" in result.detail
+
+
 def _zero_without_hits(params):
     return 0 if params.hits == 0 else hypergeom_point(params)
 
@@ -89,7 +99,9 @@ def _classified(**parts):
 def _summary(trials=20000, **counts):
     """A stub `simulate`: a summary with the given counts and every other count 0."""
     zero = {f.name: 0 for f in fields(ColoringSummary) if f.name not in ("trials", "seed")}
-    return lambda g, h, n, seed: ColoringSummary(trials, seed, **{**zero, **counts})
+    return lambda g, h, n, seed, max_steps=None: ColoringSummary(
+        trials, seed, **{**zero, **counts}
+    )
 
 
 # a kernel mutation per check, patched into verify's namespace; with the two
