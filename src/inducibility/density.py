@@ -4,15 +4,16 @@ One matcher, `_count_matches`, answers "which k-subsets of the host induce
 h?" for every caller.  It walks increasing vertex subsets depth-first,
 extends the prefix's induced rows one vertex at a time, and prunes every
 prefix whose sorted degree sequence is not that of an induced subgraph of h
-of its size.  The last vertex is settled by the join table of the
-(k - 1)-vertex prefix, carried from h's rooted deck by a labelling of the
-prefix, so counts are exact.  All densities are exact rationals.
+of its size.  The last vertices are counted by one popcount per mask of the
+(k - 1)-vertex prefix's join table, carried from h's rooted deck by a
+labelling of the prefix, so counts are exact.  Densities are exact rationals.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -59,10 +60,11 @@ class _Pattern:
 
     `deck` and `rooted` hold h's rooted deck, and `joins(rows)` is the join
     table of a labelled (k - 1)-vertex S: the masks t that make S plus a
-    vertex joined to t a copy of h.  A copy through u carries N_h(u) to t by
-    an isomorphism h - u -> S, so t is a deck mask carried to S and moved by
-    Aut(S), which also moves the mask of every u in u's orbit there: one u
-    per orbit is enough, and only a u whose h - u has S's degree multiset.
+    vertex joined to t a copy of h, kept in `tables`.  A copy through u
+    carries N_h(u) to t by an isomorphism h - u -> S, so t is a deck mask
+    carried to S and moved by Aut(S), which also moves the mask of every u
+    in u's orbit there: one u per orbit is enough, and only a u whose h - u
+    has S's degree multiset.  The matcher counts S's completions by popcount.
     """
 
     def __init__(self, h: Graph) -> None:
@@ -73,7 +75,7 @@ class _Pattern:
         self._rows = {h.adj}  # distinct induced rows of the lowest level derived
         self._spent = 0
         self.adj = h.adj
-        self.joins = lru_cache(maxsize=1 << 18)(self._joins)  # bounded: a search keeps one pattern
+        self.tables: OrderedDict[tuple[int, ...], frozenset[int] | None] = OrderedDict()
         self.rooted = lru_cache(maxsize=None)(self._rooted)  # one entry per key of `deck` at most
 
     @cached_property
@@ -95,6 +97,14 @@ class _Pattern:
             mask = sum(1 << i for i, w in enumerate(order) if (self.adj[u] >> (w + (w >= u))) & 1)
             rooted.setdefault(_pack_key(self.k - 1, cols), (_induced_rows(rows, order), []))[1].append(mask)
         return rooted
+
+    def joins(self, rows: tuple[int, ...]) -> frozenset[int] | None:
+        """S's join table; the last 2^18 built are kept (a search keeps one pattern)."""
+        if rows not in self.tables:
+            self.tables[rows] = self._joins(rows)
+            if len(self.tables) > 1 << 18:
+                self.tables.popitem(last=False)
+        return self.tables[rows]
 
     def _joins(self, rows: tuple[int, ...]) -> frozenset[int] | None:
         """The join table of S = `rows`, or None past 2^12 masks, which needs k > 13."""
@@ -134,26 +144,34 @@ class _Pattern:
 def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] = ()) -> int:
     """Number of k-subsets of the host `adj` that contain every vertex of
     `forced` and induce the pattern."""
-    k, f = pattern.k, len(forced)
+    k, f, n = pattern.k, len(forced), len(adj)
     if f > k:
         return 0
-    keys = pattern.levels(f, math.comb(len(adj) - f, k - f))
+    if f == k:  # one subset, as a Monte-Carlo sample is: its degree multiset comes first
+        mask = sum(1 << v for v in forced)
+        return int(sum(1 << 7 * (adj[v] & mask).bit_count() for v in forced) in pattern._levels[0]
+                   and _canon_cached(k, _induced_rows(adj, forced)) == pattern.key)
+    keys = pattern.levels(f, math.comb(n - f, k - f))
     rows = _induced_rows(adj, forced)
     if keys[0] is not None and _degrees(rows) not in keys[0]:
         return 0
-    if f == k:
-        return int(_canon_cached(k, rows) == pattern.key)
-    free = [w for w in range(len(adj)) if w not in forced]
+    free = [w for w in range(n) if w not in forced]
 
-    def walk(
-        start: int, prefix: tuple[int, ...], mask: int, rows: tuple[int, ...], degs: int
-    ) -> int:
+    def walk(start: int, prefix: tuple[int, ...], mask: int, rows: tuple[int, ...], degs: int) -> int:
         j = len(prefix)
         level, top, complete = keys[j + 1 - f], 1 << j, j + 1 == k
+        joins = complete and pattern.tables.get(rows, False)  # False until built, None if unlisted
         # rows and degree multiset of each extension, by its neighbours in the prefix
         extended: dict[int, tuple[tuple[int, ...], int] | None] = {}
         copies = 0
         for idx, w in enumerate(free[start : len(free) - (k - j) + 1], start):
+            if joins not in (False, None) and len(joins) <= (later := (1 << n) - (1 << w) & ~mask).bit_count():
+                for t in joins:  # count the later vertices joined to exactly t's prefix vertices
+                    hit = later
+                    for i, p in enumerate(prefix):
+                        hit &= adj[p] if (t >> i) & 1 else ~adj[p]
+                    copies += hit.bit_count()
+                return copies
             nbrs = adj[w] & mask
             if nbrs not in extended:
                 grown, last, grown_degs = [], 0, degs
@@ -169,8 +187,8 @@ def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] 
                 ext = tuple(grown)
                 if level is not None and grown_degs not in level:
                     extended[nbrs] = None
-                elif complete and (  # the prefix's join table, or None when too long to list
-                    last not in joins if (joins := pattern.joins(rows)) is not None
+                elif complete and (  # the first vertex past the degrees builds the table
+                    last not in joins if (joins := joins or pattern.joins(rows)) is not None
                     else _canon_cached(k, ext) != pattern.key
                 ):
                     extended[nbrs] = None
@@ -203,11 +221,13 @@ def induced_density(h: Graph, g: Graph) -> DensityResult:
 
 def sample_k_subset(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
     """Uniform k-subset of range(n) by partial Fisher-Yates; O(k) extra memory."""
-    ids = list(range(n))
+    moved: dict[int, int] = {}  # position -> the id swapped into it; the rest hold their own
+    picks = []
     for i in range(k):
         j = rng.randrange(i, n)
-        ids[i], ids[j] = ids[j], ids[i]
-    return tuple(sorted(ids[:k]))
+        picks.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return tuple(sorted(picks))
 
 
 def induced_density_mc(

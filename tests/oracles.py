@@ -115,14 +115,19 @@ def brute_form(k: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, in
     )
 
 
-def brute_census(g: Graph, k: int) -> Counter:
-    """How many k-subsets of g induce each class, keyed by `brute_form`."""
-    return Counter(
-        brute_form(k, frozenset(
+def brute_forms(g: Graph, k: int) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The `brute_form` of the subgraph each k-subset of g induces."""
+    return {
+        verts: brute_form(k, frozenset(
             (i, j) for (i, u), (j, v) in combinations(enumerate(verts), 2) if g.has_edge(u, v)
         ))
         for verts in combinations(range(g.n), k)
-    )
+    }
+
+
+def brute_census(g: Graph, k: int) -> Counter:
+    """How many k-subsets of g induce each class, keyed by `brute_form`."""
+    return Counter(brute_forms(g, k).values())
 
 
 def complete_bipartite_ind(s: int, t: int, n: int) -> Fraction:

@@ -2,11 +2,14 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from inducibility import density, graphs
 from inducibility.density import (
+    _count_matches,
+    _Pattern,
     count_induced,
     induced_density,
     induced_density_mc,
@@ -14,7 +17,7 @@ from inducibility.density import (
 )
 from inducibility.errors import InputError, UnsupportedSizeError
 from inducibility.graphs import Graph, automorphism_count, canonical_key, complement, induced_subgraph
-from oracles import brute_count_induced, brute_injective_maps
+from oracles import brute_count_induced, brute_form, brute_forms, brute_injective_maps
 
 
 def random_graph(rng, n, p=0.5):
@@ -78,6 +81,51 @@ class TestCountInduced:
         monkeypatch.setattr(density, "_canonical_search", counted)
         assert count_induced(g, g) == 1
         assert len(calls) <= 4, calls
+
+    def test_forced_walk_matches_brute_force(self, classes_by_n):
+        """Every class with k <= 5, in seeded hosts with n <= 9, under unsorted
+        forced tuples of every size.  Each count runs twice on one pattern: the
+        first builds the prefixes' join tables at their first passing vertex,
+        the second counts from the cached tables."""
+        rng = random.Random(20)
+        hosts = [Graph.gnp(rng, rng.randint(5, 9), p) for p in (0.2, 0.35, 0.5, 0.5, 0.65, 0.8)]
+        for k in range(6):
+            forms = [brute_forms(g, k) for g in hosts]
+            for h in classes_by_n[k]:
+                target = brute_form(k, frozenset(h.edges()))
+                for g, form in zip(hosts, forms):
+                    pattern = _Pattern(h)
+                    for f in range(k + 1):
+                        forced = tuple(rng.sample(range(g.n), f))
+                        expected = sum(code == target and set(forced) <= set(verts)
+                                       for verts, code in form.items())
+                        for _ in range(2):
+                            assert _count_matches(pattern, g.adj, forced) == expected, (h, g, forced)
+
+    def test_dense_hosts_match_brute_force(self):
+        for seed, h in enumerate((Graph.path(4), Graph.cycle(5), Graph.path(5))):
+            g = Graph.gnp(random.Random(seed), 20, 0.5)
+            assert count_induced(h, g) == brute_count_induced(h, g), (h, seed)
+
+    def test_labellings_of_an_eight_vertex_pattern(self, monkeypatch):
+        """Counting the last vertex by popcount builds a prefix's join table
+        only where some vertex passes the degree check, so a seeded 8-vertex
+        pattern in a seeded G(30, 0.5) costs the 2,610 labellings that testing
+        each last vertex against the table cost, with no key cached before."""
+        h = Graph.gnp(random.Random(1), 8, 0.5)
+        g = Graph.gnp(random.Random(2), 30, 0.5)
+        calls = []
+        search = graphs._canonical_search
+
+        def counted(n, adj):
+            calls.append(n)
+            return search(n, adj)
+
+        monkeypatch.setattr(graphs, "_canonical_search", counted)
+        monkeypatch.setattr(density, "_canonical_search", counted)
+        monkeypatch.setattr(density, "_canon_cached", lru_cache(maxsize=1 << 18)(graphs._canon_cached.__wrapped__))
+        assert count_induced(h, g) == 381
+        assert len(calls) == 2610
 
     @pytest.mark.parametrize("a", [6, 8])
     def test_prefix_with_a_long_join_table(self, a):
@@ -153,6 +201,24 @@ class TestMC:
         for _ in range(2000):
             seen.add(sample_k_subset(rng, 5, 2))
         assert len(seen) == 10
+
+    def test_subset_sampler_draws_as_a_full_shuffle_does(self):
+        """Keeping only the swapped positions makes the same `randrange`
+        calls and picks as swapping in a list of all n ids."""
+
+        def listed(rng, n, k):
+            ids = list(range(n))
+            for i in range(k):
+                j = rng.randrange(i, n)
+                ids[i], ids[j] = ids[j], ids[i]
+            return tuple(sorted(ids[:k]))
+
+        for seed in range(200):
+            n = seed % 65
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for k in range(n + 1):
+                assert sample_k_subset(ours, n, k) == listed(theirs, n, k), (seed, n, k)
+            assert ours.getstate() == theirs.getstate()
 
     def test_convergence_over_seeds(self, p3):
         host = Graph.complete_bipartite(3, 3)
