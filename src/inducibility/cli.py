@@ -8,9 +8,17 @@ into each other losslessly.  A report dataclass is rendered as an object
 keyed by its field names, so each output schema is defined once, by the
 dataclass, `MCEstimate` included.  Output is byte-identical across runs
 for fixed flags and seeds; wall-clock timing is therefore only included
-when --timing is passed, before or after the subcommand.  Each handler
-imports the modules it runs, so a command loads only those, and its
-elapsed_ms includes that import.
+when --timing is passed, before or after the subcommand.
+
+Each leaf command is one row of `COMMANDS`: its arguments and the function
+that runs it.  The parser, the `inputs` echo and dispatch all read the
+rows.  `inputs` holds the subcommand choice and every argument under its
+dest, after conversion (a graph as graph6, `--p` as a reduced p/q); an
+argument's row may echo it under another key or not at all, and may make
+it depend on another flag (`when`).  A flag the chosen mode does not read
+is left out, and set to anything but its default it exits 2.  A row's
+function imports the modules it runs on first use, so a command loads only
+those, and its elapsed_ms includes that import.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 precondition or size-limit violation, 4 internal error.  Errors are one JSON
@@ -32,8 +40,10 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from importlib import import_module
 from typing import Any, NoReturn
 
 from . import __version__
@@ -157,157 +167,9 @@ def _suite(text: str) -> str:
     return text
 
 
-# -- command handlers -------------------------------------------------------
-
-
-def _cmd_classify(args) -> tuple[dict, Any]:
-    from .brightness import brightness_report
-    from .structure import classify_vertices, minimal_taming_number
-
-    h = _read_graph(args.graph)
-    if args.mc < 0:  # brightness_report rejects it too, but runs only on 2 or more edges
-        raise InputError(f"mc samples must be >= 0, got {args.mc}")
-    prof = degree_profile(h)
-    number, witness = minimal_taming_number(h)
-    outputs = {
-        "n": h.n,
-        "degrees": prof.degrees,
-        "max_degree": prof.max_degree,
-        "edges": prof.edge_count,
-        "m": prof.m,
-        "m1": prof.m1,
-        "m_ge2": prof.m_ge2,
-        **_fmt(classify_vertices(h)),
-        "minimal_taming_number": number,
-        "taming_set": witness.v0,
-        "brightness": brightness_report(h, mc_samples=args.mc, seed=args.seed)
-        if prof.edge_count >= 2 else None,
-    }
-    return {"graph": to_graph6(h), "mc": args.mc, "seed": args.seed}, outputs
-
-
-def _cmd_tame(args) -> tuple[dict, Any]:
-    from .structure import minimal_taming_number, tame_witness_from
-
-    h = _read_graph(args.graph)
-    inputs: dict[str, Any] = {"graph": to_graph6(h)}
-    if args.set is not None:
-        inputs["set"] = args.set
-        return inputs, tame_witness_from(h, args.set)
-    number, witness = minimal_taming_number(h)
-    return inputs, {"minimal_taming_number": number, **_fmt(witness)}
-
-
-def _cmd_brightness(args) -> tuple[dict, Any]:
-    from .brightness import brightness_report
-
-    h = _read_graph(args.graph)
-    rep = brightness_report(h, mc_samples=args.mc, seed=args.seed)
-    return {"graph": to_graph6(h), "mc": args.mc, "seed": args.seed}, rep
-
-
-def _cmd_density(args) -> tuple[dict, Any]:
-    from .density import induced_density, induced_density_mc
-
-    h = _read_graph(args.pattern)
-    g = _read_graph(args.host)
-    inputs = {"pattern": to_graph6(h), "host": to_graph6(g)}
-    if args.mc:
-        inputs.update({"mc": args.mc, "seed": args.seed})
-        return inputs, {"mc": induced_density_mc(h, g, args.mc, args.seed)}
-    return inputs, induced_density(h, g)
-
-
-def _cmd_ind(args) -> tuple[dict, Any]:
-    from .search import ind_exact, ind_local_search
-
-    h = _read_graph(args.pattern)
-    inputs: dict[str, Any] = {"pattern": to_graph6(h), "n": args.n}
-    if args.exact:
-        return inputs, ind_exact(h, args.n)
-    inputs.update({"iters": args.iters, "seed": args.seed, "checkpoint": args.checkpoint})
-    return inputs, ind_local_search(h, args.n, args.iters, args.seed, checkpoint=args.checkpoint)
-
-
-def _cmd_construct(args) -> tuple[dict, Any]:
-    from .constructions import dtame_blowup, gnp_construction, split_construction, split_plus_edge
-
-    if args.family == "split":
-        rep = split_construction(args.k, args.r, args.n, args.sigma)
-        inputs = {"family": "split", "k": args.k, "r": args.r, "n": args.n,
-                  "sigma": args.sigma}
-    elif args.family == "gnp":
-        rep = gnp_construction(args.k, args.n, args.seed)
-        inputs = {"family": "gnp", "k": args.k, "n": args.n, "seed": args.seed}
-    elif args.family == "split-plus-edge":
-        rep = split_plus_edge(args.k, args.n)
-        inputs = {"family": "split-plus-edge", "k": args.k, "n": args.n}
-    else:
-        h = _read_graph(args.graph)
-        rep = dtame_blowup(h, args.v0, args.n)
-        inputs = {"family": "blowup", "graph": to_graph6(h), "v0": args.v0, "n": args.n}
-    return inputs, rep
-
-
-def _cmd_bounds(args) -> tuple[dict, Any]:
-    from .bounds import (
-        SelectorParams,
-        find_degree_gap,
-        find_sparse_alpha,
-        high_degree_bound,
-        high_degree_pair_bound,
-        phi,
-        regime_selector,
-        solve_epsilon,
-        sparse_regime_bound,
-        uniform_degree_bound,
-    )
-
-    formula = args.formula
-    if formula == "phi":
-        return {"formula": "phi", "s": args.s}, {"value": phi(args.s)}
-    if formula == "high-degree":
-        if args.t is not None:
-            value = high_degree_pair_bound(args.s, args.t)
-            return (
-                {"formula": "high-degree", "s": args.s, "t": args.t},
-                {"value": value},
-            )
-        value = high_degree_bound(args.s, args.ind_reduced)
-        return (
-            {"formula": "high-degree", "s": args.s, "ind_reduced": args.ind_reduced},
-            {"value": value},
-        )
-    if formula == "uniform":
-        f, value = uniform_degree_bound(args.tau, args.beta, args.eps)
-        return (
-            {"formula": "uniform", "tau": args.tau, "beta": args.beta,
-             "eps": args.eps},
-            {"f": f, "value": value},
-        )
-    if formula == "sparse":
-        value = sparse_regime_bound(args.alpha, args.nu)
-        return (
-            {"formula": "sparse", "alpha": args.alpha, "nu": args.nu},
-            {"value": value},
-        )
-    if formula == "gap":
-        h = _read_graph(args.graph)
-        return (
-            {"formula": "gap", "graph": to_graph6(h), "eps": args.eps, "C": args.c},
-            find_degree_gap(h, args.eps, args.c),
-        )
-    if formula == "select":
-        h = _read_graph(args.graph)
-        params = SelectorParams(
-            C=args.c, eps=args.eps_opt, alpha=args.alpha_opt, beta=args.beta_opt,
-        )
-        return {"formula": "select", "graph": to_graph6(h)}, regime_selector(h, params)
-    if formula == "alpha":
-        alpha, c = find_sparse_alpha()
-        return {"formula": "alpha"}, {"alpha": alpha, "c": c}
-    # formula == "solve-eps"
-    return {"formula": "solve-eps", "C": args.c}, {"eps": solve_epsilon(args.c)}
+def _lib(module: str, name: str) -> Any:
+    """`name` from the package's `module`, imported on first use."""
+    return getattr(import_module(f"{__package__}.{module}"), name)
 
 
 def _log10_comb(n: int, k: int) -> float:
@@ -324,64 +186,70 @@ def _refuse_long_denominator(log10_denominator: float) -> None:
         raise UnsupportedSizeError(f"the exact value's denominator could pass {DIGIT_LIMIT} digits")
 
 
-def _cmd_proba(args) -> tuple[dict, dict]:
-    from .proba import HypergeomParams, binom_point, hypergeom_point, lambda_split, multi_hypergeom_joint
-
-    kind = args.kind
-    if kind == "binom":
-        p = _parse_rational(args.p)
-        # the denominator divides q^k for p = a/q in lowest terms; with
-        # q >= 2 every k above 10^6 passes the limit
-        _refuse_long_denominator(min(max(args.k, 0), 10**6) * math.log10(p.denominator))
-        value = binom_point(args.k, p, args.s)
-        return {"kind": "binom", "k": args.k, "p": p, "s": args.s}, {"value": value}
-    if kind == "hypergeom":
-        params = HypergeomParams(args.population, args.successes, args.sample, args.hits)
-        _refuse_long_denominator(_log10_comb(args.population, args.sample))
-        return (
-            {
-                "kind": "hypergeom",
-                "population": args.population,
-                "successes": args.successes,
-                "sample": args.sample,
-                "hits": args.hits,
-            },
-            {"value": hypergeom_point(params)},
-        )
-    if kind == "multi":
-        _refuse_long_denominator(_log10_comb(args.population, args.sample))
-        value = multi_hypergeom_joint(args.population, args.sample, args.parts, args.s)
-        return (
-            {
-                "kind": "multi",
-                "population": args.population,
-                "sample": args.sample,
-                "parts": args.parts,
-                "s": args.s,
-            },
-            {"value": value},
-        )
-    # kind == "lambda"
-    ls = lambda_split(args.y, args.z)
-    return (
-        {"kind": "lambda", "y": args.y, "z": args.z},
-        {"lo": ls.lo, "hi": ls.hi, "lambda": ls.lam},
-    )
+# -- what each command runs --------------------------------------------------
 
 
-def _cmd_simulate(args) -> tuple[dict, dict]:
-    from .coloring import simulate
+def _classify(a: argparse.Namespace) -> dict:
+    h = a.graph
+    if a.mc < 0:  # brightness_report rejects it too, but runs only on 2 or more edges
+        raise InputError(f"mc samples must be >= 0, got {a.mc}")
+    prof = degree_profile(h)
+    number, witness = _lib("structure", "minimal_taming_number")(h)
+    return {
+        "n": h.n,
+        "degrees": prof.degrees,
+        "max_degree": prof.max_degree,
+        "edges": prof.edge_count,
+        "m": prof.m,
+        "m1": prof.m1,
+        "m_ge2": prof.m_ge2,
+        **_fmt(_lib("structure", "classify_vertices")(h)),
+        "minimal_taming_number": number,
+        "taming_set": witness.v0,
+        "brightness": _lib("brightness", "brightness_report")(h, mc_samples=a.mc, seed=a.seed)
+        if prof.edge_count >= 2 else None,
+    }
 
-    g = _read_graph(args.host)
-    h = _read_graph(args.pattern)
-    s = simulate(g, h, args.trials, args.seed, max_steps=args.max_steps)
+
+def _tame(a: argparse.Namespace) -> Any:
+    if a.set is not None:
+        return _lib("structure", "tame_witness_from")(a.graph, a.set)
+    number, witness = _lib("structure", "minimal_taming_number")(a.graph)
+    return {"minimal_taming_number": number, **_fmt(witness)}
+
+
+def _binom(a: argparse.Namespace) -> dict:
+    # the denominator divides q^k for p = a/q in lowest terms; with
+    # q >= 2 every k above 10^6 passes the limit
+    _refuse_long_denominator(min(max(a.k, 0), 10**6) * math.log10(a.p.denominator))
+    return {"value": _lib("proba", "binom_point")(a.k, a.p, a.s)}
+
+
+def _hypergeom(a: argparse.Namespace) -> dict:
+    params = _lib("proba", "HypergeomParams")(a.population, a.successes, a.sample, a.hits)
+    _refuse_long_denominator(_log10_comb(a.population, a.sample))
+    return {"value": _lib("proba", "hypergeom_point")(params)}
+
+
+def _multi(a: argparse.Namespace) -> dict:
+    _refuse_long_denominator(_log10_comb(a.population, a.sample))
+    return {"value": _lib("proba", "multi_hypergeom_joint")(a.population, a.sample, a.parts, a.s)}
+
+
+def _lambda(a: argparse.Namespace) -> dict:
+    ls = _lib("proba", "lambda_split")(a.y, a.z)
+    return {"lo": ls.lo, "hi": ls.hi, "lambda": ls.lam}
+
+
+def _simulate(a: argparse.Namespace) -> dict:
+    s = _lib("coloring", "simulate")(a.host, a.pattern, a.trials, a.seed, max_steps=a.max_steps)
     counts = {
         f.name.removeprefix("count_"): getattr(s, f.name)
         for f in fields(s)
         if f.name.startswith("count_")
     }
     ne = s.count_full_match
-    outputs = {
+    return {
         "trials": s.trials,
         "truncated": s.truncated,
         "counts": counts,
@@ -397,35 +265,140 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
             for key in ("two_green", "one_red", "consecutive")
         },
     }
-    return (
-        {
-            "host": to_graph6(g),
-            "pattern": to_graph6(h),
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        outputs,
-    )
 
 
-def _cmd_verify(args) -> tuple[dict, dict, int]:
-    from .verify import run_suite
-
-    timing = getattr(args, "timing", False)
+def _verify(a: argparse.Namespace) -> dict:
+    timing = getattr(a, "timing", False)
     checks = []
-    for r, seconds in run_suite(args.suite):
+    for r, seconds in _lib("verify", "run_suite")(a.suite):
         checks.append({"name": r.name, "ok": r.ok, "detail": r.detail})
         if timing:
             checks[-1]["elapsed_ms"] = int(seconds * 1000)
     failed = sum(not c["ok"] for c in checks)
-    outputs = {
-        "suite": args.suite,
-        "checks": checks,
-        "passed": len(checks) - failed,
-        "failed": failed,
-    }
-    code = EXIT_OK if not failed else EXIT_VERIFY_FAILED
-    return {"suite": args.suite}, outputs, code
+    return {"suite": a.suite, "checks": checks, "passed": len(checks) - failed, "failed": failed}
+
+
+# -- the command table -------------------------------------------------------
+
+_REQUIRED = object()  # the default of an argument that must be given
+
+
+class Arg(namedtuple("Arg", "flag type default key convert when help",
+                     defaults=(int, _REQUIRED, "", None, "", None))):
+    """One argument: a positional when `flag` has no leading dash, else a flag
+    whose dest is its name with dashes as underscores.  `type` is its argparse
+    type; without a `default` a flag is required.  `key` is the `inputs` key
+    it is echoed under: "" for its dest, None for never.  `convert` runs after
+    parsing, so its errors exit 2 through main.  A nonempty `when` names the
+    dest that must be set (differ from its default) for the command to read
+    this argument, or with a leading "!" be unset; otherwise it is not
+    echoed, and is refused unless left at its own default."""
+
+    __slots__ = ()
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+class Row(namedtuple("Row", "path help args run modes", defaults=((),))):
+    """One leaf command: its subcommand path, help, `Arg`s, the function that
+    runs it on the converted arguments and returns its outputs, and the
+    store-true flags it requires exactly one of (`modes`, not echoed)."""
+
+    __slots__ = ()
+
+
+def _graph(name: str) -> Arg:
+    return Arg(name, str, convert=_read_graph)
+
+
+# each command with subcommands: the dest its choice is echoed under, and its help
+GROUPS = {
+    "construct": ("family", "lower-bound host constructions"),
+    "bounds": ("formula", "closed-form bound formulas"),
+    "proba": ("kind", "exact probability kernels"),
+}
+_MC = (Arg("--mc", default=100_000), Arg("--seed", default=0))
+
+COMMANDS = {row.path: row for row in (
+    Row(("classify",), "degree stats, vertex classes, taming, brightness",
+        (_graph("graph"), *_MC), _classify),
+    Row(("tame",), "taming witnesses",
+        (_graph("graph"), Arg("--set", _int_list, None, when="set",
+                              help="comma-separated seed set for the closure")), _tame),
+    Row(("brightness",), "bright-labeling probability and bounds", (_graph("graph"), *_MC),
+        lambda a: _lib("brightness", "brightness_report")(a.graph, mc_samples=a.mc, seed=a.seed)),
+    Row(("density",), "induced density of pattern in host",
+        (_graph("pattern"), _graph("host"), Arg("--mc", default=0, when="mc"),
+         Arg("--seed", default=0, when="mc")),
+        lambda a: {"mc": _lib("density", "induced_density_mc")(a.pattern, a.host, a.mc, a.seed)}
+        if a.mc else _lib("density", "induced_density")(a.pattern, a.host)),
+    Row(("ind",), "max induced density over n-vertex hosts",
+        (_graph("pattern"), Arg("--n"), Arg("--iters", default=10_000, when="search"),
+         Arg("--seed", default=0, when="search"),
+         Arg("--checkpoint", str, None, when="search")),
+        lambda a: _lib("search", "ind_exact")(a.pattern, a.n) if a.exact
+        else _lib("search", "ind_local_search")(a.pattern, a.n, a.iters, a.seed,
+                                                checkpoint=a.checkpoint),
+        modes=("--exact", "--search")),
+    Row(("construct", "split"), "complete bipartite host, r picks on the sigma side",
+        (Arg("--k"), Arg("--r"), Arg("--n"), Arg("--sigma", _finite_float)),
+        lambda a: _lib("constructions", "split_construction")(a.k, a.r, a.n, a.sigma)),
+    Row(("construct", "gnp"), "G(n, 1/C(k,2)) host, an edge plus k - 2 isolated vertices",
+        (Arg("--k"), Arg("--n"), Arg("--seed", default=0)),
+        lambda a: _lib("constructions", "gnp_construction")(a.k, a.n, a.seed)),
+    Row(("construct", "split-plus-edge"), "small side cliqued and joined to the rest",
+        (Arg("--k"), Arg("--n")),
+        lambda a: _lib("constructions", "split_plus_edge")(a.k, a.n)),
+    Row(("construct", "blowup"), "blow-up of a pattern tamed by --v0",
+        (_graph("graph"), Arg("--v0", _int_list, "", help="comma-separated taming set"),
+         Arg("--n")),
+        lambda a: _lib("constructions", "dtame_blowup")(a.graph, a.v0, a.n)),
+    Row(("bounds", "phi"), "s^s / (s! e^s)", (Arg("--s", _positive_int),),
+        lambda a: {"value": _lib("bounds", "phi")(a.s)}),
+    Row(("bounds", "high-degree"), "phi(s) times --ind-reduced, or phi(s) phi(t)",
+        (Arg("--s", _positive_int), Arg("--t", _positive_int, None, when="t"),
+         Arg("--ind-reduced", _finite_float, 1.0, when="!t")),
+        lambda a: {"value": _lib("bounds", "high_degree_bound")(a.s, a.ind_reduced)
+                   if a.t is None else _lib("bounds", "high_degree_pair_bound")(a.s, a.t)}),
+    Row(("bounds", "uniform"), "f and 2 (phi(tau)/beta)^f",
+        (Arg("--tau", _positive_int), Arg("--beta", _finite_float), Arg("--eps", _finite_float)),
+        lambda a: dict(zip(("f", "value"),
+                           _lib("bounds", "uniform_degree_bound")(a.tau, a.beta, a.eps)))),
+    Row(("bounds", "sparse"), "the sparse-regime bound",
+        (Arg("--alpha", _finite_float), Arg("--nu", _finite_float)),
+        lambda a: {"value": _lib("bounds", "sparse_regime_bound")(a.alpha, a.nu)}),
+    Row(("bounds", "gap"), "first degree-free interval below eps k",
+        (_graph("graph"), Arg("--eps", _finite_float), Arg("--c", _finite_float, key="C")),
+        lambda a: _lib("bounds", "find_degree_gap")(a.graph, a.eps, a.c)),
+    # the selector's flags are echoed in its outputs.inputs
+    Row(("bounds", "select"), "pick the applicable bound regime",
+        (_graph("graph"), Arg("--c", _finite_float, 1.0, key=None),
+         *(Arg(f"--{name}", _finite_float, None, key=None) for name in ("eps", "alpha", "beta"))),
+        lambda a: _lib("bounds", "regime_selector")(a.graph, _lib("bounds", "SelectorParams")(
+            C=a.c, eps=a.eps, alpha=a.alpha, beta=a.beta))),
+    Row(("bounds", "alpha"), "largest alpha keeping the sparse bound below 1/e", (),
+        lambda a: dict(zip(("alpha", "c"), _lib("bounds", "find_sparse_alpha")()))),
+    Row(("bounds", "solve-eps"), "largest eps with 2 (2/e)^(sqrt(1/(8 C eps)) - 1) <= 2/e^2",
+        (Arg("--c", _finite_float, 1.0, key="C"),),
+        lambda a: {"eps": _lib("bounds", "solve_epsilon")(a.c)}),
+    Row(("proba", "binom"), "C(k,s) p^s (1-p)^(k-s)",
+        (Arg("--k"), Arg("--p", str, convert=_parse_rational, help="rational like 1/3"),
+         Arg("--s")), _binom),
+    Row(("proba", "hypergeom"), "C(r,s) C(n-r,k-s) / C(n,k)",
+        (Arg("--population"), Arg("--successes"), Arg("--sample"), Arg("--hits")), _hypergeom),
+    Row(("proba", "multi"), "a uniform sample meets every part in s elements",
+        (Arg("--population"), Arg("--sample"),
+         Arg("--parts", _int_list, "", help="comma-separated part sizes"), Arg("--s")), _multi),
+    Row(("proba", "lambda"), "a weight between y^2 e^(2-y-z)/4 and 1 - z e^(1-y-z)",
+        (Arg("--y", _finite_float), Arg("--z", _finite_float)), _lambda),
+    Row(("simulate-coloring",), "black/green/red stream simulation",
+        (_graph("host"), _graph("pattern"), Arg("--trials"), Arg("--seed", default=0),
+         Arg("--max-steps", default=None, when="max_steps")), _simulate),
+    Row(("verify",), "run a named invariant suite",
+        (Arg("suite", _suite, help="a suite of inducibility.verify, or all"),), _verify),
+)}
 
 
 # -- argument parsing --------------------------------------------------------
@@ -448,147 +421,64 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every row of COMMANDS; a parsed leaf's `row` is its row."""
     parser = _Parser(
         prog="inducibility",
         description="Exact induced-density toolkit for small graphs"
         " (graphs in and out as graph6; '-' reads one line from stdin).",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("classify", help="degree stats, vertex classes, taming, brightness")
-    p.add_argument("graph")
-    p.add_argument("--mc", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("tame", help="taming witnesses")
-    p.add_argument("graph")
-    p.add_argument("--set", type=_int_list, default=None,
-                   help="comma-separated seed set for the closure")
-
-    p = sub.add_parser("brightness", help="bright-labeling probability and bounds")
-    p.add_argument("graph")
-    p.add_argument("--mc", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("density", help="induced density of pattern in host")
-    p.add_argument("pattern")
-    p.add_argument("host")
-    p.add_argument("--mc", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("ind", help="max induced density over n-vertex hosts")
-    p.add_argument("pattern")
-    p.add_argument("--n", type=int, required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--search", action="store_true")
-    p.add_argument("--iters", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoint", default=None)
-
-    p = sub.add_parser("construct", help="lower-bound host constructions")
-    fam = p.add_subparsers(dest="family", required=True)
-    q = fam.add_parser("split")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--sigma", type=_finite_float, required=True)
-    q = fam.add_parser("gnp")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q = fam.add_parser("split-plus-edge")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q = fam.add_parser("blowup")
-    q.add_argument("graph")
-    q.add_argument("--v0", type=_int_list, default="", help="comma-separated taming set")
-    q.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("bounds", help="closed-form bound formulas")
-    form = p.add_subparsers(dest="formula", required=True)
-    q = form.add_parser("phi")
-    q.add_argument("--s", type=_positive_int, required=True)
-    q = form.add_parser("high-degree")
-    q.add_argument("--s", type=_positive_int, required=True)
-    q.add_argument("--t", type=_positive_int, default=None)
-    q.add_argument("--ind-reduced", type=_finite_float, default=1.0, dest="ind_reduced")
-    q = form.add_parser("uniform")
-    q.add_argument("--tau", type=_positive_int, required=True)
-    q.add_argument("--beta", type=_finite_float, required=True)
-    q.add_argument("--eps", type=_finite_float, required=True)
-    q = form.add_parser("sparse")
-    q.add_argument("--alpha", type=_finite_float, required=True)
-    q.add_argument("--nu", type=_finite_float, required=True)
-    q = form.add_parser("gap")
-    q.add_argument("graph")
-    q.add_argument("--eps", type=_finite_float, required=True)
-    q.add_argument("--c", type=_finite_float, required=True)
-    q = form.add_parser("select")
-    q.add_argument("graph")
-    q.add_argument("--c", type=_finite_float, default=1.0)
-    q.add_argument("--eps", type=_finite_float, default=None, dest="eps_opt")
-    q.add_argument("--alpha", type=_finite_float, default=None, dest="alpha_opt")
-    q.add_argument("--beta", type=_finite_float, default=None, dest="beta_opt")
-    q = form.add_parser("alpha")
-    q = form.add_parser("solve-eps")
-    q.add_argument("--c", type=_finite_float, default=1.0)
-
-    p = sub.add_parser("proba", help="exact probability kernels")
-    kind = p.add_subparsers(dest="kind", required=True)
-    q = kind.add_parser("binom")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--p", required=True, help="rational like 1/3")
-    q.add_argument("--s", type=int, required=True)
-    q = kind.add_parser("hypergeom")
-    q.add_argument("--population", type=int, required=True)
-    q.add_argument("--successes", type=int, required=True)
-    q.add_argument("--sample", type=int, required=True)
-    q.add_argument("--hits", type=int, required=True)
-    q = kind.add_parser("multi")
-    q.add_argument("--population", type=int, required=True)
-    q.add_argument("--sample", type=int, required=True)
-    q.add_argument("--parts", type=_int_list, default="", help="comma-separated part sizes")
-    q.add_argument("--s", type=int, required=True)
-    q = kind.add_parser("lambda")
-    q.add_argument("--y", type=_finite_float, required=True)
-    q.add_argument("--z", type=_finite_float, required=True)
-
-    p = sub.add_parser("simulate-coloring", help="black/green/red stream simulation")
-    p.add_argument("host")
-    p.add_argument("pattern")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
-
-    p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("suite", type=_suite, help="a suite of inducibility.verify, or all")
+    levels = {(): parser.add_subparsers(dest="cmd", required=True)}
+    for row in COMMANDS.values():
+        *group, name = row.path
+        if tuple(group) not in levels:
+            dest, text = GROUPS[group[0]]
+            p = levels[()].add_parser(group[0], help=text)
+            levels[tuple(group)] = p.add_subparsers(dest=dest, required=True)
+        p = levels[tuple(group)].add_parser(name, help=row.help, description=row.help)
+        p.set_defaults(row=row)
+        if row.modes:
+            mode = p.add_mutually_exclusive_group(required=True)
+            for flag in row.modes:
+                mode.add_argument(flag, action="store_true")
+        for arg in row.args:
+            if not arg.flag.startswith("-"):
+                p.add_argument(arg.flag, type=arg.type, help=arg.help)
+            elif arg.default is _REQUIRED:
+                p.add_argument(arg.flag, type=arg.type, required=True, help=arg.help)
+            else:
+                p.add_argument(arg.flag, type=arg.type, default=arg.default, help=arg.help)
     return parser
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "tame": _cmd_tame,
-    "brightness": _cmd_brightness,
-    "density": _cmd_density,
-    "ind": _cmd_ind,
-    "construct": _cmd_construct,
-    "bounds": _cmd_bounds,
-    "proba": _cmd_proba,
-    "simulate-coloring": _cmd_simulate,
-}
+def _inputs(args: argparse.Namespace) -> dict:
+    """Refuse a flag the chosen mode does not read, convert the arguments in
+    place, and return the `inputs` echo of the parsed command."""
+    row = args.row
+    given = {a.dest for a in row.args if getattr(args, a.dest) != a.default}
+    given.update(flag[2:] for flag in row.modes if getattr(args, flag[2:]))
+    inputs = {GROUPS[args.cmd][0]: row.path[1]} if args.cmd in GROUPS else {}
+    for arg in row.args:
+        other, unset = arg.when.lstrip("!"), arg.when.startswith("!")
+        if arg.when and (other in given) == unset:
+            if arg.dest in given:
+                raise InputError(f"{' '.join(row.path)}: {arg.flag} is not read"
+                                 f" {'with' if unset else 'without'} --{other.replace('_', '-')}")
+            continue
+        if arg.convert:
+            setattr(args, arg.dest, arg.convert(getattr(args, arg.dest)))
+        if arg.key is not None:
+            inputs[arg.key or arg.dest] = getattr(args, arg.dest)
+    return inputs
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        if args.cmd == "verify":
-            inputs, outputs, code = _cmd_verify(args)
-        else:
-            inputs, outputs = _HANDLERS[args.cmd](args)
-            code = EXIT_OK
+        inputs = _inputs(args)
+        outputs = args.row.run(args)
+        # only verify's outputs count failed checks
+        failed = isinstance(outputs, dict) and outputs.get("failed")
         timing = getattr(args, "timing", False)
         elapsed = int((time.monotonic() - start) * 1000) if timing else None
         text = _document(args.cmd, inputs, outputs, elapsed)
@@ -609,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": error, "exit": EXIT_INTERNAL}), file=sys.stderr)
         return EXIT_INTERNAL
     _emit(text)
-    return code
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 if __name__ == "__main__":

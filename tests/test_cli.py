@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -49,6 +51,11 @@ def run_error(capsys, exit_code, *argv):
     doc = json.loads(line)
     assert doc["exit"] == exit_code
     return doc["error"]
+
+
+def patch_run(monkeypatch, path, run):
+    """Make the command at `path` run `run` in place of its row's function."""
+    monkeypatch.setitem(cli.COMMANDS, path, cli.COMMANDS[path]._replace(run=run))
 
 
 def _timeout(signum, frame):
@@ -335,7 +342,7 @@ class TestOtherCommands:
         assert doc["outputs"] == {"lo": 0.0, "hi": 1.0, "lambda": 0.5}
 
     def test_non_finite_output_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._HANDLERS, "classify", lambda args: ({}, {"x": float("nan")}))
+        patch_run(monkeypatch, ("classify",), lambda args: {"x": float("nan")})
         assert "not JSON compliant" in run_error(capsys, 4, "classify", "Bg")
 
     def test_bounds_solve_eps_early_exits(self, capsys):
@@ -434,7 +441,7 @@ class TestOtherCommands:
         def boom(args):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "classify", boom)
+        patch_run(monkeypatch, ("classify",), boom)
         code = main(["classify", "Bg"])
         captured = capsys.readouterr()
         assert code == 4
@@ -528,6 +535,75 @@ class TestOtherCommands:
         code, out = run_cli(capsys, "density", "Bg", "DQc")
         assert code == 0
         assert "elapsed_ms" not in json.loads(out)
+
+
+class TestInputsEcho:
+    """`inputs` echoes that no pinned digest covers."""
+
+    def test_search_echoes_the_checkpoint_path(self, capsys, tmp_path):
+        cp = str(tmp_path / "cp.json")
+        doc = run_json(capsys, "ind", "Bg", "--n", "5", "--search", "--iters", "5",
+                       "--checkpoint", cp)
+        assert doc["inputs"] == {"pattern": "Bg", "n": 5, "iters": 5, "seed": 0,
+                                 "checkpoint": cp}
+
+    def test_verify_echoes_the_suite(self, capsys, monkeypatch):
+        monkeypatch.setitem(SUITES, "appendix", (lambda: CheckResult("stub", True, "a"),))
+        assert run_json(capsys, "verify", "appendix")["inputs"] == {"suite": "appendix"}
+
+    def test_proba_binom_echoes_p_reduced(self, capsys):
+        doc = run_json(capsys, "proba", "binom", "--k", "4", "--p", "2/6", "--s", "2")
+        assert doc["inputs"] == {"kind": "binom", "k": 4, "p": "1/3", "s": 2}
+
+    def test_simulate_echoes_max_steps_when_given(self, capsys):
+        # the flag changes the outputs, so equal inputs must tell it
+        argv = ("simulate-coloring", "Dg?", "Cg", "--trials", "50", "--seed", "6")
+        default = run_json(capsys, *argv)
+        doc = run_json(capsys, *argv, "--max-steps", "4")
+        assert "max_steps" not in default["inputs"]
+        assert doc["inputs"] == {**default["inputs"], "max_steps": 4}
+        assert (default["outputs"]["truncated"], doc["outputs"]["truncated"]) == (0, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ("ind", "Bg", "--n", "5", "--exact", "--iters", "5"),
+        ("ind", "Bg", "--n", "5", "--exact", "--seed", "3"),
+        ("density", "Bg", "DQc", "--seed", "3"),
+        ("bounds", "high-degree", "--s", "2", "--t", "2", "--ind-reduced", "0.5"),
+    ], ids=["exact-iters", "exact-seed", "density-seed-without-mc", "t-and-ind-reduced"])
+    def test_flag_the_mode_does_not_read_exit_2(self, capsys, argv):
+        assert "is not read" in run_error(capsys, 2, *argv)
+
+    def test_exact_refuses_a_checkpoint_it_would_not_write(self, capsys, tmp_path):
+        cp = tmp_path / "cp.json"
+        error = run_error(capsys, 2, "ind", "Bg", "--n", "5", "--exact", "--checkpoint", str(cp))
+        assert error == "ind: --checkpoint is not read without --search"
+        assert not cp.exists()
+
+    def test_unread_flag_at_its_default_is_accepted(self, capsys):
+        _, exact = run_cli(capsys, "density", "Bg", "DQc")
+        _, zero = run_cli(capsys, "density", "Bg", "DQc", "--mc", "0", "--seed", "0")
+        assert zero == exact
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("path", list(cli.COMMANDS), ids=" ".join)
+    def test_help_lists_every_declared_argument(self, capsys, path):
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        row = cli.COMMANDS[path]
+        for flag in [*row.modes, *(arg.flag for arg in row.args)]:
+            assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text), flag
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("inducibility ")]
+        assert len(lines) >= 10
+        for line in lines:
+            args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            cli._inputs(args)  # no flag the example's mode ignores
 
 
 class TestDeterminism:
