@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import InputError, PreconditionError, UnsupportedSizeError
 from .graphs import Graph, _induced_rows, degree_profile
-from .mc import MCEstimate, run_bernoulli_streams
+from .mc import MCEstimate, run_bernoulli_streams, shuffle
 from .structure import classify_vertices
 
 BRIGHTNESS_EXACT_LIMIT = 10
@@ -100,7 +100,7 @@ def brightness_mc(h: Graph, samples: int, seed: int) -> MCEstimate:
 
     def trial(rng: random.Random) -> bool:
         order = verts[:]
-        rng.shuffle(order)
+        shuffle(rng, order)
         return _bright_given_masks(adj, order, detect_mask)
 
     return run_bernoulli_streams(trial, samples, seed)

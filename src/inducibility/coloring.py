@@ -20,16 +20,18 @@ last of those, the green/red count signatures (2,0) and (0,1), and whether
 two consecutive terms up to L were non-black.  The simulator also verifies
 at every step that a vertex isolated among the draws so far came out
 black; any violation is counted and indicates an implementation bug.
+`simulate` reads only these flags and tallies each distinct flag tuple;
+`run_trial` and `record_trace` also record the steps, as a `ColoredTrace`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, _canon_cached, _induced_rows
-from .mc import trial_rngs
+from .mc import randbelow, trial_rngs
 from .structure import classify_vertices
 
 # the core-code memo is cleared when it outgrows this many masks, about
@@ -39,6 +41,7 @@ CORE_MEMO_LIMIT = 100_000
 BLACK = "black"
 GREEN = "green"
 RED = "red"
+NONBLACK = "nonblack"  # a term before L in a truncated trace
 
 
 @dataclass(frozen=True)
@@ -113,73 +116,75 @@ class _ColorContext:
         return RED if self.core_code_of_mask(u_mask | (1 << v)) == self.core_code else GREEN
 
 
-def _run(ctx: _ColorContext, rng: random.Random) -> ColoredTrace:
-    k, max_steps, core_code = ctx.k, ctx.max_steps, ctx.core_code
+def _run(ctx: _ColorContext, rng: random.Random, steps: list | None = None) -> tuple:
+    """One trace's `ColoredTrace` fields after `black_prefix`, with the stop
+    index in front; each term and its colour is appended to `steps` when a
+    list is given, and terms left uncoloured are recorded as "nonblack"."""
+    k, core_code = ctx.k, ctx.core_code
     adj, n = ctx.g.adj, ctx.g.n
-    is_black, color = ctx.is_black, ctx.color
-    steps: list[tuple[int, str]] = []
-    black_seq: list[int] = []  # black terms up to the stop index
-    waiting: list[int] = []  # positions in steps of the non-black terms before L
+    is_black, color, core_of = ctx.is_black, ctx.color, ctx.core_code_of_mask
+    waiting: list[int] = []  # the non-black terms before L
+    matches: list[bool] = []  # the prefix matches at j = k-2, k-1, k
     black_mask = drawn_mask = u_mask = 0
-    stop_index: int | None = None
-    isolated_violations = red = 0
+    stop: int | None = None
+    blacks = violations = 0
     distinct_prefix = True
     prev_nonblack = consecutive = False
-    prefix_flags = {k - 2: False, k - 1: False, k: False}
 
-    i = 0
-    while i < (max_steps if stop_index is None else max(stop_index, k)):
+    i, limit = 0, ctx.max_steps
+    while i < limit:
         i += 1
-        v = rng.randrange(n)
+        v = randbelow(rng, n)
         bit = 1 << v
-        black = is_black(black_mask, v)
-        if not black and (adj[v] & drawn_mask) == 0:
-            isolated_violations += 1
         if i <= k and drawn_mask & bit:
             distinct_prefix = False
-        drawn_mask |= bit
-        if black:
+        if is_black(black_mask, v):
             black_mask |= bit
-            steps.append((v, BLACK))
-            if stop_index is None:
-                black_seq.append(v)
+            if steps is not None:
+                steps.append((v, BLACK))
+            if stop is None:
+                blacks += 1
                 prev_nonblack = False
-                if len(black_seq) == k - 2:
-                    stop_index, u_mask = i, black_mask
-                    for j in waiting:
-                        w = steps[j][0]
-                        c = color(u_mask, w)
-                        steps[j] = (w, c)
-                        red += c == RED
-        elif stop_index is None:
-            # U is not known yet: the colour waits for L
-            waiting.append(len(steps))
-            steps.append((v, "nonblack"))
-            consecutive = consecutive or prev_nonblack
-            prev_nonblack = True
+                if blacks == k - 2:
+                    stop, u_mask, limit = i, black_mask, max(i, k)
         else:
-            steps.append((v, color(u_mask, v)))
-        if i in prefix_flags:
-            prefix_flags[i] = distinct_prefix and ctx.core_code_of_mask(drawn_mask) == core_code
+            if not adj[v] & drawn_mask:
+                violations += 1
+            if stop is None:
+                # U is not known yet: the colour waits for L
+                waiting.append(v)
+                consecutive = consecutive or prev_nonblack
+                prev_nonblack = True
+                if steps is not None:
+                    steps.append((v, NONBLACK))
+            elif steps is not None:
+                steps.append((v, color(u_mask, v)))
+        drawn_mask |= bit
+        if k - 2 <= i <= k:
+            matches.append(distinct_prefix and core_of(drawn_mask) == core_code)
 
-    truncated = stop_index is None
-    green = len(waiting) - red
-    return ColoredTrace(
-        steps=tuple(steps),
-        stop_index=stop_index,
-        black_prefix=tuple(black_seq),
-        green_count=None if truncated else green,
-        red_count=None if truncated else red,
-        prefix_match_km2=prefix_flags[k - 2],
-        prefix_match_km1=prefix_flags[k - 1],
-        prefix_match_k=prefix_flags[k],
-        full_match=prefix_flags[k - 2] and prefix_flags[k],
-        two_green=(not truncated) and green == 2 and red == 0,
-        one_red=(not truncated) and green == 0 and red == 1,
-        consecutive_nonblack=(not truncated) and consecutive,
-        truncated=truncated,
-        isolated_nonblack_violations=isolated_violations,
+    green = red = None
+    if stop is not None:
+        colours = [color(u_mask, w) for w in waiting]
+        red = colours.count(RED)
+        green = len(colours) - red
+        if steps is not None:
+            fill = iter(colours)
+            steps[:] = [(w, next(fill) if c == NONBLACK else c) for w, c in steps]
+    km2, km1, km = matches
+    return (
+        stop, green, red, km2, km1, km, km2 and km,
+        green == 2 and red == 0, green == 0 and red == 1,
+        consecutive and stop is not None, stop is None, violations,
     )
+
+
+def record_trace(ctx: _ColorContext, rng: random.Random) -> ColoredTrace:
+    """The trace of `rng` on `ctx`, every step recorded."""
+    steps: list[tuple[int, str]] = []
+    stop, *flags = _run(ctx, rng, steps)
+    black_prefix = tuple(v for v, c in steps[:stop] if c == BLACK)
+    return ColoredTrace(tuple(steps), stop, black_prefix, *flags)
 
 
 def run_trial(
@@ -187,7 +192,7 @@ def run_trial(
 ) -> ColoredTrace:
     """One seeded trace.  max_steps defaults to 50*n*k; reaching it without
     k-2 black terms truncates the trace with an unset stop index."""
-    return _run(_ColorContext(g, h, max_steps), random.Random(seed))
+    return record_trace(_ColorContext(g, h, max_steps), random.Random(seed))
 
 
 @dataclass(frozen=True)
@@ -224,22 +229,20 @@ def simulate(
     if trials < 1:
         raise InputError("trials must be >= 1")
     ctx = _ColorContext(g, h, max_steps)
-    total = {f.name: 0 for f in fields(ColoringSummary) if f.name not in ("trials", "seed")}
+    tally: dict[tuple, int] = {}
     for rng in trial_rngs(trials, seed):
-        tr = _run(ctx, rng)
-        total["truncated"] += tr.truncated
-        total["count_prefix_match_km2"] += tr.prefix_match_km2
-        total["count_prefix_match_km1"] += tr.prefix_match_km1
-        total["count_prefix_match_k"] += tr.prefix_match_k
-        total["count_full_match"] += tr.full_match
-        total["count_two_green"] += tr.two_green
-        total["count_one_red"] += tr.one_red
-        total["count_consecutive_nonblack"] += tr.consecutive_nonblack
-        total["count_two_green_and_match"] += tr.two_green and tr.full_match
-        total["count_one_red_and_match"] += tr.one_red and tr.full_match
-        total["count_consecutive_and_match"] += tr.consecutive_nonblack and tr.full_match
-        total["count_two_green_no_consecutive"] += tr.two_green and not tr.consecutive_nonblack
-        if tr.full_match and not tr.truncated:
-            total["match_outside_signatures"] += not (tr.two_green or tr.one_red)
-        total["isolated_nonblack_violations"] += tr.isolated_nonblack_violations
-    return ColoringSummary(trials=trials, seed=seed, **total)
+        flags = _run(ctx, rng)
+        tally[flags] = tally.get(flags, 0) + 1
+    rows = []
+    for flags, times in tally.items():
+        _, _, _, km2, km1, km, full, two_green, one_red, consecutive, truncated, isolated = flags
+        # one entry per count field of ColoringSummary, in field order
+        hits = (
+            truncated, km2, km1, km, full, two_green, one_red, consecutive,
+            two_green and full, one_red and full, consecutive and full,
+            two_green and not consecutive,
+            full and not truncated and not (two_green or one_red),
+            isolated,
+        )
+        rows.append([times * hit for hit in hits])
+    return ColoringSummary(trials, seed, *map(sum, zip(*rows)))

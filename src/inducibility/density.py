@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import InputError, UnsupportedSizeError
 from .graphs import Graph, _canon_cached, _canonical_search, _induced_rows, _orbit, _pack_key
-from .mc import MCEstimate, run_bernoulli_streams
+from .mc import MCEstimate, randbelow, run_bernoulli_streams
 
 DEFAULT_SUBSET_BUDGET = 10**8
 
@@ -224,7 +224,7 @@ def sample_k_subset(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
     moved: dict[int, int] = {}  # position -> the id swapped into it; the rest hold their own
     picks = []
     for i in range(k):
-        j = rng.randrange(i, n)
+        j = i + randbelow(rng, n - i)
         picks.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
     return tuple(sorted(picks))

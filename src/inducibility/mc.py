@@ -1,9 +1,13 @@
-"""Shared Monte-Carlo machinery: seeded substreams and Wilson intervals.
+"""Shared Monte-Carlo machinery: seeded substreams, draws and Wilson intervals.
 
 Sampling work is split over a fixed number of independent substreams whose
 seeds derive only from (seed, stream index), and results are aggregated in
 stream-index order, so every estimate is bit-identical for a fixed seed.
-The streams run one after another in one thread.
+The streams run one after another in one thread.  Every uniform index or
+permutation a sampler draws goes through `randbelow` or `shuffle`, which
+reproduce CPython's `randrange` and `shuffle` streams (same values, same
+final generator state) with fewer Python calls per draw; tests/test_mc.py
+guards that equivalence.
 """
 
 from __future__ import annotations
@@ -33,6 +37,26 @@ def trial_rngs(samples: int, seed: int) -> Iterator[random.Random]:
         rng = random.Random(stream_seed(seed, idx))
         for _ in range(count):
             yield rng
+
+
+def randbelow(rng: random.Random, w: int) -> int:
+    """`rng.randrange(w)` for w > 0: CPython's `_randbelow` rejection loop."""
+    k = w.bit_length()
+    r = rng.getrandbits(k)
+    while r >= w:
+        r = rng.getrandbits(k)
+    return r
+
+
+def shuffle(rng: random.Random, items: list) -> None:
+    """`rng.shuffle(items)`: the same Fisher-Yates swaps, the draw inlined."""
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 def wilson_interval(successes: int, samples: int) -> tuple[float, float]:

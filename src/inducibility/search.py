@@ -58,6 +58,7 @@ from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, InternalCheckError, UnsupportedSizeError
 from .graphs import Graph, _canonical_search, _induced_rows, _orbit
 from .graphs import _pack_key, parse_graph6, to_graph6
+from .mc import randbelow
 
 ENUM_LIMIT = 9
 
@@ -409,10 +410,10 @@ def ind_local_search(
 
     total = math.comb(n, h.n)
     while st.iteration < iters and n >= 2:
-        u = st.rng.randrange(n)
-        v = st.rng.randrange(n)
+        u = randbelow(st.rng, n)
+        v = randbelow(st.rng, n)
         while v == u:
-            v = st.rng.randrange(n)
+            v = randbelow(st.rng, n)
         if u > v:
             u, v = v, u
         delta = _flip_delta(pattern, st.current, u, v)

@@ -27,7 +27,7 @@ from .brightness import (
     brightness_lower_bounds,
     brightness_mc,
 )
-from .coloring import _ColorContext, _run, simulate
+from .coloring import _ColorContext, record_trace, simulate
 from .constructions import dtame_blowup, split_construction
 from .graphs import (
     Graph,
@@ -449,14 +449,14 @@ def _check_coloring_inclusions():
 
 @_check("coloring", "match_trace_shape")
 def _check_match_trace_shape():
-    # `run_trial` per seed on one context; 3P3 matches twice as often as P3 + 7K1
+    # one recorded trace per seed on one context; 3P3 matches twice as often as P3 + 7K1
     g = functools.reduce(disjoint_union, [Graph.path(3)] * 3)
     h = with_isolated(Graph.path(3), 2)
     k = h.n
     ctx = _ColorContext(g, h)
     seen = 0
     for seed in range(60_000):
-        tr = _run(ctx, random.Random(seed))
+        tr = record_trace(ctx, random.Random(seed))
         if tr.isolated_nonblack_violations:
             return False, f"seed={seed}: an isolated arrival was not black"
         if not tr.full_match or tr.truncated:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -7,9 +8,17 @@ import random
 import pytest
 
 from inducibility import verify
-from inducibility.coloring import _ColorContext, run_trial, simulate
+from inducibility.coloring import (
+    ColoringSummary,
+    _ColorContext,
+    _run,
+    record_trace,
+    run_trial,
+    simulate,
+)
 from inducibility.errors import InputError, PreconditionError
 from inducibility.graphs import Graph, disjoint_union, with_isolated
+from inducibility.mc import trial_rngs
 
 
 @pytest.fixture
@@ -123,6 +132,31 @@ class TestRunTrial:
             "746b7e4d54ba3d15ad16a7072302e345afba7a5457e4450165bf83d5f1dfa84e"
         )
 
+    def test_flags_only_run_is_the_recorded_run(self, host, pattern):
+        # the cases of test_traces_pinned: without a step list, `_run` draws
+        # the same vertices and returns the fields of the recorded trace
+        rng = random.Random(5)
+        sparse = Graph.from_edges(
+            40, [(i, j) for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.1]
+        )
+        cases = [
+            (host, pattern, 300, None),
+            (functools.reduce(disjoint_union, [Graph.path(3)] * 3), pattern, 300, 5),
+            (with_isolated(Graph.complete(5), 5), pattern, 300, 6),
+            (with_isolated(Graph.cycle(6), 2), pattern, 300, 5),
+            (sparse, with_isolated(Graph.path(4), 3), 200, None),
+            (with_isolated(Graph.cycle(12), 4), with_isolated(Graph.star(3), 2), 200, None),
+        ]
+        for g, h, seeds, max_steps in cases:
+            ctx = _ColorContext(g, h, max_steps)
+            for seed in range(seeds):
+                bare, recorded = random.Random(seed), random.Random(seed)
+                flags = _run(ctx, bare)
+                tr = record_trace(ctx, recorded)
+                assert flags == (tr.stop_index, *dataclasses.astuple(tr)[3:]), seed
+                assert bare.getstate() == recorded.getstate(), seed
+                assert tr == run_trial(g, h, seed, max_steps), seed
+
     def test_max_steps_too_small(self, host, pattern):
         with pytest.raises(InputError):
             run_trial(host, pattern, seed=0, max_steps=2)
@@ -158,6 +192,39 @@ class TestSimulate:
         ) == (22, 51, 93)
         assert (a.count_full_match, a.count_two_green, a.count_one_red) == (6, 55, 23)
         assert a.count_consecutive_nonblack == 53
+
+    @pytest.mark.parametrize("max_steps", [None, 5])
+    def test_tally_is_the_recorded_traces(self, host, pattern, max_steps):
+        """The flag tally equals per-trace counting over recorded traces; a
+        cap of 5 steps truncates traces on both hosts."""
+        sparse = Graph.gnp(random.Random(64), 64, 0.05)
+        for g, trials, seed in ((host, 3000, 21), (sparse, 2000, 22)):
+            ctx = _ColorContext(g, pattern, max_steps)
+            total = collections.Counter()
+            for rng in trial_rngs(trials, seed):
+                tr = record_trace(ctx, rng)
+                total["truncated"] += tr.truncated
+                total["count_prefix_match_km2"] += tr.prefix_match_km2
+                total["count_prefix_match_km1"] += tr.prefix_match_km1
+                total["count_prefix_match_k"] += tr.prefix_match_k
+                total["count_full_match"] += tr.full_match
+                total["count_two_green"] += tr.two_green
+                total["count_one_red"] += tr.one_red
+                total["count_consecutive_nonblack"] += tr.consecutive_nonblack
+                total["count_two_green_and_match"] += tr.two_green and tr.full_match
+                total["count_one_red_and_match"] += tr.one_red and tr.full_match
+                total["count_consecutive_and_match"] += tr.consecutive_nonblack and tr.full_match
+                total["count_two_green_no_consecutive"] += (
+                    tr.two_green and not tr.consecutive_nonblack
+                )
+                if tr.full_match and not tr.truncated:
+                    total["match_outside_signatures"] += not (tr.two_green or tr.one_red)
+                total["isolated_nonblack_violations"] += tr.isolated_nonblack_violations
+            names = [f.name for f in dataclasses.fields(ColoringSummary)][2:]
+            expected = ColoringSummary(trials, seed, *(total[name] for name in names))
+            assert simulate(g, pattern, trials, seed, max_steps) == expected
+            assert (total["truncated"] > 0) == (max_steps is not None)
+            assert total["count_prefix_match_k"] > 0
 
     def test_growing_host_consecutive_bound(self, verified):
         assert verified(verify._check_conditional_consecutive).ok
