@@ -13,6 +13,13 @@ class comes out exactly once, and its representative is its canonical
 form, which depends on the class alone.  A class keeps its parent and v's
 subset, so its copy count is its parent's plus the copies through v.
 
+So the levels depend on n alone, and those on 1 to 8 vertices are read
+from `classes.zlib` beside this module: the generator's output, stored
+once.  The payload's length, CRC-32 and the class count of every level are
+checked on the first read, and a level is decoded only when asked for.  The
+generator builds level 9, and every level when the file is missing or
+fails its check, so a damaged file costs time, never an answer.
+
 The top level is scored from its parents without being built: every
 n-vertex host is some (n - 1)-vertex class plus v, so the maximum is read
 off every subset of every class of `_tree(n - 1)`, and a class met twice
@@ -47,6 +54,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -69,6 +77,17 @@ CHECKPOINT_VERSION = 1
 T0 = 0.05
 COOLING = 0.995
 RESTART_AFTER = 100_000
+
+# The classes on 1 to 8 vertices, packed by `_pack` and zlib-compressed.
+# Rewrite it from the generator with `PYTHONPATH=src python -m
+# inducibility.search`, which prints the length and CRC-32 to pin here.
+TABLE = Path(__file__).with_name("classes.zlib")
+TABLE_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)  # OEIS A000088
+TABLE_LENGTH = 148_069
+TABLE_CRC32 = 0x60BA27F0
+
+# one level of the class tree: canonical rows, parent indices and masks
+Level = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -109,15 +128,13 @@ def _augmentations(n: int, rows: tuple[int, ...]) -> Iterator[int]:
             yield mask
 
 
-@lru_cache(maxsize=None)
-def _tree(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """The classes on n vertices in canonical-code order, as parallel tuples of
-    canonical rows, parent indices in `_tree(n - 1)` and the parents' masks."""
-    if n == 0:
-        return ((),), (), ()
+def _grow(n: int, parent_rows: tuple[tuple[int, ...], ...]) -> Level:
+    """The classes on n vertices built by canonical augmentation from
+    `parent_rows`, the canonical rows of the classes on n - 1 vertices, as
+    `_tree(n)` returns them."""
     v = n - 1
     keyed = []
-    for p, parent in enumerate(_tree(v)[0]):
+    for p, parent in enumerate(parent_rows):
         degrees = [row.bit_count() for row in parent]
         for mask in _augmentations(v, parent):
             # keep the child when v is in the orbit of the vertex that
@@ -136,6 +153,69 @@ def _tree(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[i
                 keyed.append((_pack_key(n, cols), _induced_rows(rows, order), p, mask))
     _, canonical, parents, masks = zip(*sorted(keyed))
     return canonical, parents, masks
+
+
+def _pack(n: int, level: Level) -> bytes:
+    """Level n as the table stores it: the class count (4 bytes, little
+    endian), each class's n canonical rows (one byte each), the parent
+    indices (little-endian uint16) and the masks (one byte each)."""
+    canonical, parents, masks = level
+    return (len(parents).to_bytes(4, "little") + bytes(row for rows in canonical for row in rows)
+            + struct.pack(f"<{len(parents)}H", *parents) + bytes(masks))
+
+
+def _generated_payload() -> bytes:
+    """Every stored level built by `_grow` alone and packed by `_pack`."""
+    level, packed = _tree(0), []
+    for n in range(1, len(TABLE_COUNTS) + 1):
+        level = _grow(n, level[0])
+        packed.append(_pack(n, level))
+    return b"".join(packed)
+
+
+@lru_cache(maxsize=None)
+def _stored() -> tuple[bytes, tuple[int, ...]] | None:
+    """The table's payload and the offset of each level's rows, or None when
+    the file is missing, damaged or not the pinned table."""
+    import zlib  # only a command that reads a level needs it
+
+    try:
+        payload = zlib.decompress(TABLE.read_bytes())
+    except (OSError, zlib.error):
+        return None
+    if len(payload) != TABLE_LENGTH or zlib.crc32(payload) != TABLE_CRC32:
+        return None
+    offsets, at = [], 0
+    for n, count in enumerate(TABLE_COUNTS, 1):
+        if payload[at:at + 4] != count.to_bytes(4, "little"):
+            return None
+        offsets.append(at + 4)
+        at += 4 + count * (n + 3)
+    return payload, tuple(offsets)
+
+
+def _load(n: int) -> Level | None:
+    """Level n decoded from the table, or None when it holds no such level."""
+    stored = _stored() if n <= len(TABLE_COUNTS) else None
+    if stored is None:
+        return None
+    payload, offsets = stored
+    count, at = TABLE_COUNTS[n - 1], offsets[n - 1]
+    end = at + count * n
+    canonical = tuple(tuple(payload[i:i + n]) for i in range(at, end, n))
+    parents = struct.unpack_from(f"<{count}H", payload, end)
+    return canonical, parents, tuple(payload[end + 2 * count:end + 3 * count])
+
+
+@lru_cache(maxsize=None)
+def _tree(n: int) -> Level:
+    """The classes on n vertices in canonical-code order, as parallel tuples of
+    canonical rows, parent indices in `_tree(n - 1)` and the parents' masks:
+    read from the table when it holds level n and passes its check, built by
+    `_grow` otherwise."""
+    if n == 0:
+        return ((),), (), ()
+    return _load(n) or _grow(n, _tree(n - 1)[0])
 
 
 def _classes(n: int) -> tuple[Graph, ...]:
@@ -446,3 +526,11 @@ def ind_local_search(
     if _count_matches(pattern, st.best_adj) != st.best_copies:
         raise InternalCheckError("incremental copy count drifted; implementation bug")
     return IndResult(Fraction(st.best_copies, total), Graph(n, st.best_adj), "lower_bound")
+
+
+if __name__ == "__main__":
+    import zlib
+
+    payload = _generated_payload()
+    TABLE.write_bytes(zlib.compress(payload, 9))
+    print(f"{TABLE.name}: payload {len(payload)} bytes, crc32 {zlib.crc32(payload):#010x}")

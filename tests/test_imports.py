@@ -15,18 +15,19 @@ import inducibility
 BASE = {"cli", "errors", "graphs"}  # what parsing and printing need
 
 
-def loaded_after(source: str) -> list[str]:
-    """The inducibility submodules a fresh interpreter holds after `source`."""
+def modules_after(source: str) -> list[str]:
+    """The modules a fresh interpreter holds after `source`."""
     env = dict(os.environ, PYTHONPATH=str(Path(inducibility.__file__).parents[1]))
-    probe = (
-        f"import sys\n{source}\n"
-        "print(__import__('json').dumps(sorted(m for m in sys.modules"
-        " if m.startswith('inducibility.'))))"
-    )
+    probe = f"import sys\n{source}\nprint(__import__('json').dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(source: str) -> list[str]:
+    """The inducibility submodules a fresh interpreter holds after `source`."""
+    return [m for m in modules_after(source) if m.startswith("inducibility.")]
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -42,6 +43,17 @@ def loaded_after(source: str) -> list[str]:
 def test_command_loads_only_its_modules(argv, modules):
     source = f"from inducibility import cli\nassert cli.main({argv!r}) == 0"
     assert loaded_after(source) == sorted(f"inducibility.{m}" for m in BASE | modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ind", "Ch", "--n", "6", "--exact"],
+    ["ind", "Bg", "--n", "5", "--search", "--iters", "5"],
+    ["bounds", "phi", "--s", "2"],
+], ids=["ind-exact", "ind-search", "bounds-phi"])
+def test_command_loads_no_hashlib(argv):
+    """Importing hashlib maps OpenSSL's libcrypto, about 3 MB of RSS per process."""
+    source = f"from inducibility import cli\nassert cli.main({argv!r}) == 0"
+    assert not {"hashlib", "_hashlib"} & set(modules_after(source))
 
 
 def test_package_import_loads_no_submodule():

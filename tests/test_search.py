@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,12 @@ class TestEnumerate:
         assert digest.hexdigest() == (
             "a46b9b1d4818825e20d45d0ad0acca4ba80d95117c91a43a380ab9ed61b6a95b"
         )
+        # the stored class table, pinned, is the generator's output byte for byte
+        table = search.TABLE.read_bytes()
+        assert hashlib.sha256(table).hexdigest() == (
+            "fe7f45ca7270d290ebffecade0170f3c6f7c6012fac78421952b12a9cfa9210c"
+        )
+        assert search._generated_payload() == zlib.decompress(table)
         # golden digest of every representative and its canonical key, in
         # order: a change to the labelling changes the keys or the order
         digest = hashlib.sha256()
@@ -174,6 +181,67 @@ class TestEnumerate:
         # verify's aut_floor_from_taming covers n <= 7; the same predicate at n = 8
         bad = [to_graph6(h) for h in enumerate_graphs(8) if not _aut_floor_holds(h)]
         assert not bad
+
+
+@pytest.fixture
+def table(monkeypatch):
+    """`table(path)` points the class-table loader at `path` and clears the
+    level caches, which are cleared again after the test."""
+    def use(path):
+        monkeypatch.setattr(search, "TABLE", path)
+        search._stored.cache_clear()
+        search._tree.cache_clear()
+    yield use
+    search._stored.cache_clear()
+    search._tree.cache_clear()
+
+
+def _bad_table(kind, path, monkeypatch):
+    """Write at `path` a class table that the loader must reject."""
+    good = search.TABLE.read_bytes()
+    if kind == "flipped file byte":
+        path.write_bytes(good[:1000] + bytes([good[1000] ^ 1]) + good[1001:])
+    elif kind == "flipped payload byte":
+        # a row byte of level 7, recompressed: only the CRC-32 catches it
+        payload = bytearray(zlib.decompress(good))
+        payload[sum(4 + c * (n + 3) for n, c in enumerate(search.TABLE_COUNTS[:6], 1)) + 104] ^= 1
+        path.write_bytes(zlib.compress(payload))
+    elif kind == "truncated":
+        path.write_bytes(good[:len(good) // 2])
+    elif kind == "wrong counts":
+        # well formed, with the length and CRC-32 pinned for it, but level 4 lacks its last class
+        levels = [search._tree(n) for n in range(1, len(search.TABLE_COUNTS) + 1)]
+        levels[3] = tuple(part[:-1] for part in levels[3])
+        payload = b"".join(search._pack(n, level) for n, level in enumerate(levels, 1))
+        path.write_bytes(zlib.compress(payload))
+        monkeypatch.setattr(search, "TABLE_LENGTH", len(payload))
+        monkeypatch.setattr(search, "TABLE_CRC32", zlib.crc32(payload))
+    return path
+
+
+class TestClassTable:
+    CASES = ((Graph.path(4), 8), (Graph.cycle(5), 7), (parse_graph6("Dlo"), 6))
+
+    @pytest.mark.parametrize("kind", ["flipped file byte", "flipped payload byte", "truncated",
+                                      "missing", "wrong counts"])
+    def test_bad_table_changes_no_answer(self, kind, table, tmp_path, monkeypatch):
+        answers = [ind_exact(h, n) for h, n in self.CASES]
+        table(_bad_table(kind, tmp_path / "classes.zlib", monkeypatch))
+        assert search._stored() is None
+        level = search._tree(0)
+        for n in range(1, 8):
+            level = search._grow(n, level[0])
+            assert search._tree(n) == level, n
+        assert [ind_exact(h, n) for h, n in self.CASES] == answers
+
+    def test_levels_come_from_the_table(self, table, monkeypatch):
+        table(search.TABLE)
+
+        def generator_called(*args):
+            raise AssertionError("a level was built, not read from the table")
+
+        monkeypatch.setattr(search, "_augmentations", generator_called)
+        assert len(search._tree(8)[0]) == 12346
 
 
 class TestIndExact:
