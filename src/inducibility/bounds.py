@@ -16,8 +16,8 @@ overflows doubles near s = 150) with relative error well inside 1e-12.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -112,13 +112,7 @@ def uniform_degree_bound(tau: int, beta: float, eps: float) -> tuple[int, float]
     return f, 2.0 * (phi(tau) / beta) ** f
 
 
-@dataclass(frozen=True)
-class DegreeGapReport:
-    a: float
-    b: float
-    delta: float
-    s: int
-    S: frozenset[int]
+DegreeGapReport = namedtuple("DegreeGapReport", "a b delta s S")
 
 
 def find_degree_gap(h: Graph, eps: float | Fraction, C: float | Fraction) -> DegreeGapReport:
@@ -231,32 +225,29 @@ def non_uniform_predicate(h: Graph, beta: float, C: float) -> bool:
     return all(count <= limit for count in prof.k_hist.values())
 
 
-@dataclass(frozen=True)
-class SelectorParams:
-    C: float = 1.0
-    eps: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
+class SelectorParams(namedtuple("SelectorParams", "C eps alpha beta")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.C <= 0 or (self.eps is not None and self.eps <= 0):
+    def __new__(cls, C: float = 1.0, eps: float | None = None, alpha: float | None = None,
+                beta: float | None = None):
+        if C <= 0 or (eps is not None and eps <= 0):
             raise InputError("C and eps must be positive")
-        if self.alpha is not None and self.alpha < 0:
+        if alpha is not None and alpha < 0:
             raise InputError("alpha must be nonnegative")
-        if self.beta is not None and not 0 < self.beta <= 1:
+        if beta is not None and not 0 < beta <= 1:
             raise InputError("beta must be in (0, 1]")
+        return super().__new__(cls, C, eps, alpha, beta)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    regime: str
-    finite_value: float | None
-    asymptotic_only: bool = field(init=False)  # exactly when finite_value is None
-    inputs: dict[str, Any] = field(compare=False)
-    citation: str
+class BoundReport(namedtuple("BoundReport", "regime finite_value asymptotic_only inputs citation")):
+    """The chosen regime and its bound; `asymptotic_only` is derived, set
+    exactly when `finite_value` is None."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "asymptotic_only", self.finite_value is None)
+    __slots__ = ()
+
+    def __new__(cls, regime: str, finite_value: float | None, inputs: dict[str, Any],
+                citation: str):
+        return super().__new__(cls, regime, finite_value, finite_value is None, inputs, citation)
 
 
 def _nu_lower_bound(core: Graph) -> tuple[float, str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
@@ -106,11 +106,7 @@ def brightness_mc(h: Graph, samples: int, seed: int) -> MCEstimate:
     return run_bernoulli_streams(trial, samples, seed)
 
 
-@dataclass(frozen=True)
-class BrightnessBounds:
-    lb_m2: Fraction
-    lb_m1: Fraction
-    special_m1: Fraction
+BrightnessBounds = namedtuple("BrightnessBounds", "lb_m2 lb_m1 special_m1")
 
 
 def brightness_lower_bounds(h: Graph) -> BrightnessBounds:
@@ -133,14 +129,8 @@ def brightness_lower_bounds(h: Graph) -> BrightnessBounds:
     return BrightnessBounds(lb_m2=lb_m2, lb_m1=lb_m1, special_m1=special)
 
 
-@dataclass(frozen=True)
-class BrightnessReport:
-    exact: Fraction | None
-    mc: MCEstimate | None
-    lb_m2: Fraction
-    lb_m1: Fraction
-    special_m1: Fraction
-    lb_const: Fraction  # 1/12 when the floor applies (>= 2 edges), else 0
+# `lb_const` is 1/12 when the floor applies (>= 2 edges), else 0
+BrightnessReport = namedtuple("BrightnessReport", "exact mc lb_m2 lb_m1 special_m1 lb_const")
 
 
 def brightness_report(

@@ -4,9 +4,9 @@ Every command prints exactly one strict JSON document (never a bare NaN or
 Infinity) with the fields `command`, `inputs`, `outputs`, and `version`.
 Exact rationals are rendered as "p/q" strings, approximate values as
 decimals with 12 significant digits, and graphs as graph6, so commands pipe
-into each other losslessly.  A report dataclass is rendered as an object
-keyed by its field names, so each output schema is defined once, by the
-dataclass, `MCEstimate` included.  Output is byte-identical across runs
+into each other losslessly.  A report record (a named tuple) is rendered
+as an object keyed by its `_fields`, so each output schema is defined once,
+by the record, `MCEstimate` included.  Output is byte-identical across runs
 for fixed flags and seeds; wall-clock timing is therefore only included
 when --timing is passed, before or after the subcommand.
 
@@ -41,7 +41,6 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from importlib import import_module
 from typing import Any, NoReturn
@@ -66,16 +65,16 @@ DIGIT_LIMIT = 4300  # CPython's default cap on the digits str(int) converts
 
 def _fmt(value: Any) -> Any:
     """JSON-ready rendering: Fractions as p/q, floats at 12 significant digits,
-    graphs as graph6, and any other report dataclass as an object keyed by its
-    field names."""
+    graphs as graph6, and a report record (a named tuple) as an object keyed
+    by its `_fields`, checked before the other tuples."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         return float(format(value, ".12g"))
     if isinstance(value, Graph):
         return to_graph6(value)
-    if is_dataclass(value):
-        return {f.name: _fmt(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _fmt(v) for name, v in zip(value._fields, value)}
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
@@ -244,9 +243,9 @@ def _lambda(a: argparse.Namespace) -> dict:
 def _simulate(a: argparse.Namespace) -> dict:
     s = _lib("coloring", "simulate")(a.host, a.pattern, a.trials, a.seed, max_steps=a.max_steps)
     counts = {
-        f.name.removeprefix("count_"): getattr(s, f.name)
-        for f in fields(s)
-        if f.name.startswith("count_")
+        name.removeprefix("count_"): v
+        for name, v in zip(s._fields, s)
+        if name.startswith("count_")
     }
     ne = s.count_full_match
     return {
@@ -405,14 +404,6 @@ COMMANDS = {row.path: row for row in (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Every (sub)command parser takes --timing, so the flag may follow the
-    subcommand; it stays unset unless given, so a subparser never resets it."""
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
-                          help="include elapsed_ms in the output JSON")
-
     def error(self, message: str) -> NoReturn:
         """Report a malformed command line as the one-line JSON error, exit 2."""
         error = f"{self.prog}: {message}"
@@ -420,21 +411,44 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_BAD_INPUT)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every row of COMMANDS; a parsed leaf's `row` is its row."""
-    parser = _Parser(
+def _timed(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """`parser` with --timing, so the flag may follow the subcommand; it stays
+    unset unless given, so a subparser never resets it."""
+    parser.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
+                        help="include elapsed_ms in the output JSON")
+    return parser
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of COMMANDS: every group and leaf is a choice with its help,
+    and the parsers on the path the words of `argv` name (all of them when
+    `argv` is None) also get -h, --timing and their arguments.  No other
+    parser reads `argv`, since the ones above a leaf take no flag values.  A
+    parsed leaf's `row` is its row."""
+    words = None if argv is None else [w for w in argv if not w.startswith("-")]
+
+    def named(path: tuple[str, ...]) -> bool:
+        return words is None or tuple(words[: len(path)]) == path
+
+    parser = _timed(_Parser(
         prog="inducibility",
         description="Exact induced-density toolkit for small graphs"
         " (graphs in and out as graph6; '-' reads one line from stdin).",
-    )
+    ))
     levels = {(): parser.add_subparsers(dest="cmd", required=True)}
     for row in COMMANDS.values():
         *group, name = row.path
-        if tuple(group) not in levels:
+        group = tuple(group)
+        if group not in levels:
             dest, text = GROUPS[group[0]]
-            p = levels[()].add_parser(group[0], help=text)
-            levels[tuple(group)] = p.add_subparsers(dest=dest, required=True)
-        p = levels[tuple(group)].add_parser(name, help=row.help, description=row.help)
+            p = levels[()].add_parser(group[0], help=text, add_help=named(group))
+            if named(group):
+                _timed(p)
+            levels[group] = p.add_subparsers(dest=dest, required=True)
+        if not named(row.path):
+            levels[group].add_parser(name, help=row.help, add_help=False)
+            continue
+        p = _timed(levels[group].add_parser(name, help=row.help, description=row.help))
         p.set_defaults(row=row)
         if row.modes:
             mode = p.add_mutually_exclusive_group(required=True)
@@ -472,7 +486,8 @@ def _inputs(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     start = time.monotonic()
     try:
         inputs = _inputs(args)

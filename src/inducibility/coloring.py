@@ -27,7 +27,7 @@ black; any violation is counted and indicates an implementation bug.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, _canon_cached, _induced_rows
@@ -44,22 +44,12 @@ RED = "red"
 NONBLACK = "nonblack"  # a term before L in a truncated trace
 
 
-@dataclass(frozen=True)
-class ColoredTrace:
-    steps: tuple[tuple[int, str], ...]
-    stop_index: int | None  # 1-based step holding the (k-2)nd black term
-    black_prefix: tuple[int, ...]  # black terms up to the stop index
-    green_count: int | None
-    red_count: int | None
-    prefix_match_km2: bool
-    prefix_match_km1: bool
-    prefix_match_k: bool
-    full_match: bool
-    two_green: bool
-    one_red: bool
-    consecutive_nonblack: bool
-    truncated: bool
-    isolated_nonblack_violations: int
+# `stop_index` is the 1-based step holding the (k-2)nd black term, None when
+# truncated, and `black_prefix` the black terms up to it
+ColoredTrace = namedtuple("ColoredTrace", (
+    "steps stop_index black_prefix green_count red_count prefix_match_km2 prefix_match_km1"
+    " prefix_match_k full_match two_green one_red consecutive_nonblack truncated"
+    " isolated_nonblack_violations"))
 
 
 def _core_key(adj: tuple[int, ...], mask: int) -> bytes:
@@ -79,7 +69,9 @@ def _core_key(adj: tuple[int, ...], mask: int) -> bytes:
 class _ColorContext:
     """Pattern-derived core keys, the trace step limit (see `run_trial`)
     and a per-host memo of core keys, cleared wholesale once it holds
-    `CORE_MEMO_LIMIT` masks."""
+    `CORE_MEMO_LIMIT` masks.  An edgeless mask has the empty core, so a black
+    set that stays edgeless is answered without a key or a memo entry: the
+    context keeps the last such set, the black set of a trace's next call."""
 
     def __init__(self, g: Graph, h: Graph, max_steps: int | None = None):
         if h.n < 3 or h.edge_count() < 2:
@@ -97,10 +89,15 @@ class _ColorContext:
             _core_key(h.adj, full ^ (1 << v)) for v in classify_vertices(h).detectable
         )
         self._core_by_mask: dict[int, bytes] = {}
+        self.empty_core = _core_key(h.adj, 0)
+        self.empty_is_black = self.empty_core not in self.deleted_codes | {self.core_code}
+        self._edgeless_black = 0  # a black set known to have no edge
 
     def core_code_of_mask(self, mask: int) -> bytes:
         code = self._core_by_mask.get(mask)
         if code is None:
+            if mask == self._edgeless_black:
+                return self.empty_core
             code = _core_key(self.g.adj, mask)
             if len(self._core_by_mask) >= CORE_MEMO_LIMIT:
                 self._core_by_mask.clear()
@@ -108,6 +105,12 @@ class _ColorContext:
         return code
 
     def is_black(self, black_mask: int, v: int) -> bool:
+        if (black_mask == 0 or black_mask == self._edgeless_black) and not (
+            self.g.adj[v] & black_mask
+        ):
+            if self.empty_is_black:
+                self._edgeless_black = black_mask | (1 << v)
+            return self.empty_is_black
         code = self.core_code_of_mask(black_mask | (1 << v))
         return code != self.core_code and code not in self.deleted_codes
 
@@ -195,24 +198,16 @@ def run_trial(
     return record_trace(_ColorContext(g, h, max_steps), random.Random(seed))
 
 
-@dataclass(frozen=True)
-class ColoringSummary:
-    trials: int
-    seed: int
-    truncated: int
-    count_prefix_match_km2: int
-    count_prefix_match_km1: int
-    count_prefix_match_k: int
-    count_full_match: int
-    count_two_green: int
-    count_one_red: int
-    count_consecutive_nonblack: int
-    count_two_green_and_match: int
-    count_one_red_and_match: int
-    count_consecutive_and_match: int
-    count_two_green_no_consecutive: int
-    match_outside_signatures: int  # traces with the match but neither signature
-    isolated_nonblack_violations: int
+class ColoringSummary(namedtuple("ColoringSummary", (
+        "trials seed truncated count_prefix_match_km2 count_prefix_match_km1"
+        " count_prefix_match_k count_full_match count_two_green count_one_red"
+        " count_consecutive_nonblack count_two_green_and_match count_one_red_and_match"
+        " count_consecutive_and_match count_two_green_no_consecutive"
+        " match_outside_signatures isolated_nonblack_violations"))):
+    """Trace counts of one `simulate` run; `match_outside_signatures` counts the
+    traces with the match but neither signature."""
+
+    __slots__ = ()
 
     def freq(self, count: int) -> float:
         return count / self.trials

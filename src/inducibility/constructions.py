@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -34,15 +34,12 @@ from .structure import is_tamed_by
 DENSITY_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
-    graph: Graph | None  # None when n exceeds the 64-vertex universe
-    target: Graph | None  # None when k exceeds the 64-vertex universe
-    achieved: Fraction  # exact probability of the defining pick event
-    limit_formula: float
-    sigma: float | None
-    target_density: Fraction | None  # full induced density, when affordable
-    seed: int | None = None
+# `graph` is None when n, and `target` when k, exceeds the 64-vertex universe;
+# `achieved` is the exact probability of the defining pick event, and
+# `target_density` the full induced density, when affordable
+ConstructionReport = namedtuple(
+    "ConstructionReport", "graph target achieved limit_formula sigma target_density seed",
+    defaults=(None,))
 
 
 def _round_half_up(x: float) -> int:

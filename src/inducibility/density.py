@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -26,11 +25,7 @@ from .mc import MCEstimate, randbelow, run_bernoulli_streams
 DEFAULT_SUBSET_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class DensityResult:
-    copies: int
-    total: int
-    density: Fraction
+DensityResult = namedtuple("DensityResult", "copies total density")
 
 
 def _check_sizes(h: Graph, g: Graph) -> None:
@@ -141,16 +136,22 @@ class _Pattern:
         return [None] * (self.k - j + 1 - len(known)) + known
 
 
+def _induces(pattern: _Pattern, adj: Sequence[int], verts: Sequence[int], mask: int) -> bool:
+    """Whether the k host vertices `verts`, with bitmask `mask`, induce the
+    pattern: one subset, such as a Monte-Carlo sample; its degree multiset
+    is tested first."""
+    return (sum(1 << 7 * (adj[v] & mask).bit_count() for v in verts) in pattern._levels[0]
+            and _canon_cached(pattern.k, _induced_rows(adj, verts)) == pattern.key)
+
+
 def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] = ()) -> int:
     """Number of k-subsets of the host `adj` that contain every vertex of
     `forced` and induce the pattern."""
     k, f, n = pattern.k, len(forced), len(adj)
     if f > k:
         return 0
-    if f == k:  # one subset, as a Monte-Carlo sample is: its degree multiset comes first
-        mask = sum(1 << v for v in forced)
-        return int(sum(1 << 7 * (adj[v] & mask).bit_count() for v in forced) in pattern._levels[0]
-                   and _canon_cached(k, _induced_rows(adj, forced)) == pattern.key)
+    if f == k:
+        return int(_induces(pattern, adj, forced, sum(1 << v for v in forced)))
     keys = pattern.levels(f, math.comb(n - f, k - f))
     rows = _induced_rows(adj, forced)
     if keys[0] is not None and _degrees(rows) not in keys[0]:
@@ -219,15 +220,24 @@ def induced_density(h: Graph, g: Graph) -> DensityResult:
     return DensityResult(copies=copies, total=total, density=Fraction(copies, total))
 
 
-def sample_k_subset(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
-    """Uniform k-subset of range(n) by partial Fisher-Yates; O(k) extra memory."""
+def _sample(rng: random.Random, n: int, k: int) -> tuple[tuple[int, ...], int]:
+    """Uniform k-subset of range(n), sorted, and its bitmask, by partial
+    Fisher-Yates; O(k) extra memory."""
     moved: dict[int, int] = {}  # position -> the id swapped into it; the rest hold their own
     picks = []
+    mask = 0
     for i in range(k):
         j = i + randbelow(rng, n - i)
-        picks.append(moved.get(j, j))
+        pick = moved.get(j, j)
+        picks.append(pick)
+        mask |= 1 << pick
         moved[j] = moved.get(i, i)
-    return tuple(sorted(picks))
+    return tuple(sorted(picks)), mask
+
+
+def sample_k_subset(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
+    """Uniform k-subset of range(n), sorted."""
+    return _sample(rng, n, k)[0]
 
 
 def induced_density_mc(
@@ -242,6 +252,6 @@ def induced_density_mc(
     adj = g.adj
 
     def trial(rng: random.Random) -> bool:
-        return _count_matches(pattern, adj, sample_k_subset(rng, n, k)) == 1
+        return _induces(pattern, adj, *_sample(rng, n, k))
 
     return run_bernoulli_streams(trial, samples, seed)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -35,28 +35,49 @@ from .errors import Graph6Error, InputError
 MAX_VERTICES = 64
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
-    """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of vertex v."""
+    """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of vertex v.
 
-    n: int
-    adj: tuple[int, ...]
+    Two graphs are equal when their `n` and `adj` are."""
 
-    def __post_init__(self) -> None:
-        n = self.n
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
         if not 0 <= n <= MAX_VERTICES:
             raise InputError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
-        if len(self.adj) != n:
-            raise InputError(f"adjacency has {len(self.adj)} rows, expected {n}")
-        for v, row in enumerate(self.adj):
+        if len(adj) != n:
+            raise InputError(f"adjacency has {len(adj)} rows, expected {n}")
+        for v, row in enumerate(adj):
             if row < 0 or row >> n:
                 raise InputError(f"row {v} has bits at or above index {n}")
             if (row >> v) & 1:
                 raise InputError(f"self-loop at vertex {v}")
         for v in range(n):
             for u in range(v):
-                if ((self.adj[v] >> u) & 1) != ((self.adj[u] >> v) & 1):
+                if ((adj[v] >> u) & 1) != ((adj[u] >> v) & 1):
                     raise InputError(f"adjacency not symmetric at pair ({u}, {v})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, adj={self.adj!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n, self.adj)
 
     # -- basic accessors -------------------------------------------------
 
@@ -262,21 +283,17 @@ def _induced_rows(adj: Sequence[int], verts: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True, eq=True)
-class DegreeProfile:
-    """Degree statistics consumed throughout the package."""
+class DegreeProfile(namedtuple("DegreeProfile",
+                                "degrees max_degree edge_count m m1 m_ge2 k_hist")):
+    """Degree statistics consumed throughout the package; `k_hist` maps each
+    degree to its number of vertices."""
 
-    degrees: tuple[int, ...]
-    max_degree: int
-    edge_count: int
-    m: int
-    m1: int
-    m_ge2: int
-    k_hist: dict[int, int] = field(compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if sum(self.degrees) != 2 * self.edge_count:
+    def __new__(cls, degrees, max_degree, edge_count, m, m1, m_ge2, k_hist):
+        if sum(degrees) != 2 * edge_count:
             raise InputError("degree sum is not twice the edge count")
+        return super().__new__(cls, degrees, max_degree, edge_count, m, m1, m_ge2, k_hist)
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -13,7 +13,7 @@ guards that equivalence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterator
 
 STREAM_COUNT = 16
@@ -73,13 +73,7 @@ def wilson_interval(successes: int, samples: int) -> tuple[float, float]:
     return (max(0.0, lo), min(1.0, hi))
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    estimate: float
-    ci_low: float
-    ci_high: float
-    samples: int
-    seed: int
+MCEstimate = namedtuple("MCEstimate", "estimate ci_low ci_high samples seed")
 
 
 def run_bernoulli_streams(

@@ -11,7 +11,7 @@ signal bad input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError
@@ -19,20 +19,17 @@ from .errors import InputError, InternalCheckError
 FLOAT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class HypergeomParams:
-    population: int
-    successes: int
-    sample: int
-    hits: int
+class HypergeomParams(namedtuple("HypergeomParams", "population successes sample hits")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.population, self.successes, self.sample, self.hits) < 0:
+    def __new__(cls, population: int, successes: int, sample: int, hits: int):
+        if min(population, successes, sample, hits) < 0:
             raise InputError("hypergeometric parameters must be nonnegative")
-        if not self.hits <= self.sample <= self.population:
+        if not hits <= sample <= population:
             raise InputError("need hits <= sample <= population")
-        if self.successes > self.population:
+        if successes > population:
             raise InputError("successes exceed population")
+        return super().__new__(cls, population, successes, sample, hits)
 
 
 def binom_point(k: int, p: Fraction, s: int) -> Fraction:
@@ -105,13 +102,7 @@ def poly_exp_check(s: int, x: float) -> tuple[float, float, bool]:
     return lhs, rhs, lhs <= rhs + FLOAT_TOL * max(1.0, rhs)
 
 
-@dataclass(frozen=True)
-class LambdaSplit:
-    y: float
-    z: float
-    lo: float
-    hi: float
-    lam: float
+LambdaSplit = namedtuple("LambdaSplit", "y z lo hi lam")
 
 
 def lambda_split(y: float, z: float) -> LambdaSplit:

@@ -55,12 +55,12 @@ import json
 import math
 import random
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, InternalCheckError, UnsupportedSizeError
@@ -90,11 +90,7 @@ TABLE_CRC32 = 0x60BA27F0
 Level = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class IndResult:
-    value: Fraction
-    witness: Graph
-    mode: str  # "exact" or "lower_bound"
+IndResult = namedtuple("IndResult", "value witness mode")  # mode: "exact" or "lower_bound"
 
 
 def _child(rows: tuple[int, ...], mask: int) -> tuple[int, ...]:
@@ -335,18 +331,15 @@ def _flip_delta(pattern: _Pattern, adj: list[int], u: int, v: int) -> int:
     return _count_matches(pattern, flipped, (u, v)) - _count_matches(pattern, adj, (u, v))
 
 
-@dataclass
 class _SearchState:
-    h: Graph
-    n: int
-    iteration: int
-    temperature: float
-    rng: random.Random
-    current: list[int]
-    current_copies: int
-    best_adj: tuple[int, ...]
-    best_copies: int
-    since_improve: int
+    """The annealing's mutable state, as a checkpoint stores it."""
+
+    __slots__ = ("h", "n", "iteration", "temperature", "rng", "current", "current_copies",
+                 "best_adj", "best_copies", "since_improve")
+
+    def __init__(self, **fields: Any) -> None:
+        for name, value in fields.items():
+            setattr(self, name, value)
 
 
 def _seed_graph(rng: random.Random, n: int) -> list[int]:

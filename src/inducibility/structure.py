@@ -10,7 +10,7 @@ non-isolated core) and exists to cross-check the cheap characterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .density import _count_matches, _Pattern
 from .errors import InputError, InternalCheckError, PreconditionError, UnsupportedSizeError
@@ -19,19 +19,8 @@ from .graphs import Graph, _induced_rows, _twins, induced_subgraph, non_isolated
 OBSCURE_ORACLE_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class TameWitness:
-    v0: frozenset[int]
-    valid: bool
-    source: str  # "closure" or "exact_min"
-
-
-@dataclass(frozen=True)
-class VertexClassification:
-    happy: frozenset[int]
-    degree_one: frozenset[int]
-    detectable: frozenset[int]
-    obscure: frozenset[int]
+TameWitness = namedtuple("TameWitness", "v0 valid source")  # source: "closure" or "exact_min"
+VertexClassification = namedtuple("VertexClassification", "happy degree_one detectable obscure")
 
 
 def _vertex_set_mask(h: Graph, vs) -> int:

@@ -16,7 +16,7 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from typing import Callable
@@ -60,11 +60,7 @@ MAX_N = 7  # the structure checks run over every graph with at most MAX_N vertic
 MAX_M = 7  # the brightness checks run over every core with at most MAX_M vertices
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name ok detail")
 
 
 Check = Callable[[], CheckResult]

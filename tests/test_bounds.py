@@ -7,6 +7,7 @@ import pytest
 
 from inducibility import verify
 from inducibility.bounds import (
+    BoundReport,
     SelectorParams,
     find_degree_gap,
     find_sparse_alpha,
@@ -225,6 +226,32 @@ class TestNonUniformPredicate:
 def test_domain_errors(call):
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"C": 0.0}, r"C and eps must be positive"),
+    ({"eps": -0.5}, r"C and eps must be positive"),
+    ({"alpha": -1.0}, r"alpha must be nonnegative"),
+    ({"beta": 0.0}, r"beta must be in \(0, 1\]"),
+    ({"beta": 1.5}, r"beta must be in \(0, 1\]"),
+])
+def test_selector_params_messages(kwargs, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        SelectorParams(**kwargs)
+
+
+def test_selector_params_defaults():
+    p = SelectorParams()
+    assert (p.C, p.eps, p.alpha, p.beta) == (1.0, None, None, None)
+    assert SelectorParams(2.0, 0.1, 0.2, 0.5).beta == 0.5
+
+
+@pytest.mark.parametrize("finite_value", [None, 0.25])
+def test_bound_report_derives_asymptotic_only(finite_value):
+    rep = BoundReport(regime="r", finite_value=finite_value, inputs={"k": 3}, citation="c")
+    assert rep.asymptotic_only is (finite_value is None)
+    assert (rep.regime, rep.finite_value, rep.inputs, rep.citation) == (
+        "r", finite_value, {"k": 3}, "c")
 
 
 class TestSelector:

@@ -596,6 +596,28 @@ class TestCommandTable:
         for flag in [*row.modes, *(arg.flag for arg in row.args)]:
             assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text), flag
 
+    GROUP_PATHS = [(), *((group,) for group in cli.GROUPS)]
+
+    @staticmethod
+    def choices(group):
+        return {path[len(group)] for path in cli.COMMANDS if path[: len(group)] == group}
+
+    @pytest.mark.parametrize("group", GROUP_PATHS, ids=lambda g: " ".join(g) or "top")
+    def test_group_help_lists_every_choice(self, capsys, group):
+        with pytest.raises(SystemExit) as exc:
+            main([*group, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for name in self.choices(group):
+            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text), name
+
+    @pytest.mark.parametrize("group", GROUP_PATHS, ids=lambda g: " ".join(g) or "top")
+    def test_unknown_choice_error_lists_every_choice(self, capsys, group):
+        error = run_bad_flags(capsys, *group, "no-such-command")
+        assert "invalid choice: 'no-such-command'" in error
+        for name in self.choices(group):
+            assert f"'{name}'" in error, name
+
     def test_readme_examples_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("\n## CLI\n", 1)[1].split("```")[1]

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import hashlib
 import math
@@ -127,7 +126,7 @@ class TestRunTrial:
         for g, h, seeds, max_steps in cases:
             for seed in range(seeds):
                 tr = run_trial(g, h, seed, max_steps)
-                digest.update(repr(dataclasses.astuple(tr)).encode())
+                digest.update(repr(tuple(tr)).encode())
         assert digest.hexdigest() == (
             "746b7e4d54ba3d15ad16a7072302e345afba7a5457e4450165bf83d5f1dfa84e"
         )
@@ -153,7 +152,7 @@ class TestRunTrial:
                 bare, recorded = random.Random(seed), random.Random(seed)
                 flags = _run(ctx, bare)
                 tr = record_trace(ctx, recorded)
-                assert flags == (tr.stop_index, *dataclasses.astuple(tr)[3:]), seed
+                assert flags == (tr.stop_index, *tuple(tr)[3:]), seed
                 assert bare.getstate() == recorded.getstate(), seed
                 assert tr == run_trial(g, h, seed, max_steps), seed
 
@@ -220,7 +219,7 @@ class TestSimulate:
                 if tr.full_match and not tr.truncated:
                     total["match_outside_signatures"] += not (tr.two_green or tr.one_red)
                 total["isolated_nonblack_violations"] += tr.isolated_nonblack_violations
-            names = [f.name for f in dataclasses.fields(ColoringSummary)][2:]
+            names = ColoringSummary._fields[2:]
             expected = ColoringSummary(trials, seed, *(total[name] for name in names))
             assert simulate(g, pattern, trials, seed, max_steps) == expected
             assert (total["truncated"] > 0) == (max_steps is not None)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -7,6 +8,7 @@ import pytest
 
 from inducibility.errors import Graph6Error, InputError
 from inducibility.graphs import (
+    DegreeProfile,
     Graph,
     _canonical_search,
     _encode_order,
@@ -155,6 +157,39 @@ class TestBasicOps:
         assert non_isolated_core(with_isolated(Graph.path(3), 2)) == Graph.path(3)
         assert non_isolated_core(Graph.empty(5)) == Graph.empty(0)
         assert non_isolated_core(Graph.complete(3)) == Graph.complete(3)
+
+
+class TestRecords:
+    def test_graph_equality_and_hash(self):
+        g = Graph(2, (2, 1))
+        assert g == Graph.path(2) and hash(g) == hash(Graph.path(2))
+        assert len({g, Graph.path(2), Graph.empty(2)}) == 2
+        assert g != Graph.empty(2) and g != Graph.path(3)
+        assert g != (2, (2, 1)) and g != "Graph(n=2, adj=(2, 1))"
+
+    def test_graph_repr(self):
+        assert repr(Graph.path(2)) == "Graph(n=2, adj=(2, 1))"
+        assert repr(Graph.empty(0)) == "Graph(n=0, adj=())"
+
+    @pytest.mark.parametrize("name", ["n", "adj"])
+    def test_graph_fields_cannot_be_assigned(self, name):
+        g = Graph.path(3)
+        with pytest.raises(AttributeError):
+            setattr(g, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+        assert g == Graph.path(3)
+
+    def test_graph_pickles(self):
+        g = Graph.cycle(5)
+        assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_degree_profile_checks_the_degree_sum(self):
+        with pytest.raises(InputError, match="^degree sum is not twice the edge count$"):
+            DegreeProfile((1, 1), 1, 2, 2, 2, 0, {1: 2})
+        prof = DegreeProfile(degrees=(1, 1), max_degree=1, edge_count=1, m=2, m1=2, m_ge2=0,
+                             k_hist={1: 2})
+        assert prof == degree_profile(Graph.path(2))
 
 
 class TestCanonical:

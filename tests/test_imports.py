@@ -4,6 +4,7 @@ names resolve on first use."""
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ def loaded_after(source: str) -> list[str]:
     return [m for m in modules_after(source) if m.startswith("inducibility.")]
 
 
-@pytest.mark.parametrize("argv, modules", [
+COMMANDS = [
     (["density", "Bg", "DQc"], {"density", "mc"}),
     (["density", "Bg", "DQc", "--mc", "100"], {"density", "mc"}),
     (["ind", "Bg", "--n", "5", "--search", "--iters", "5"], {"density", "mc", "search"}),
@@ -38,8 +39,12 @@ def loaded_after(source: str) -> list[str]:
     (["classify", "Bw", "--mc", "10"], {"brightness", "density", "mc", "structure"}),
     (["bounds", "phi", "--s", "2"], {"bounds"}),
     (["proba", "binom", "--k", "3", "--p", "1/3", "--s", "1"], {"proba"}),
-], ids=["density", "density-mc", "ind-search", "ind-exact", "classify", "bounds-phi",
-         "proba-binom"])
+]
+COMMAND_IDS = ["density", "density-mc", "ind-search", "ind-exact", "classify", "bounds-phi",
+               "proba-binom"]
+
+
+@pytest.mark.parametrize("argv, modules", COMMANDS, ids=COMMAND_IDS)
 def test_command_loads_only_its_modules(argv, modules):
     source = f"from inducibility import cli\nassert cli.main({argv!r}) == 0"
     assert loaded_after(source) == sorted(f"inducibility.{m}" for m in BASE | modules)
@@ -54,6 +59,24 @@ def test_command_loads_no_hashlib(argv):
     """Importing hashlib maps OpenSSL's libcrypto, about 3 MB of RSS per process."""
     source = f"from inducibility import cli\nassert cli.main({argv!r}) == 0"
     assert not {"hashlib", "_hashlib"} & set(modules_after(source))
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv for argv, _ in COMMANDS),
+    ["simulate-coloring", "DQc", "Cl", "--trials", "20"],
+    ["verify", "appendix"],
+], ids=[*COMMAND_IDS, "simulate-coloring", "verify"])
+def test_command_loads_no_dataclasses(argv):
+    """`dataclasses` imports inspect, ast, dis and tokenize, about 8 ms of every
+    process's start-up; report records are named tuples instead."""
+    source = f"from inducibility import cli\nassert cli.main({argv!r}) == 0"
+    extra = set(modules_after(source)) - set(modules_after("pass"))
+    assert not {"dataclasses", "inspect"} & extra
+
+
+def test_no_module_imports_dataclasses():
+    for path in Path(inducibility.__file__).parent.glob("*.py"):
+        assert not re.search(r"^\s*(from|import) dataclasses\b", path.read_text(), re.M), path
 
 
 def test_package_import_loads_no_submodule():

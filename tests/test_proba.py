@@ -72,6 +72,18 @@ class TestHypergeom:
         with pytest.raises(InputError):
             HypergeomParams(4, 2, 5, 1)
 
+    @pytest.mark.parametrize("args, message", [
+        ((4, 2, 2, -1), "hypergeometric parameters must be nonnegative"),
+        ((4, 2, 2, 3), r"need hits <= sample <= population"),
+        ((4, 2, 5, 1), r"need hits <= sample <= population"),
+        ((4, 5, 2, 1), "successes exceed population"),
+    ])
+    def test_validation_messages(self, args, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            HypergeomParams(*args)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            HypergeomParams(**dict(zip(("population", "successes", "sample", "hits"), args)))
+
 
 class TestMultiHypergeom:
     def test_plugin(self):

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -93,12 +92,12 @@ def _first_part_only(n, k, parts, s):
 
 def _classified(**parts):
     """classify_vertices with the given classes replaced, each a function of h."""
-    return lambda h: replace(classify_vertices(h), **{c: f(h) for c, f in parts.items()})
+    return lambda h: classify_vertices(h)._replace(**{c: f(h) for c, f in parts.items()})
 
 
 def _summary(trials=20000, **counts):
     """A stub `simulate`: a summary with the given counts and every other count 0."""
-    zero = {f.name: 0 for f in fields(ColoringSummary) if f.name not in ("trials", "seed")}
+    zero = {name: 0 for name in ColoringSummary._fields if name not in ("trials", "seed")}
     return lambda g, h, n, seed, max_steps=None: ColoringSummary(
         trials, seed, **{**zero, **counts}
     )
@@ -120,7 +119,7 @@ _MUTATIONS = [
                  id="phi-shifted"),
     pytest.param("poly_exp_check", lambda s, x: (1.0, 0.0, False), verify._check_poly_exp_grid,
                  id="poly-exp-fails"),
-    pytest.param("lambda_split", lambda y, z: replace(lambda_split(y, z), lam=1.5),
+    pytest.param("lambda_split", lambda y, z: lambda_split(y, z)._replace(lam=1.5),
                  verify._check_lambda_grid, id="lambda-outside"),
     pytest.param("binom_point_max_bound", lambda k, s: binom_point_max_bound(k, s) / 2,
                  verify._check_binomial_mode_sweep, id="mode-cap-halved"),
@@ -130,7 +129,7 @@ _MUTATIONS = [
                  verify._check_happy_floor, id="no-happy-vertex"),
     pytest.param("classify_vertices", _classified(detectable=lambda h: frozenset(range(h.n))),
                  verify._check_detectable_deletion, id="every-vertex-detectable"),
-    pytest.param("tame_witness_from", lambda h, s: replace(tame_witness_from(h, s), valid=False),
+    pytest.param("tame_witness_from", lambda h, s: tame_witness_from(h, s)._replace(valid=False),
                  verify._check_closure_witness, id="witness-invalid"),
     pytest.param("minimal_taming_number", lambda h: (minimal_taming_number(h)[0] + 1, None),
                  verify._check_aut_vs_taming, id="taming-number-plus-one"),
