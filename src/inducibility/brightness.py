@@ -9,6 +9,11 @@ earlier neighbor depends only on the set of vertices placed before it, so
 the exact value counts bright orderings of the core by a DP over its 2^m
 prefix sets (as in the Held-Karp subset DP) instead of walking all m!
 orderings.
+
+The Monte-Carlo estimate draws each labeling as CPython's `random.shuffle`
+of `range(n)` would, and decides it while the shuffle runs (`_bright_trial`);
+`tests/test_brightness_stream.py` guards that the draws are the same.  The
+package's other draws are listed in `mc`.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ import math
 import random
 from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError, PreconditionError, UnsupportedSizeError
 from .graphs import Graph, _induced_rows, degree_profile
-from .mc import MCEstimate, run_bernoulli_streams, shuffle
+from .mc import MCEstimate, run_bernoulli_streams
 from .structure import classify_vertices
 
 BRIGHTNESS_EXACT_LIMIT = 10
@@ -90,20 +95,61 @@ def brightness_exact(h: Graph) -> Fraction:
     return Fraction(counts[full][3], math.factorial(m))
 
 
+def _bright_trial(adj: Sequence[int], detect_mask: int) -> Callable[[random.Random], bool]:
+    """The Monte-Carlo trial: whether the labeling that `rng.shuffle` makes of
+    `list(range(len(adj)))` is bright, making exactly that shuffle's draws.
+
+    Fisher-Yates fixes positions n-1, n-2, ... first, each with the
+    `_randbelow` rejection loop over `getrandbits`.  The vertices not yet
+    placed are the ones before the position just fixed, so its vertex v has
+    an earlier neighbor iff `adj[v] & unplaced`.  Scanning from the end, the
+    first two such vertices are the last two of the labeling, and the outcome
+    is known once one of them is not detectable or both are; the later
+    positions then only make their draws, without the swaps.
+    """
+    n = len(adj)
+    verts = list(range(n))
+    everyone = (1 << n) - 1
+    # (position i, bit length of i + 1): the draws of i = n-1 down to 1
+    steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+
+    def trial(rng: random.Random) -> bool:
+        getrandbits = rng.getrandbits
+        items = verts[:]
+        unplaced = everyone
+        found = False
+        rest = iter(steps)
+        for i, k in rest:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            v = items[j]
+            items[j] = items[i]
+            unplaced ^= 1 << v
+            if adj[v] & unplaced:
+                if not (detect_mask >> v) & 1:
+                    bright = False
+                    break
+                if found:
+                    bright = True
+                    break
+                found = True
+        else:
+            return False
+        for i, k in rest:
+            while getrandbits(k) > i:
+                pass
+        return bright
+
+    return trial
+
+
 def brightness_mc(h: Graph, samples: int, seed: int) -> MCEstimate:
     """Estimate over uniformly random labelings, 95% Wilson interval."""
     if samples < 1:
         raise InputError("samples must be >= 1")
     detect_mask = sum(1 << v for v in classify_vertices(h).detectable)
-    verts = list(range(h.n))
-    adj = h.adj
-
-    def trial(rng: random.Random) -> bool:
-        order = verts[:]
-        shuffle(rng, order)
-        return _bright_given_masks(adj, order, detect_mask)
-
-    return run_bernoulli_streams(trial, samples, seed)
+    return run_bernoulli_streams(_bright_trial(h.adj, detect_mask), samples, seed)
 
 
 BrightnessBounds = namedtuple("BrightnessBounds", "lb_m2 lb_m1 special_m1")
@@ -141,6 +187,11 @@ def brightness_report(
     if mc_samples < 0:
         raise InputError(f"mc samples must be >= 0, got {mc_samples}")
     prof = degree_profile(h)
+    if prof.m > BRIGHTNESS_EXACT_LIMIT and mc_samples < 1:
+        raise InputError(
+            f"the core has {prof.m} non-isolated vertices, over the exact limit of"
+            f" {BRIGHTNESS_EXACT_LIMIT}: mc samples must be >= 1, got {mc_samples}"
+        )
     if prof.edge_count < 2:
         raise PreconditionError("brightness report requires at least 2 edges")
     bounds = brightness_lower_bounds(h)

@@ -318,7 +318,9 @@ GROUPS = {
     "bounds": ("formula", "closed-form bound formulas"),
     "proba": ("kind", "exact probability kernels"),
 }
-_MC = (Arg("--mc", default=100_000), Arg("--seed", default=0))
+_MC = (Arg("--mc", default=100_000,
+           help="Monte-Carlo samples for a core over the exact size limit"),
+       Arg("--seed", default=0, help="seed of the Monte-Carlo samples"))
 
 COMMANDS = {row.path: row for row in (
     Row(("classify",), "degree stats, vertex classes, taming, brightness",

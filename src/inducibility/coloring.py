@@ -31,7 +31,7 @@ from collections import namedtuple
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, _canon_cached, _induced_rows
-from .mc import randbelow, trial_rngs
+from .mc import trial_rngs
 from .structure import classify_vertices
 
 # the core-code memo is cleared when it outgrows this many masks, about
@@ -125,6 +125,8 @@ def _run(ctx: _ColorContext, rng: random.Random, steps: list | None = None) -> t
     list is given, and terms left uncoloured are recorded as "nonblack"."""
     k, core_code = ctx.k, ctx.core_code
     adj, n = ctx.g.adj, ctx.g.n
+    # each step draws `rng.randrange(n)`: CPython's `_randbelow` rejection loop
+    getrandbits, n_bits = rng.getrandbits, n.bit_length()
     is_black, color, core_of = ctx.is_black, ctx.color, ctx.core_code_of_mask
     waiting: list[int] = []  # the non-black terms before L
     matches: list[bool] = []  # the prefix matches at j = k-2, k-1, k
@@ -137,7 +139,9 @@ def _run(ctx: _ColorContext, rng: random.Random, steps: list | None = None) -> t
     i, limit = 0, ctx.max_steps
     while i < limit:
         i += 1
-        v = randbelow(rng, n)
+        v = getrandbits(n_bits)
+        while v >= n:
+            v = getrandbits(n_bits)
         bit = 1 << v
         if i <= k and drawn_mask & bit:
             distinct_prefix = False

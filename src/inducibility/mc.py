@@ -4,10 +4,16 @@ Sampling work is split over a fixed number of independent substreams whose
 seeds derive only from (seed, stream index), and results are aggregated in
 stream-index order, so every estimate is bit-identical for a fixed seed.
 The streams run one after another in one thread.  Every uniform index or
-permutation a sampler draws goes through `randbelow` or `shuffle`, which
-reproduce CPython's `randrange` and `shuffle` streams (same values, same
-final generator state) with fewer Python calls per draw; tests/test_mc.py
-guards that equivalence.
+permutation the package draws reproduces CPython's `randrange` or
+`shuffle` stream (same values, same final generator state) with fewer
+Python calls per draw.  Those draws are made in three places:
+
+- `randbelow` here, CPython's `randrange(w)`, for the subset sampler of
+  `density` and the moves of `search`; `tests/test_mc.py` guards it;
+- `brightness._bright_trial`, the draws of `random.shuffle`, decided while
+  they run; `tests/test_brightness_stream.py` guards it;
+- `coloring._run`, `randrange(n)` per step, inlined; the pinned trace
+  digests of `tests/test_coloring.py` guard it.
 """
 
 from __future__ import annotations
@@ -46,17 +52,6 @@ def randbelow(rng: random.Random, w: int) -> int:
     while r >= w:
         r = rng.getrandbits(k)
     return r
-
-
-def shuffle(rng: random.Random, items: list) -> None:
-    """`rng.shuffle(items)`: the same Fisher-Yates swaps, the draw inlined."""
-    getrandbits = rng.getrandbits
-    for i in range(len(items) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        items[i], items[j] = items[j], items[i]
 
 
 def wilson_interval(successes: int, samples: int) -> tuple[float, float]:

@@ -450,9 +450,11 @@ def _check_match_trace_shape():
     h = with_isolated(Graph.path(3), 2)
     k = h.n
     ctx = _ColorContext(g, h)
+    rng = random.Random()
     seen = 0
     for seed in range(60_000):
-        tr = record_trace(ctx, random.Random(seed))
+        rng.seed(seed)  # the state of random.Random(seed), without building one
+        tr = record_trace(ctx, rng)
         if tr.isolated_nonblack_violations:
             return False, f"seed={seed}: an isolated arrival was not black"
         if not tr.full_match or tr.truncated:

@@ -16,7 +16,7 @@ import pytest
 import inducibility
 from inducibility import cli, search
 from inducibility.cli import main
-from inducibility.graphs import Graph, is_isomorphic, parse_graph6, to_graph6
+from inducibility.graphs import Graph, is_isomorphic, parse_graph6, to_graph6, with_isolated
 from inducibility.structure import is_tamed_by
 from inducibility.verify import SUITES, CheckResult
 
@@ -109,6 +109,15 @@ class TestClassify:
         # exact brightness (a small core), none (one edge) and Monte Carlo
         code, _ = run_cli(capsys, cmd, graph, "--mc", "-3")
         assert code == 2
+
+    @pytest.mark.parametrize("cmd", ["classify", "brightness"])
+    def test_zero_mc_over_the_exact_limit_exit_2(self, capsys, cmd):
+        # P12 with 2 isolated vertices: a 12-vertex core needs Monte Carlo
+        error = run_error(capsys, 2, cmd, to_graph6(with_isolated(Graph.path(12), 2)), "--mc", "0")
+        assert error == (
+            "the core has 12 non-isolated vertices, over the exact limit of 10:"
+            " mc samples must be >= 1, got 0"
+        )
 
     def test_stdin_dash(self, capsys, monkeypatch):
         import io

@@ -1,9 +1,10 @@
-"""`mc.randbelow` and `mc.shuffle` draw what CPython's `randrange` and
-`shuffle` draw, and leave the generator in the same state.
+"""`mc.randbelow` draws what CPython's `randrange` draws, and leaves the
+generator in the same state.
 
-Every pinned Monte-Carlo output rests on this equivalence, so a CPython
-release that changes `_randbelow` or `shuffle` fails here first.  The
-module needs no pytest, so other interpreters can run it as a script:
+Every pinned Monte-Carlo output of `density` and `search` rests on this
+equivalence, so a CPython release that changes `_randbelow` fails here
+first (`tests/test_brightness_stream.py` does the same for `shuffle`).
+The module needs no pytest, so other interpreters can run it as a script:
 `PYTHONPATH=src python tests/test_mc.py`.
 """
 
@@ -39,22 +40,6 @@ def test_offset_randbelow_is_two_argument_randrange():
             lambda rng: [a + mc.randbelow(rng, b - a) for a, b in SPANS for _ in range(3)],
             lambda rng: [rng.randrange(a, b) for a, b in SPANS for _ in range(3)],
         )
-
-
-def test_shuffle_is_random_shuffle():
-    def shuffled(shuffle):
-        def run(rng):
-            out = []
-            for length in range(41):
-                items = list(range(length))
-                shuffle(rng, items)
-                out.append(items)
-            return out
-
-        return run
-
-    for seed in SEEDS:
-        _same_stream(seed, shuffled(mc.shuffle), shuffled(lambda rng, items: rng.shuffle(items)))
 
 
 if __name__ == "__main__":
