@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import InputError, InternalCheckError, PreconditionError
-from .graphs import Graph, canonical_key, complement, degree_profile, non_isolated_core
+from .graphs import Graph, canonical_key, complement, degree_profile
 
 E = math.e
 
@@ -250,18 +250,6 @@ class BoundReport(namedtuple("BoundReport", "regime finite_value asymptotic_only
         return super().__new__(cls, regime, finite_value, finite_value is None, inputs, citation)
 
 
-def _nu_lower_bound(core: Graph) -> tuple[float, str]:
-    """Deterministic lower bound on the bright-labeling probability: exact
-    when the core is small, otherwise the best closed-form floor."""
-    from .brightness import BRIGHTNESS_EXACT_LIMIT, brightness_exact, brightness_lower_bounds
-
-    if core.n <= BRIGHTNESS_EXACT_LIMIT:
-        return float(brightness_exact(core)), "exact"
-    lbs = brightness_lower_bounds(core)
-    best = max(lbs.lb_m2, lbs.lb_m1, lbs.special_m1, Fraction(1, 12))
-    return float(best), "closed_form_floor"
-
-
 def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundReport:
     """Classify h into the applicable bound regime after normalizing to the
     sparser of the graph and its complement (exact-half ties go to the
@@ -304,9 +292,11 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
     inputs["beta"] = beta
 
     def sparse_report() -> BoundReport:
+        from .brightness import brightness_exact
+
         alpha_eff = m / k
-        nu, nu_kind = _nu_lower_bound(non_isolated_core(work))
-        inputs.update({"alpha_eff": alpha_eff, "nu": nu, "nu_kind": nu_kind})
+        nu = float(brightness_exact(work))
+        inputs.update({"alpha_eff": alpha_eff, "nu": nu, "nu_kind": "exact"})
         return BoundReport(regime=REGIME_SPARSE,
                            finite_value=sparse_regime_bound(alpha_eff, nu), inputs=inputs,
                            citation="sparse core: (2 + 3e^2 a)/(2 + (e-2) nu) / e + 2a at"

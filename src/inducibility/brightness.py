@@ -4,11 +4,22 @@ A labeling v1..vk is bright when at least two positions carry a vertex with
 a neighbor among the earlier ones and the vertices at the last two such
 positions are both detectable.  Isolated vertices never contribute a
 positive back-degree and do not change anyone else's, so only the relative
-order of the m non-isolated vertices matters.  Whether a vertex has an
-earlier neighbor depends only on the set of vertices placed before it, so
-the exact value counts bright orderings of the core by a DP over its 2^m
-prefix sets (as in the Held-Karp subset DP) instead of walking all m!
-orderings.
+order of the m non-isolated vertices (the core) matters, and the exact
+value is a closed form over the core:
+
+1. The last core vertex x has all its neighbors before it, so it is the
+   last vertex with an earlier neighbor.
+2. Let R(x) be the core without x and without x's pendant leaves (the
+   vertices whose only neighbor is x).  Every core vertex after the last
+   one of R(x) is x or a pendant leaf of x, which has no earlier neighbor;
+   the last vertex y of R(x) has a neighbor other than x, and that
+   neighbor, not being a leaf of x, comes before y.  So y is the second to
+   last vertex with an earlier neighbor, and there is none when R(x) is
+   empty.
+3. Given that x is last, the rest of the core is in uniform random order,
+   so y is uniform over R(x).  With D the detectable vertices,
+
+       nu = (1/m) * sum over x in D with R(x) nonempty of |R(x) & D| / |R(x)|.
 
 The Monte-Carlo estimate draws each labeling as CPython's `random.shuffle`
 of `range(n)` would, and decides it while the shuffle runs (`_bright_trial`);
@@ -24,11 +35,13 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InputError, PreconditionError, UnsupportedSizeError
-from .graphs import Graph, _induced_rows, degree_profile
+from .errors import InputError, PreconditionError
+from .graphs import Graph, degree_profile
 from .mc import MCEstimate, run_bernoulli_streams
 from .structure import classify_vertices
 
+# `brightness_report` gives the exact value up to this core size and the
+# Monte-Carlo estimate above it
 BRIGHTNESS_EXACT_LIMIT = 10
 
 
@@ -54,45 +67,25 @@ def _bright_given_masks(adj: Sequence[int], order: Sequence[int], detect_mask: i
 
 
 def brightness_exact(h: Graph) -> Fraction:
-    """Fraction of labelings that are bright, by a DP over core prefix sets.
-
-    An ordering of a prefix set ends in one of four states: no vertex with
-    an earlier neighbor yet (0), the last such vertex not detectable (1),
-    the last one detectable but not the one before it (2), the last two
-    both detectable (3).  The bright orderings are those of the whole core
-    that end in state 3.
-    """
-    core = [v for v in range(h.n) if h.adj[v]]
-    m = len(core)
-    if m > BRIGHTNESS_EXACT_LIMIT:
-        raise UnsupportedSizeError(
-            f"brightness_exact supports m <= {BRIGHTNESS_EXACT_LIMIT} non-isolated"
-            f" vertices, got {m} (use brightness_mc)"
-        )
-    if m == 0:
+    """Fraction of labelings that are bright, from the module's closed form."""
+    adj = h.adj
+    core = [v for v in range(h.n) if adj[v]]
+    if not core:
         return Fraction(0)
-    detectable = classify_vertices(h).detectable
-    rows = _induced_rows(h.adj, core)
-    full = (1 << m) - 1
-    # counts[prefix][state]: orderings of the prefix set that end in state
-    counts = [[0, 0, 0, 0] for _ in range(full + 1)]
-    counts[0][0] = 1
-    for prefix in range(full):
-        here = counts[prefix]
-        for i, v in enumerate(core):
-            bit = 1 << i
-            if prefix & bit:
-                continue
-            nxt = counts[prefix | bit]
-            if not rows[i] & prefix:
-                for state in range(4):
-                    nxt[state] += here[state]
-            elif v in detectable:
-                nxt[2] += here[0] + here[1]
-                nxt[3] += here[2] + here[3]
-            else:
-                nxt[1] += sum(here)
-    return Fraction(counts[full][3], math.factorial(m))
+    core_mask = sum(1 << v for v in core)
+    detect_mask = sum(1 << v for v in classify_vertices(h).detectable)
+    leaves = [0] * h.n  # leaves[x]: the vertices whose only neighbor is x
+    for y in core:
+        if adj[y] & (adj[y] - 1) == 0:
+            leaves[adj[y].bit_length() - 1] |= 1 << y
+    m = len(core)
+    lcm = math.lcm(*range(1, m))  # every |R(x)| divides it
+    total = 0
+    for x in core:
+        rest = core_mask ^ (1 << x) ^ leaves[x]  # R(x)
+        if (detect_mask >> x) & 1 and rest:
+            total += (rest & detect_mask).bit_count() * lcm // rest.bit_count()
+    return Fraction(total, lcm * m)
 
 
 def _bright_trial(adj: Sequence[int], detect_mask: int) -> Callable[[random.Random], bool]:
@@ -182,8 +175,8 @@ BrightnessReport = namedtuple("BrightnessReport", "exact mc lb_m2 lb_m1 special_
 def brightness_report(
     h: Graph, mc_samples: int = 100_000, seed: int = 0
 ) -> BrightnessReport:
-    """Exact value when the core is small, Monte-Carlo otherwise, plus all
-    closed-form lower bounds."""
+    """Exact value for a core of at most BRIGHTNESS_EXACT_LIMIT vertices,
+    Monte-Carlo otherwise, plus all closed-form lower bounds."""
     if mc_samples < 0:
         raise InputError(f"mc samples must be >= 0, got {mc_samples}")
     prof = degree_profile(h)

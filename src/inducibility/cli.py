@@ -193,6 +193,9 @@ def _classify(a: argparse.Namespace) -> dict:
     if a.mc < 0:  # brightness_report rejects it too, but runs only on 2 or more edges
         raise InputError(f"mc samples must be >= 0, got {a.mc}")
     prof = degree_profile(h)
+    # first, so that an --mc it refuses costs none of the work below
+    brightness = (_lib("brightness", "brightness_report")(h, mc_samples=a.mc, seed=a.seed)
+                  if prof.edge_count >= 2 else None)
     number, witness = _lib("structure", "minimal_taming_number")(h)
     return {
         "n": h.n,
@@ -205,8 +208,7 @@ def _classify(a: argparse.Namespace) -> dict:
         **_fmt(_lib("structure", "classify_vertices")(h)),
         "minimal_taming_number": number,
         "taming_set": witness.v0,
-        "brightness": _lib("brightness", "brightness_report")(h, mc_samples=a.mc, seed=a.seed)
-        if prof.edge_count >= 2 else None,
+        "brightness": brightness,
     }
 
 

@@ -57,7 +57,7 @@ from .structure import (
 
 E = math.e
 MAX_N = 7  # the structure checks run over every graph with at most MAX_N vertices
-MAX_M = 7  # the brightness checks run over every core with at most MAX_M vertices
+MAX_M = 8  # the brightness checks run over every core with at most MAX_M vertices
 
 
 CheckResult = namedtuple("CheckResult", "name ok detail")

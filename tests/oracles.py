@@ -12,6 +12,9 @@ independently.
 `brute_minimal_taming` checks the twin-class closed form by scanning every
 complement with the package's two-condition taming test, which the tests
 compare with `brute_is_tamed_by_permutations`.
+`dp_brightness` counts bright orderings by a DP over prefix sets, apart from
+the closed form it checks; it reaches cores of 14 vertices, where
+`brute_brightness` stops near 8.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from inducibility.graphs import Graph, canonical_key
-from inducibility.structure import _mask_tames
+from inducibility.graphs import Graph, _induced_rows, canonical_key
+from inducibility.structure import _mask_tames, classify_vertices
 
 
 def ref_decode_graph6(line: str) -> tuple[int, set[frozenset[int]]]:
@@ -220,6 +223,44 @@ def brute_brightness(g: Graph, detectable: set[int]) -> Fraction:
         if brute_detectable_last_two(g, list(order), detectable):
             count += 1
     return Fraction(count, factorial(g.n))
+
+
+def dp_brightness(h: Graph) -> Fraction:
+    """Brightness by a DP over the 2^m prefix sets of the core (as in the
+    Held-Karp subset DP) instead of walking all m! orderings.
+
+    An ordering of a prefix set ends in one of four states: no vertex with
+    an earlier neighbor yet (0), the last such vertex not detectable (1),
+    the last one detectable but not the one before it (2), the last two
+    both detectable (3).  The bright orderings are those of the whole core
+    that end in state 3.
+    """
+    core = [v for v in range(h.n) if h.adj[v]]
+    m = len(core)
+    if m == 0:
+        return Fraction(0)
+    detectable = classify_vertices(h).detectable
+    rows = _induced_rows(h.adj, core)
+    full = (1 << m) - 1
+    # counts[prefix][state]: orderings of the prefix set that end in state
+    counts = [[0, 0, 0, 0] for _ in range(full + 1)]
+    counts[0][0] = 1
+    for prefix in range(full):
+        here = counts[prefix]
+        for i, v in enumerate(core):
+            bit = 1 << i
+            if prefix & bit:
+                continue
+            nxt = counts[prefix | bit]
+            if not rows[i] & prefix:
+                for state in range(4):
+                    nxt[state] += here[state]
+            elif v in detectable:
+                nxt[2] += here[0] + here[1]
+                nxt[3] += here[2] + here[3]
+            else:
+                nxt[1] += sum(here)
+    return Fraction(counts[full][3], factorial(m))
 
 
 def brute_is_tamed_by_permutations(h: Graph, v0: set[int]) -> bool:

@@ -281,15 +281,18 @@ class TestSelector:
         assert rep.asymptotic_only
 
     def test_sparse_core_above_exact_limit_uses_closed_form(self):
+        # nu is the exact brightness on a core of any size, so never below the
+        # closed-form degree-count floors
         core = Graph.path(12)
         assert core.n > BRIGHTNESS_EXACT_LIMIT
         rep = regime_selector(with_isolated(core, 40), SelectorParams(alpha=0.5))
         assert rep.regime == "sparse_core"
-        assert rep.inputs["nu_kind"] == "closed_form_floor"
+        assert rep.inputs["nu_kind"] == "exact"
+        assert rep.inputs["nu"] == float(brightness_exact(core))
         lbs = brightness_lower_bounds(core)
-        best = max(lbs.lb_m2, lbs.lb_m1, lbs.special_m1, Fraction(1, 12))
-        assert rep.inputs["nu"] == float(best)
-        assert rep.finite_value == sparse_regime_bound(12 / 52, float(best))
+        floor = float(max(lbs.lb_m2, lbs.lb_m1, lbs.special_m1, Fraction(1, 12)))
+        assert rep.inputs["nu"] >= floor
+        assert rep.finite_value <= sparse_regime_bound(12 / 52, floor)
 
     def test_uniform_regime(self):
         h = Graph.from_edges(8, [(2 * i, 2 * i + 1) for i in range(4)])

@@ -13,10 +13,11 @@ from inducibility.brightness import (
     brightness_report,
     is_bright,
 )
-from inducibility.errors import InputError, PreconditionError, UnsupportedSizeError
+from inducibility.errors import InputError, PreconditionError
 from inducibility.graphs import Graph, with_isolated
+from inducibility.search import _classes
 from inducibility.structure import classify_vertices
-from oracles import brute_brightness, brute_detectable_last_two, relabel
+from oracles import brute_brightness, brute_detectable_last_two, dp_brightness, relabel
 
 
 def random_graph(rng, n, p=0.5):
@@ -73,6 +74,26 @@ class TestExact:
                 detectable = set(classify_vertices(g).detectable)
                 assert brightness_exact(g) == brute_brightness(g, detectable), g
 
+    def test_matches_dp_oracle_on_every_class_to_n7_and_a_sample_at_n8(self, classes_by_n):
+        sample = random.Random(26).sample(_classes(8), 400)
+        for g in [g for n in range(2, 8) for g in classes_by_n[n]] + sample:
+            if g.edge_count():
+                assert brightness_exact(g) == dp_brightness(g), g
+
+    def test_matches_dp_oracle_on_padded_cores_over_ten_vertices(self):
+        rng = random.Random(27)
+        for n in (11, 12, 13, 14):
+            for _ in range(2):
+                g = Graph.empty(n)
+                while 0 in g.adj:  # a core on all n vertices
+                    g = random_graph(rng, n, rng.uniform(0.2, 0.5))
+                expected = dp_brightness(g)
+                extra = rng.randint(1, 4)
+                perm = list(range(n + extra))
+                rng.shuffle(perm)
+                padded = relabel(with_isolated(g, extra), perm)
+                assert brightness_exact(padded) == expected, (g, extra, perm)
+
     def test_matches_oracle_with_scattered_isolated_vertices(self):
         rng = random.Random(24)
         for n, graphs in ((7, 10), (8, 3)):
@@ -112,9 +133,20 @@ class TestExact:
     def test_isolated_invariance(self, verified):
         assert verified(verify._check_isolated_invariance).ok
 
+    def test_isolated_invariance_at_64_vertices(self):
+        rng = random.Random(28)
+        for m in (40, 52, 63):
+            g = random_graph(rng, m, 3 / m)
+            perm = list(range(64))
+            rng.shuffle(perm)
+            assert brightness_exact(relabel(with_isolated(g, 64 - m), perm)) == brightness_exact(g)
+
     def test_size_limit(self):
-        with pytest.raises(UnsupportedSizeError):
-            brightness_exact(Graph.cycle(11))
+        # no limit but the graphs' own 64 vertices; every vertex of a cycle is happy
+        assert brightness_exact(Graph.cycle(5)) == brightness_exact(Graph.cycle(11)) == 1
+        start = time.perf_counter()
+        assert brightness_exact(Graph.cycle(64)) == 1
+        assert time.perf_counter() - start < 1.0
 
     def test_edgeless(self):
         assert brightness_exact(Graph.empty(4)) == 0

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import inducibility
-from inducibility import cli, search
+from inducibility import cli, search, structure
 from inducibility.cli import main
 from inducibility.graphs import Graph, is_isomorphic, parse_graph6, to_graph6, with_isolated
 from inducibility.structure import is_tamed_by
@@ -118,6 +118,15 @@ class TestClassify:
             "the core has 12 non-isolated vertices, over the exact limit of 10:"
             " mc samples must be >= 1, got 0"
         )
+
+    def test_zero_mc_refused_before_taming(self, capsys, monkeypatch):
+        def boom(h):
+            raise RuntimeError("taming ran before the brightness check")
+
+        monkeypatch.setattr(structure, "minimal_taming_number", boom)
+        error = run_error(capsys, 2, "classify", to_graph6(with_isolated(Graph.path(12), 2)),
+                          "--mc", "0")
+        assert error.startswith("the core has 12 non-isolated vertices")
 
     def test_stdin_dash(self, capsys, monkeypatch):
         import io
