@@ -21,10 +21,10 @@ value is a closed form over the core:
 
        nu = (1/m) * sum over x in D with R(x) nonempty of |R(x) & D| / |R(x)|.
 
-The Monte-Carlo estimate draws each labeling as CPython's `random.shuffle`
-of `range(n)` would, and decides it while the shuffle runs (`_bright_trial`);
-`tests/test_brightness_stream.py` guards that the draws are the same.  The
-package's other draws are listed in `mc`.
+The Monte-Carlo estimate samples the same two vertices.  Each trial draws x
+uniform over the core, then, only when x is detectable and R(x) is
+nonempty, y's index in R(x), and counts the labeling bright when that index
+is below |R(x) & D|.  Both draws are `mc.randbelow`, CPython's `randrange`.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ import math
 import random
 from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, degree_profile
-from .mc import MCEstimate, run_bernoulli_streams
+from .mc import MCEstimate, randbelow, run_bernoulli_streams
 from .structure import classify_vertices
 
 # `brightness_report` gives the exact value up to this core size and the
@@ -49,15 +49,11 @@ def is_bright(h: Graph, labeling: Sequence[int]) -> bool:
     if sorted(labeling) != list(range(h.n)):
         raise InputError("labeling is not a permutation of the vertex set")
     detect_mask = sum(1 << v for v in classify_vertices(h).detectable)
-    return _bright_given_masks(h.adj, labeling, detect_mask)
-
-
-def _bright_given_masks(adj: Sequence[int], order: Sequence[int], detect_mask: int) -> bool:
     seen = 0
     last = -1
     second_last = -1
-    for v in order:
-        if adj[v] & seen:
+    for v in labeling:
+        if h.adj[v] & seen:
             second_last = last
             last = v
         seen |= 1 << v
@@ -66,83 +62,46 @@ def _bright_given_masks(adj: Sequence[int], order: Sequence[int], detect_mask: i
     return bool((detect_mask >> last) & 1) and bool((detect_mask >> second_last) & 1)
 
 
-def brightness_exact(h: Graph) -> Fraction:
-    """Fraction of labelings that are bright, from the module's closed form."""
+def _by_last_vertex(h: Graph) -> list[tuple[int, int]]:
+    """One entry per core vertex x, in vertex order: (|R(x)|, |R(x) & D|) when
+    x is detectable and R(x) is nonempty, else (0, 0)."""
     adj = h.adj
     core = [v for v in range(h.n) if adj[v]]
-    if not core:
-        return Fraction(0)
     core_mask = sum(1 << v for v in core)
     detect_mask = sum(1 << v for v in classify_vertices(h).detectable)
     leaves = [0] * h.n  # leaves[x]: the vertices whose only neighbor is x
     for y in core:
         if adj[y] & (adj[y] - 1) == 0:
             leaves[adj[y].bit_length() - 1] |= 1 << y
-    m = len(core)
-    lcm = math.lcm(*range(1, m))  # every |R(x)| divides it
-    total = 0
-    for x in core:
-        rest = core_mask ^ (1 << x) ^ leaves[x]  # R(x)
-        if (detect_mask >> x) & 1 and rest:
-            total += (rest & detect_mask).bit_count() * lcm // rest.bit_count()
-    return Fraction(total, lcm * m)
+    # R(x), taken empty when x is not detectable
+    rests = [core_mask ^ (1 << x) ^ leaves[x] if (detect_mask >> x) & 1 else 0 for x in core]
+    return [(rest.bit_count(), (rest & detect_mask).bit_count()) for rest in rests]
 
 
-def _bright_trial(adj: Sequence[int], detect_mask: int) -> Callable[[random.Random], bool]:
-    """The Monte-Carlo trial: whether the labeling that `rng.shuffle` makes of
-    `list(range(len(adj)))` is bright, making exactly that shuffle's draws.
-
-    Fisher-Yates fixes positions n-1, n-2, ... first, each with the
-    `_randbelow` rejection loop over `getrandbits`.  The vertices not yet
-    placed are the ones before the position just fixed, so its vertex v has
-    an earlier neighbor iff `adj[v] & unplaced`.  Scanning from the end, the
-    first two such vertices are the last two of the labeling, and the outcome
-    is known once one of them is not detectable or both are; the later
-    positions then only make their draws, without the swaps.
-    """
-    n = len(adj)
-    verts = list(range(n))
-    everyone = (1 << n) - 1
-    # (position i, bit length of i + 1): the draws of i = n-1 down to 1
-    steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-
-    def trial(rng: random.Random) -> bool:
-        getrandbits = rng.getrandbits
-        items = verts[:]
-        unplaced = everyone
-        found = False
-        rest = iter(steps)
-        for i, k in rest:
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            v = items[j]
-            items[j] = items[i]
-            unplaced ^= 1 << v
-            if adj[v] & unplaced:
-                if not (detect_mask >> v) & 1:
-                    bright = False
-                    break
-                if found:
-                    bright = True
-                    break
-                found = True
-        else:
-            return False
-        for i, k in rest:
-            while getrandbits(k) > i:
-                pass
-        return bright
-
-    return trial
+def brightness_exact(h: Graph) -> Fraction:
+    """Fraction of labelings that are bright, from the module's closed form."""
+    entries = _by_last_vertex(h)
+    if not entries:
+        return Fraction(0)
+    lcm = math.lcm(*range(1, len(entries)))  # every |R(x)| divides it
+    total = sum(hits * lcm // size for size, hits in entries if size)
+    return Fraction(total, lcm * len(entries))
 
 
 def brightness_mc(h: Graph, samples: int, seed: int) -> MCEstimate:
     """Estimate over uniformly random labelings, 95% Wilson interval."""
     if samples < 1:
         raise InputError("samples must be >= 1")
-    detect_mask = sum(1 << v for v in classify_vertices(h).detectable)
-    return run_bernoulli_streams(_bright_trial(h.adj, detect_mask), samples, seed)
+    entries = _by_last_vertex(h)
+    m = len(entries)
+
+    def trial(rng: random.Random) -> bool:
+        if not m:
+            return False
+        size, hits = entries[randbelow(rng, m)]  # x, the last core vertex
+        return size > 0 and randbelow(rng, size) < hits  # y, the last of R(x)
+
+    return run_bernoulli_streams(trial, samples, seed)
 
 
 BrightnessBounds = namedtuple("BrightnessBounds", "lb_m2 lb_m1 special_m1")

@@ -143,6 +143,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _mc_samples(samples: int) -> int:
+    """`convert` of the `--mc` flag of `classify` and `brightness`; it runs
+    on every graph, while brightness_report runs only on 2 or more edges."""
+    if samples < 0:
+        raise InputError(f"mc samples must be >= 0, got {samples}")
+    return samples
+
+
 def _int_list(text: str) -> list[int]:
     """argparse type for comma-separated integers; the empty string is []."""
     try:
@@ -190,8 +198,6 @@ def _refuse_long_denominator(log10_denominator: float) -> None:
 
 def _classify(a: argparse.Namespace) -> dict:
     h = a.graph
-    if a.mc < 0:  # brightness_report rejects it too, but runs only on 2 or more edges
-        raise InputError(f"mc samples must be >= 0, got {a.mc}")
     prof = degree_profile(h)
     # first, so that an --mc it refuses costs none of the work below
     brightness = (_lib("brightness", "brightness_report")(h, mc_samples=a.mc, seed=a.seed)
@@ -320,7 +326,7 @@ GROUPS = {
     "bounds": ("formula", "closed-form bound formulas"),
     "proba": ("kind", "exact probability kernels"),
 }
-_MC = (Arg("--mc", default=100_000,
+_MC = (Arg("--mc", default=100_000, convert=_mc_samples,
            help="Monte-Carlo samples for a core over the exact size limit"),
        Arg("--seed", default=0, help="seed of the Monte-Carlo samples"))
 

@@ -34,8 +34,10 @@ from .graphs import Graph, _canon_cached, _induced_rows
 from .mc import trial_rngs
 from .structure import classify_vertices
 
-# the core-code memo is cleared when it outgrows this many masks, about
-# 1.5 times what a 20,000-trace run on G(64, 0.05) stores
+# the core-code memo is cleared when it outgrows this many masks; a
+# 20,000-trace run of P3 + 2K1 on G(64, 0.05) stores 13,856-17,841 (the
+# `classify` benchmark's colouring job, workload seeds 1-10), so it never
+# clears there
 CORE_MEMO_LIMIT = 100_000
 
 BLACK = "black"

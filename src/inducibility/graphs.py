@@ -231,25 +231,29 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _upper_triangle(cols: Sequence[int], group: int) -> tuple[int, int]:
+    """The bits (0,1), (0,2), (1,2), (0,3), ... of columns 1, 2, ... (bit i
+    of cols[j - 1] is the pair (i, j)), first bit most significant,
+    zero-padded to whole groups of `group` bits; and the padded bit count."""
+    stream = 0
+    width = 0
+    for j, col in enumerate(cols, start=1):
+        for i in range(j):
+            stream = (stream << 1) | ((col >> i) & 1)
+        width += j
+    pad = -width % group
+    return stream << pad, width + pad
+
+
 def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         header = [n + 63]
     else:
         header = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    out = list(header)
-    val = 0
-    width = 0
-    for j in range(1, n):
-        for i in range(j):
-            val = (val << 1) | ((g.adj[i] >> j) & 1)
-            width += 1
-            if width == 6:
-                out.append(val + 63)
-                val, width = 0, 0
-    if width:
-        out.append((val << (6 - width)) + 63)
-    return bytes(out).decode("ascii")
+    stream, width = _upper_triangle(g.adj[1:], 6)
+    body = [((stream >> shift) & 63) + 63 for shift in range(width - 6, -1, -6)]
+    return bytes(header + body).decode("ascii")
 
 
 # -- elementary operations ------------------------------------------------
@@ -464,17 +468,9 @@ def _canonical_search(
 
 
 def _pack_key(n: int, cols: Sequence[int]) -> bytes:
-    """The canonical columns as bytes: n, then the column bits
-    most-significant-first, zero-padded to whole bytes."""
-    stream = 0
-    width = 0
-    for j, col in enumerate(cols, start=1):
-        for i in range(j):
-            stream = (stream << 1) | ((col >> i) & 1)
-            width += 1
-    pad = (-width) % 8
-    stream <<= pad
-    width += pad
+    """The canonical columns as bytes: n, then graph6's bit sequence in
+    whole bytes."""
+    stream, width = _upper_triangle(cols, 8)
     return bytes([n]) + stream.to_bytes(width // 8, "big")
 
 

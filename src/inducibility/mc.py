@@ -3,15 +3,14 @@
 Sampling work is split over a fixed number of independent substreams whose
 seeds derive only from (seed, stream index), and results are aggregated in
 stream-index order, so every estimate is bit-identical for a fixed seed.
-The streams run one after another in one thread.  Every uniform index or
-permutation the package draws reproduces CPython's `randrange` or
-`shuffle` stream (same values, same final generator state) with fewer
-Python calls per draw.  Those draws are made in three places:
+The streams run one after another in one thread.  Every uniform index the
+package draws reproduces CPython's `randrange` stream (same values, same
+final generator state) with fewer Python calls per draw.  Those draws are
+made in two places:
 
 - `randbelow` here, CPython's `randrange(w)`, for the subset sampler of
-  `density` and the moves of `search`; `tests/test_mc.py` guards it;
-- `brightness._bright_trial`, the draws of `random.shuffle`, decided while
-  they run; `tests/test_brightness_stream.py` guards it;
+  `density`, the moves of `search` and the two draws of a `brightness_mc`
+  trial; `tests/test_mc.py` guards it;
 - `coloring._run`, `randrange(n)` per step, inlined; the pinned trace
   digests of `tests/test_coloring.py` guard it.
 """

@@ -31,12 +31,6 @@ from inducibility.graphs import Graph, complement, degree_profile, with_isolated
 E = math.e
 
 
-def random_graph(rng, n, p=0.5):
-    return Graph.from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    )
-
-
 class TestPhi:
     def test_plugin_values(self):
         assert abs(phi(1) - 1 / E) < 1e-14
@@ -129,7 +123,7 @@ class TestDegreeGap:
         done = 0
         while done < 1000:
             n = rng.randint(5, 40)
-            h = random_graph(rng, n, rng.uniform(0.05, 0.3))
+            h = Graph.gnp(rng, n, rng.uniform(0.05, 0.3))
             prof = degree_profile(h)
             if prof.max_degree == 0:
                 continue
@@ -319,7 +313,7 @@ class TestSelector:
         for _ in range(800):
             n = rng.randint(0, 20)
             p = rng.random()
-            g = random_graph(rng, n, p)
+            g = Graph.gnp(rng, n, p)
             params = SelectorParams(
                 C=rng.choice((0.25, 0.5, 1.0, 2.0, 5.0)),
                 eps=rng.choice((None, 0.1, 0.25, 0.5, 0.07)),

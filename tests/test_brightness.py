@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -5,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from inducibility import verify
+from inducibility import brightness, mc, verify
 from inducibility.brightness import (
     brightness_exact,
     brightness_lower_bounds,
@@ -20,10 +21,15 @@ from inducibility.structure import classify_vertices
 from oracles import brute_brightness, brute_detectable_last_two, dp_brightness, relabel
 
 
-def random_graph(rng, n, p=0.5):
-    return Graph.from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    )
+def seeded_core(rng, m, extra):
+    """A connected graph on m vertices (a random tree plus random chords)
+    with `extra` isolated vertices, the labels shuffled."""
+    p = rng.uniform(0, 3 / m)
+    edges = {(rng.randrange(v), v) for v in range(1, m)}
+    edges |= {(u, v) for v in range(m) for u in range(v) if rng.random() < p}
+    label = list(range(m + extra))
+    rng.shuffle(label)
+    return Graph.from_edges(m + extra, [(label[u], label[v]) for u, v in edges])
 
 
 class TestIsBright:
@@ -45,7 +51,7 @@ class TestIsBright:
         rng = random.Random(21)
         for _ in range(200):
             n = rng.randint(1, 6)
-            g = random_graph(rng, n)
+            g = Graph.gnp(rng, n, 0.5)
             detectable = set(classify_vertices(g).detectable)
             order = list(range(n))
             rng.shuffle(order)
@@ -62,7 +68,7 @@ class TestExact:
         rng = random.Random(22)
         for _ in range(40):
             n = rng.randint(1, 5)
-            g = random_graph(rng, n)
+            g = Graph.gnp(rng, n, 0.5)
             detectable = set(classify_vertices(g).detectable)
             assert brightness_exact(g) == brute_brightness(g, detectable)
 
@@ -86,7 +92,7 @@ class TestExact:
             for _ in range(2):
                 g = Graph.empty(n)
                 while 0 in g.adj:  # a core on all n vertices
-                    g = random_graph(rng, n, rng.uniform(0.2, 0.5))
+                    g = Graph.gnp(rng, n, rng.uniform(0.2, 0.5))
                 expected = dp_brightness(g)
                 extra = rng.randint(1, 4)
                 perm = list(range(n + extra))
@@ -98,7 +104,7 @@ class TestExact:
         rng = random.Random(24)
         for n, graphs in ((7, 10), (8, 3)):
             for _ in range(graphs):
-                g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+                g = Graph.gnp(rng, n, rng.uniform(0.2, 0.7))
                 detectable = set(classify_vertices(g).detectable)
                 # isolated vertices never have an earlier neighbor and give
                 # none to anyone, so orderings of g alone decide brightness
@@ -116,7 +122,7 @@ class TestExact:
             extra = rng.randint(1, 7 - n)
             perm = list(range(n + extra))
             rng.shuffle(perm)
-            g = relabel(with_isolated(random_graph(rng, n), extra), perm)
+            g = relabel(with_isolated(Graph.gnp(rng, n, 0.5), extra), perm)
             detectable = set(classify_vertices(g).detectable)
             assert brightness_exact(g) == brute_brightness(g, detectable), g
 
@@ -136,7 +142,7 @@ class TestExact:
     def test_isolated_invariance_at_64_vertices(self):
         rng = random.Random(28)
         for m in (40, 52, 63):
-            g = random_graph(rng, m, 3 / m)
+            g = Graph.gnp(rng, m, 3 / m)
             perm = list(range(64))
             rng.shuffle(perm)
             assert brightness_exact(relabel(with_isolated(g, 64 - m), perm)) == brightness_exact(g)
@@ -171,7 +177,7 @@ class TestLowerBounds:
     def test_m1_clamped_nonnegative(self):
         rng = random.Random(23)
         for _ in range(100):
-            g = random_graph(rng, rng.randint(3, 7))
+            g = Graph.gnp(rng, rng.randint(3, 7), 0.5)
             if g.edge_count() < 2:
                 continue
             b = brightness_lower_bounds(g)
@@ -199,7 +205,65 @@ class TestMC:
         a = brightness_mc(p4, 4000, seed=5)
         b = brightness_mc(p4, 4000, seed=5)
         assert a == b
-        assert a.estimate == 651 / 4000
+        assert a.estimate == 693 / 4000
+
+    def test_seeded_estimates_are_pinned(self):
+        rng = random.Random("brightness stream")
+        digest = hashlib.sha256()
+        for m in range(3, 17):
+            for extra in range(3):
+                g = seeded_core(rng, m, extra)
+                for samples in (1, 15, 17, 2001):  # none a multiple of the 16 substreams
+                    est = brightness_mc(g, samples, rng.randrange(2**31))
+                    digest.update(repr((g.n, g.adj, tuple(est))).encode())
+        assert digest.hexdigest() == (
+            "430ebb541ea23b0c971a7bc3f86ff3cf4ad7fea1f6d6152d11f565cf0dfcaee2"
+        )
+
+    def test_trial_draws_x_then_y(self, monkeypatch):
+        """Each trial is `randrange(m)` for the last core vertex x and, only when
+        x is detectable with R(x) nonempty, `randrange(|R(x)|)` for the last
+        vertex y of R(x), detectable ones first; its outcome is the brightness
+        of a labeling that ends with y, x's pendant leaves and x."""
+        monkeypatch.setattr(brightness, "run_bernoulli_streams", lambda trial, *_: trial)
+        shapes = random.Random("trial shapes")
+        graphs = [Graph.gnp(shapes, n, shapes.uniform(0, 0.5)) for n in range(41)]
+        seen = set()
+        for g in graphs:
+            trial = brightness_mc(g, 1, 0)
+            detectable = set(classify_vertices(g).detectable)
+            core = [v for v in range(g.n) if g.adj[v]]
+            for seed in range(20):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    order = [v for v in range(g.n) if v not in core]
+                    expected = drew_y = False
+                    if core:
+                        x = core[mc.randbelow(theirs, len(core))]
+                        leaves = [v for v in core if g.adj[v] == 1 << x]
+                        rest = [v for v in core if v != x and v not in leaves]
+                        rest.sort(key=lambda v: v not in detectable)
+                        if x in detectable and rest:
+                            y = rest[mc.randbelow(theirs, len(rest))]
+                            expected, drew_y = y in detectable, True
+                            rest.remove(y)
+                            rest.append(y)
+                        order += rest + leaves + [x]
+                    assert trial(ours) == expected == is_bright(g, order), (g, seed)
+                    assert ours.getstate() == theirs.getstate(), (g, seed)
+                    seen.add((drew_y, expected))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_wilson_interval_covers_the_dp_value_over_ten_vertices(self):
+        rng = random.Random(29)
+        for m in (11, 12, 13, 14):
+            truth = 1.0
+            while truth in (0.0, 1.0):  # an estimate that can miss
+                g = seeded_core(rng, m, 0)
+                truth = float(dp_brightness(g))
+            hits = sum(est.ci_low <= truth <= est.ci_high
+                       for est in (brightness_mc(g, 2000, seed) for seed in range(100)))
+            assert hits >= 90, (m, hits)
 
 
 class TestReport:

@@ -20,12 +20,6 @@ from inducibility.graphs import Graph, automorphism_count, canonical_key, comple
 from oracles import brute_count_induced, brute_form, brute_forms, brute_injective_maps
 
 
-def random_graph(rng, n, p=0.5):
-    return Graph.from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    )
-
-
 class TestCountInduced:
     def test_examples(self, p3):
         assert count_induced(p3, Graph.cycle(4)) == 4
@@ -42,8 +36,8 @@ class TestCountInduced:
         for _ in range(80):
             k = rng.randint(1, 4)
             n = rng.randint(k, 7)
-            h = random_graph(rng, k)
-            g = random_graph(rng, n)
+            h = Graph.gnp(rng, k, 0.5)
+            g = Graph.gnp(rng, n, 0.5)
             assert count_induced(h, g) == brute_count_induced(h, g)
 
     def test_large_asymmetric_pattern(self):
@@ -51,7 +45,7 @@ class TestCountInduced:
         2^20 induced subgraphs; counting it in a 22-vertex host must cost
         about the 231 subsets, not the pattern's subgraphs."""
         rng = random.Random(5)
-        h = random_graph(rng, 20)
+        h = Graph.gnp(rng, 20, 0.5)
         # no two one-vertex deletions are isomorphic, so no automorphism moves a vertex
         assert len({canonical_key(induced_subgraph(h, set(range(20)) - {v})) for v in range(20)}) == 20
         twin = h.adj[0] & ~1  # vertex 20 copies vertex 0's neighbourhood
@@ -154,8 +148,8 @@ class TestCountInduced:
         for _ in range(30):
             k = rng.randint(1, 4)
             n = rng.randint(k, 6)
-            h = random_graph(rng, k)
-            g = random_graph(rng, n)
+            h = Graph.gnp(rng, k, 0.5)
+            g = Graph.gnp(rng, n, 0.5)
             assert count_induced(h, g) * automorphism_count(h) == brute_injective_maps(
                 h, g
             )
@@ -174,8 +168,8 @@ class TestDensity:
         for _ in range(50):
             k = rng.randint(1, 4)
             n = rng.randint(k, 9)
-            h = random_graph(rng, k)
-            g = random_graph(rng, n)
+            h = Graph.gnp(rng, k, 0.5)
+            g = Graph.gnp(rng, n, 0.5)
             assert (
                 induced_density(h, g).density
                 == induced_density(complement(h), complement(g)).density

@@ -37,12 +37,6 @@ from oracles import (
 )
 
 
-def random_graph(rng, n, p=0.5):
-    return Graph.from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    )
-
-
 class TestGraph6:
     def test_named_decodings(self):
         assert parse_graph6("Bw") == Graph.complete(3)
@@ -57,7 +51,7 @@ class TestGraph6:
         rng = random.Random(1)
         for _ in range(300):
             n = rng.randint(0, 40)
-            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            g = Graph.gnp(rng, n, rng.uniform(0.1, 0.9))
             line = to_graph6(g)
             n_ref, edges_ref = ref_decode_graph6(line)
             assert n_ref == g.n
@@ -72,7 +66,7 @@ class TestGraph6:
         rng = random.Random(2)
         for _ in range(1000):
             n = rng.randint(0, 40)
-            g = random_graph(rng, n, rng.random())
+            g = Graph.gnp(rng, n, rng.random())
             assert parse_graph6(to_graph6(g)) == g
 
     def test_extended_header_for_63_and_64(self):
@@ -118,7 +112,7 @@ class TestBasicOps:
     def test_complement_involution(self):
         rng = random.Random(3)
         for _ in range(100):
-            g = random_graph(rng, rng.randint(0, 12))
+            g = Graph.gnp(rng, rng.randint(0, 12), 0.5)
             assert complement(complement(g)) == g
 
     def test_induced_subgraph_examples(self):
@@ -149,7 +143,7 @@ class TestBasicOps:
     def test_degree_sum_invariant(self):
         rng = random.Random(4)
         for _ in range(200):
-            g = random_graph(rng, rng.randint(0, 20))
+            g = Graph.gnp(rng, rng.randint(0, 20), 0.5)
             prof = degree_profile(g)
             assert sum(prof.degrees) == 2 * prof.edge_count
 
@@ -203,7 +197,7 @@ class TestCanonical:
     def test_relabel_invariance_sampled_n6(self):
         rng = random.Random(5)
         for _ in range(500):
-            g = random_graph(rng, 6)
+            g = Graph.gnp(rng, 6, 0.5)
             p = list(range(6))
             rng.shuffle(p)
             assert canonical_key(g) == canonical_key(relabel(g, p))
@@ -212,7 +206,7 @@ class TestCanonical:
         rng = random.Random(50)
         for n in (7, 8, 12, 16):
             for _ in range(150):
-                g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+                g = Graph.gnp(rng, n, rng.uniform(0.1, 0.9))
                 p = list(range(n))
                 rng.shuffle(p)
                 assert canonical_key(g) == canonical_key(relabel(g, p))
@@ -226,7 +220,7 @@ class TestCanonical:
         # the rows induced in the order the search returns encode to its columns
         rng = random.Random(18)
         graphs = [g for n in range(5) for g in all_labeled_graphs(n)] + [
-            random_graph(rng, n, rng.uniform(0.05, 0.95))
+            Graph.gnp(rng, n, rng.uniform(0.05, 0.95))
             for n in (5, 6, 7, 8, 16, 33, 64) for _ in range(10)
         ]
         for g in graphs:
@@ -248,8 +242,8 @@ class TestCanonical:
         rng = random.Random(6)
         for _ in range(400):
             n = rng.randint(1, 6)
-            g1 = random_graph(rng, n)
-            g2 = random_graph(rng, n)
+            g1 = Graph.gnp(rng, n, 0.5)
+            g2 = Graph.gnp(rng, n, 0.5)
             assert is_isomorphic(g1, g2) == brute_isomorphic(g1, g2)
 
     def test_large_graph_keys_pinned(self):
@@ -259,7 +253,7 @@ class TestCanonical:
         graphs = []
         for n in range(9, 65, 5):
             for p in (0.1, 0.5):
-                g = random_graph(rng, n, p)
+                g = Graph.gnp(rng, n, p)
                 graphs += [g, complement(g)]
         graphs += [
             Graph.cycle(30),
@@ -284,7 +278,7 @@ class TestCanonical:
 
     def test_search_order_encodes_to_the_columns(self):
         rng = random.Random(51)
-        graphs = [random_graph(rng, n, rng.uniform(0.1, 0.9)) for n in (1, 2, 5, 9, 16, 30)]
+        graphs = [Graph.gnp(rng, n, rng.uniform(0.1, 0.9)) for n in (1, 2, 5, 9, 16, 30)]
         graphs += [Graph.empty(5), Graph.complete(6), *_symmetric_hosts()]
         for g in graphs:
             cols, order, _, _ = _canonical_search(g.n, g.adj)
@@ -327,7 +321,7 @@ class TestAutomorphisms:
         )
         graphs = [g for n in range(7) for g in classes_by_n[n]]
         graphs += rng.sample(list(classes_by_n[7]), 30)
-        graphs += [random_graph(rng, n, rng.uniform(0.2, 0.8)) for n in (7, 7, 8, 8)]
+        graphs += [Graph.gnp(rng, n, rng.uniform(0.2, 0.8)) for n in (7, 7, 8, 8)]
         graphs += [
             shuffled(g)
             for g in (

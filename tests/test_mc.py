@@ -1,9 +1,9 @@
 """`mc.randbelow` draws what CPython's `randrange` draws, and leaves the
 generator in the same state.
 
-Every pinned Monte-Carlo output of `density` and `search` rests on this
-equivalence, so a CPython release that changes `_randbelow` fails here
-first (`tests/test_brightness_stream.py` does the same for `shuffle`).
+Every pinned Monte-Carlo output of `density`, `search` and `brightness_mc`
+rests on this equivalence, so a CPython release that changes `_randbelow`
+fails here first.
 The module needs no pytest, so other interpreters can run it as a script:
 `PYTHONPATH=src python tests/test_mc.py`.
 """

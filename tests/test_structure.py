@@ -16,12 +16,6 @@ from inducibility.structure import (
 from oracles import brute_is_tamed_by_permutations, brute_minimal_taming
 
 
-def random_graph(rng, n, p=0.5):
-    return Graph.from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    )
-
-
 def planted_twins(rng, n):
     """A random graph on a few vertices grown to n vertices, each new one a
     copy of an earlier vertex joined to it (a true twin) or not (a false
@@ -54,7 +48,7 @@ class TestTaming:
         rng = random.Random(11)
         for _ in range(150):
             n = rng.randint(1, 6)
-            h = random_graph(rng, n)
+            h = Graph.gnp(rng, n, 0.5)
             v0 = {v for v in range(n) if rng.random() < 0.5}
             assert is_tamed_by(h, v0) == brute_is_tamed_by_permutations(h, v0)
 
