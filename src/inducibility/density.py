@@ -71,6 +71,7 @@ class _Pattern:
         self._spent = 0
         self.adj = h.adj
         self.tables: OrderedDict[tuple[int, ...], frozenset[int] | None] = OrderedDict()
+        self.sums: dict[int, tuple] = {}  # `search._through`'s byte-lane sums, per parent size
         self.rooted = lru_cache(maxsize=None)(self._rooted)  # one entry per key of `deck` at most
 
     @cached_property

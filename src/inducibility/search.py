@@ -23,13 +23,19 @@ fails its check, so a damaged file costs time, never an answer.
 The top level is scored from its parents without being built: every
 n-vertex host is some (n - 1)-vertex class plus v, so the maximum is read
 off every subset of every class of `_tree(n - 1)`, and a class met twice
-does not change a maximum.  The copies through v for all subsets of a
-parent come from the join tables of its (k - 1)-subsets S: the patterns of
-v's neighbours in S that complete a copy, which the density module's
+does not change a maximum.  The copies through v for all 2^(n - 1) masks of
+a parent come from the join tables of its (k - 1)-subsets S: the patterns
+of v's neighbours in S that complete a copy, which the density module's
 pattern builds from h's rooted deck once per labelled S.  An S whose
-canonical key is no h - u's has an empty table.  Only the hosts at the maximum are
-labelled, to pick the witness.  So scoring builds `_tree` up to n - 1, and
-`_tree(n)` is built only to enumerate the n-vertex classes.
+canonical key is no h - u's has an empty table.  Each S adds one big int
+with a byte lane per mask, 1 where the mask meets S in a table entry, so
+the counts are the bytes of one sum.  That int depends on the graph on S
+alone, which the parent's pair word (its upper triangle packed in one int)
+masked to S's pairs names, so the pattern keeps it under that key and a
+parent costs one AND, one dict lookup and one add per S.  Only the hosts
+at the maximum are labelled, to pick the witness.  So scoring builds
+`_tree` up to n - 1, and `_tree(n)` is built only to enumerate the
+n-vertex classes.
 
 Parents are scored best-first.  A copy through v is v plus a (k - 1)-subset
 of the parent inducing some h - u, and each such subset makes at most one
@@ -227,30 +233,67 @@ def enumerate_graphs(n: int):
     yield from _classes(n)
 
 
+# one subset S of `_layout`: S, its pair bits, its lane shifts and its outside int
+Lanes = tuple[tuple[int, ...], int, tuple[int, ...], int]
+
+
 @lru_cache(maxsize=None)
-def _layout(m: int, j: int) -> tuple[tuple[tuple[int, ...], list[int], list[int]], ...]:
-    """Per j-subset S of range(m): S, the mask of range(m) that each
-    pattern t < 2^j on S stands for, and the submasks of range(m) outside S."""
+def _layout(m: int, j: int) -> tuple[tuple[int, ...], tuple[Lanes, ...]]:
+    """How `_through` reads an m-vertex parent: the shift of each vertex u's
+    pairs (u, w > u) in the parent's pair word, and per j-subset S of
+    range(m): S, its pair bits in that word, the lane shift of the mask of
+    range(m) that each pattern t < 2^j on S stands for, and the int with
+    byte lane r equal to 1 for each r outside S."""
+    offsets = [0] * m
+    for u in range(1, m):
+        offsets[u] = offsets[u - 1] + m - u
     layout = []
     for subset in combinations(range(m), j):
-        spread = [sum(1 << u for i, u in enumerate(subset) if (t >> i) & 1) for t in range(1 << j)]
-        free = (1 << m) - 1 - spread[-1]  # spread[-1] is S itself
-        layout.append((subset, spread, [r for r in range(free + 1) if r & free == r]))
-    return tuple(layout)
+        bits = sum(1 << offsets[u] + w - u - 1 for u, w in combinations(subset, 2))
+        shifts = tuple(8 * sum(1 << u for i, u in enumerate(subset) if (t >> i) & 1) for t in range(1 << j))
+        outside = 1
+        for u in range(m):
+            if u not in subset:
+                outside |= outside << (8 << u)
+        layout.append((subset, bits, shifts, outside))
+    return tuple(offsets), tuple(layout)
 
 
 def _through(pattern: _Pattern, rows: tuple[int, ...]) -> list[int]:
     """Copies of the pattern through a new vertex joined to the m-vertex
-    `rows` by each of the 2^m masks, indexed by mask."""
-    through = [0] * (1 << len(rows))
-    if pattern.k == 0:
-        return through
-    for subset, spread, rests in _layout(len(rows), pattern.k - 1):
-        for t in pattern.joins(_induced_rows(rows, subset)):
-            # every mask that meets S in t
-            for rest in rests:
-                through[spread[t] | rest] += 1
-    return through
+    `rows` by each of the 2^m masks, indexed by mask.
+
+    A copy through the new vertex is it plus one (k - 1)-subset S, and a
+    mask makes one through S when it meets S in an entry t of S's join
+    table.  `outside << shifts[t]` is 1 in byte lane `mask` exactly when the
+    mask meets S in t, so S's sum over its entries holds its copies, and the
+    total over the C(m, k - 1) subsets every count, within a byte while
+    C(m, k - 1) <= 255.  S's sum depends on the graph on S alone, which the
+    parent's pair word ANDed with S's pair bits names: the pattern keeps it
+    under that key, per parent size, from the first parent that meets it."""
+    m, j = len(rows), pattern.k - 1
+    if j < 0:
+        return [0] * (1 << m)
+    cached = pattern.sums.get(m)
+    if cached is None:
+        if math.comb(m, j) > 255:
+            raise InternalCheckError(f"{math.comb(m, j)} subsets of a {m}-vertex parent overflow a byte lane")
+        offsets, layout = _layout(m, j)
+        cached = pattern.sums[m] = offsets, [(*entry, {}) for entry in layout]
+    offsets, entries = cached
+    word = 0
+    for u, shift in enumerate(offsets):
+        word |= rows[u] >> u + 1 << shift
+    total = 0
+    for subset, bits, shifts, outside, sums in entries:
+        key = word & bits
+        try:
+            total += sums[key]
+        except KeyError:
+            table = pattern.joins(_induced_rows(rows, subset))
+            sums[key] = added = sum(outside << shifts[t] for t in table)
+            total += added
+    return list(total.to_bytes(1 << m, "little"))
 
 
 def _host_counts(pattern: _Pattern, n: int) -> list[int]:

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import random
+import signal
 import zlib
 from fractions import Fraction
 
@@ -46,6 +48,10 @@ from oracles import (
 )
 
 BIPARTITE = ((1, 2), (1, 3), (2, 2), (1, 4), (2, 3))
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the call did not finish within 5 s")
 
 
 def _form(g):
@@ -309,6 +315,56 @@ class TestIndExact:
         deck = [induced_subgraph(h, [w for w in range(8) if w != u]) for u in range(8)]
         agree(h, [relabel(g, rng.sample(range(7), 7)) for g in deck for _ in range(4)]
               + [Graph.gnp(rng, 7, 0.5) for _ in range(32)])
+
+    def test_through_at_scored_parent_sizes(self):
+        """The pair word and byte lanes at the parent sizes that `--n 7`,
+        `--n 8` and `--n 9` score: a seeded sample of the classes on 6, 7
+        and 8 vertices, against one forced walk of each child."""
+        rng = random.Random(28)
+        parents = [rows for m in (6, 7, 8) for rows in rng.sample(search._tree(m)[0], 8)]
+        bull = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
+        for h in (Graph.path(4), parse_graph6("Cs"), Graph.cycle(5), bull, Graph.path(6)):
+            pattern = _Pattern(h)
+            for rows in parents:
+                assert _through(pattern, rows) == [
+                    _count_matches(pattern, _child(rows, mask), (len(rows),))
+                    for mask in range(1 << len(rows))
+                ], (to_graph6(h), rows)
+
+    def test_through_sums_belong_to_their_pattern(self):
+        """P4, C4 and P4 again over the same parents, each pattern dropped
+        and collected before the next is built, so that a new pattern often
+        takes a dropped one's id: every result is the forced walk's."""
+        rng = random.Random(29)
+        parents = [rows for m in (4, 6, 7) for rows in rng.sample(search._tree(m)[0], 2)]
+        p4, c4 = Graph.path(4), Graph.cycle(4)
+        expected = {
+            (h, rows): [_count_matches(_Pattern(h), _child(rows, mask), (len(rows),))
+                        for mask in range(1 << len(rows))]
+            for h in (p4, c4) for rows in parents
+        }
+        gc.collect()  # a pattern's `rooted` cache holds it in a cycle
+        for rows in parents:
+            for h in (p4, c4, p4):
+                pattern = _Pattern(h)
+                assert _through(pattern, rows) == expected[h, rows], (to_graph6(h), rows)
+                del pattern
+                gc.collect()
+
+    def test_through_refuses_a_lane_overflow(self):
+        """C(11, 5) = 462 subsets could wrap a byte lane: refused before any
+        sum or join table is built."""
+        pattern = _Pattern(Graph.path(6))
+        rows = Graph.gnp(random.Random(30), 11, 0.5).adj
+        previous = signal.signal(signal.SIGALRM, _timeout)
+        try:
+            signal.alarm(5)
+            with pytest.raises(InternalCheckError, match="462 subsets"):
+                _through(pattern, rows)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert pattern.sums == {} and not pattern.tables
 
     def test_census_matches_brute_count(self, classes_by_n):
         for k in range(5):
