@@ -127,11 +127,7 @@ def split_plus_edge(k: int, n: int) -> ConstructionReport:
         raise InputError("need k >= 4")
     if n < k:
         raise InputError("need n >= k")
-    small = _round_half_up(2 * n / k)
-    if small < 2:
-        raise InputError(f"small part {small} cannot host 2 picks")
-    if n - small < k - 2:
-        raise InputError(f"large part {n - small} cannot host {k - 2} picks")
+    small = _round_half_up(2 * n / k)  # in [2, n - k + 2] as k >= 4: both sides host their picks
     return _two_part(k, 2, n, small, 2 / k, clique=True)
 
 
@@ -154,8 +150,6 @@ def dtame_blowup(h: Graph, v0, n: int) -> ConstructionReport:
     d = len(v0)
     rest = [v for v in range(k) if v not in v0]
     group_size = n // k
-    if group_size < 1:
-        raise InputError("n too small for one vertex per group")
     sizes = [group_size] * d + [n - d * group_size]
     graph: Graph | None = None
     if n <= MAX_VERTICES:

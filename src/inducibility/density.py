@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -23,6 +23,9 @@ from .graphs import Graph, _canon_cached, _canonical_search, _induced_rows, _orb
 from .mc import MCEstimate, randbelow, run_bernoulli_streams
 
 DEFAULT_SUBSET_BUDGET = 10**8
+# a pattern's join tables are cleared when they outgrow this many: one per
+# labelled (k - 1)-vertex S, so at most 2^C(k - 1, 2), 32,768 for k = 7
+JOIN_TABLE_LIMIT = 1 << 18
 
 
 DensityResult = namedtuple("DensityResult", "copies total density")
@@ -70,7 +73,7 @@ class _Pattern:
         self._rows = {h.adj}  # distinct induced rows of the lowest level derived
         self._spent = 0
         self.adj = h.adj
-        self.tables: OrderedDict[tuple[int, ...], frozenset[int] | None] = OrderedDict()
+        self.tables: dict[tuple[int, ...], frozenset[int] | None] = {}
         self.sums: dict[int, tuple] = {}  # `search._through`'s byte-lane sums, per parent size
         self.rooted = lru_cache(maxsize=None)(self._rooted)  # one entry per key of `deck` at most
 
@@ -95,11 +98,12 @@ class _Pattern:
         return rooted
 
     def joins(self, rows: tuple[int, ...]) -> frozenset[int] | None:
-        """S's join table; the last 2^18 built are kept (a search keeps one pattern)."""
+        """S's join table, kept in `tables`, which are cleared once they hold
+        `JOIN_TABLE_LIMIT` (a search keeps one pattern)."""
         if rows not in self.tables:
+            if len(self.tables) >= JOIN_TABLE_LIMIT:
+                self.tables.clear()
             self.tables[rows] = self._joins(rows)
-            if len(self.tables) > 1 << 18:
-                self.tables.popitem(last=False)
         return self.tables[rows]
 
     def _joins(self, rows: tuple[int, ...]) -> frozenset[int] | None:

@@ -12,9 +12,13 @@ zero padding, each group stored as its value plus 63.
 
 Canonical codes come from one search, `_canonical_search`: iterated
 neighborhood-multiset refinement, then backtracking over the refined
-cells, keeping the lexicographically smallest adjacency encoding.  It
-prunes by the automorphisms it finds along the way (twin transpositions and
-the mappings of `_colored_iso`), which stays exact, and returns them as
+cells, keeping the lexicographically smallest adjacency encoding.  A
+coloring whose cells of more than one vertex are each a set of pairwise
+twins ends a branch: every permutation inside those cells is an
+automorphism, so every order sorted by color encodes alike.  The search
+prunes by the automorphisms it finds along the way (the transpositions
+inside such cells, twin transpositions and the mappings of `_colored_iso`,
+which descends the same way), which stays exact, and returns them as
 generators of the group, which host enumeration prunes its augmentations
 by.  The same search counts the group by orbit-stabilizer along its first
 path; `automorphism_count` reads that order.  The canonical form's rows are
@@ -371,15 +375,19 @@ def _individualize(colors: Sequence[int], v: int) -> list[int]:
     return [c + 1 if c > cv or (c == cv and u != v) else c for u, c in enumerate(colors)]
 
 
-def _first_split_cell(n: int, colors: Sequence[int]) -> list[int] | None:
-    """The vertices of the smallest color held by more than one vertex."""
-    counts = [0] * n
-    for c in colors:
-        counts[c] += 1
-    for c, k in enumerate(counts):
-        if k > 1:
-            return [v for v in range(n) if colors[v] == c]
-    return None
+def _split_cells(n: int, colors: Sequence[int]) -> list[list[int]]:
+    """The cells of more than one vertex, by increasing color."""
+    cells: list[list[int]] = [[] for _ in range(n)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return [cell for cell in cells if len(cell) > 1]
+
+
+def _twin_cells(adj: Sequence[int], cells: Sequence[Sequence[int]]) -> bool:
+    """Whether each cell is a set of pairwise twins (twins of a common vertex
+    are twins), so that every permutation inside the cells is an
+    automorphism: the leaf of both searches."""
+    return all(_twins(adj, cell[0], u) for cell in cells for u in cell[1:])
 
 
 def _encode_order(n: int, adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
@@ -399,37 +407,33 @@ def _canonical_search(
     """The canonical columns, a vertex order that encodes to them,
     generators of the automorphism group and the group's order.
 
-    A node branches on one vertex per orbit of its first split cell.  The
-    orbits come from the automorphisms found at the node and below it, all
-    of which fix the node's individualized vertices: the transposition with
-    a twin of a kept vertex, or the mapping `_colored_iso` finds onto one.
-    Down the first branch these map each kept vertex onto its whole orbit,
-    so they generate the group (the Schreier-Sims argument), and a node's
-    group order is the orbit of its first vertex times the order its first
-    child returns (orbit-stabilizer).
+    A node whose split cells are all twin cells (`_twin_cells`) is a leaf:
+    its group is the product of the cells' symmetric groups, generated by
+    their adjacent transpositions.  Any other node branches on one vertex
+    per orbit of its first split cell.  The orbits come from the
+    automorphisms found at the node and below it, all of which fix the
+    node's individualized vertices: a leaf's transpositions, the
+    transposition with a twin of a kept vertex, or the mapping
+    `_colored_iso` finds onto one.  Down the first branch these map each
+    kept vertex onto its whole orbit, so they generate the group (the
+    Schreier-Sims argument), and a node's group order is the orbit of its
+    first vertex times the order its first child returns (orbit-stabilizer).
     """
-    order = list(range(n))
-    full = (1 << n) - 1
-    if all(row == 0 for row in adj) or all(
-        adj[v] == (full ^ (1 << v)) for v in range(n)
-    ):
-        # every labeling of the edgeless / complete graph encodes identically,
-        # and its group is generated by a transposition and an n-cycle
-        gens = [[1, 0] + order[2:], order[1:] + order[:1]] if n > 1 else []
-        return _encode_order(n, adj, order), order, gens, math.factorial(n)
-
     nbrs = _neighbors(n, adj)
     best: tuple[tuple[int, ...], list[int]] | None = None
 
     def rec(colors: list[int]) -> tuple[list[list[int]], int]:
         nonlocal best
-        target = _first_split_cell(n, colors)
-        if target is None:
+        cells = _split_cells(n, colors)
+        if _twin_cells(adj, cells):
+            # every order that sorts by color encodes alike: record one
             leaf = sorted(range(n), key=colors.__getitem__)
             enc = _encode_order(n, adj, leaf)
             if best is None or enc < best[0]:
                 best = (enc, leaf)
-            return [], 1
+            gens = [_transposition(n, x, y) for cell in cells for x, y in zip(cell, cell[1:])]
+            return gens, math.prod(math.factorial(len(cell)) for cell in cells)
+        target = cells[0]
         v = target[0]
         cv = _refine(nbrs, _individualize(colors, v))
         gens, stab = rec(cv)
@@ -440,13 +444,11 @@ def _canonical_search(
                 continue
             twin = next((r for r, _ in reps if _twins(adj, u, r)), None)
             if twin is not None:
-                perm = list(order)
-                perm[u], perm[twin] = twin, u
-                found = [perm]
+                found = [_transposition(n, u, twin)]
             else:
                 cu = _refine(nbrs, _individualize(colors, u))
                 for _, cr in reps:
-                    perm = _colored_iso(n, adj, cr, cu)
+                    perm = _colored_iso(n, adj, nbrs, cr, cu)
                     if perm is not None:
                         found = [perm]
                         break
@@ -501,58 +503,41 @@ def _twins(adj: Sequence[int], u: int, v: int) -> bool:
     return not (adj[u] ^ adj[v]) & ~((1 << u) | (1 << v))
 
 
+def _transposition(n: int, x: int, y: int) -> list[int]:
+    perm = list(range(n))
+    perm[x], perm[y] = y, x
+    return perm
+
+
 def _colored_iso(
-    n: int, adj: Sequence[int], c1: Sequence[int], c2: Sequence[int]
+    n: int, adj: Sequence[int], nbrs: Sequence[Sequence[int]], c1: list[int], c2: list[int]
 ) -> list[int] | None:
-    """A permutation pi preserving adjacency with c2[pi[x]] = c1[x], or None."""
-    hist1: dict[int, int] = {}
-    hist2: dict[int, int] = {}
-    for x in range(n):
-        hist1[c1[x]] = hist1.get(c1[x], 0) + 1
-        hist2[c2[x]] = hist2.get(c2[x], 0) + 1
-    if hist1 != hist2:
+    """A permutation pi preserving adjacency with c2[pi[x]] = c1[x], or None;
+    both colorings are refined.  At a leaf of c1 (`_twin_cells`) any two
+    color-preserving maps differ by an automorphism, so the one pairing each
+    color's vertices in order decides; otherwise the first vertex of c1's
+    first split cell goes to each vertex of its color in turn, both
+    individualized and refined."""
+    if sorted(c1) != sorted(c2):
         return None
-    by_color: dict[int, list[int]] = {}
+    cells = _split_cells(n, c1)
+    if _twin_cells(adj, cells):
+        xs = sorted(range(n), key=c1.__getitem__)
+        ys = sorted(range(n), key=c2.__getitem__)
+        if _encode_order(n, adj, xs) != _encode_order(n, adj, ys):
+            return None
+        pi = [0] * n
+        for x, y in zip(xs, ys):
+            pi[x] = y
+        return pi
+    x = cells[0][0]
+    cx = _refine(nbrs, _individualize(c1, x))
     for y in range(n):
-        by_color.setdefault(c2[y], []).append(y)
-    # most constrained first: small classes early
-    domain = sorted(range(n), key=lambda x: (hist1[c1[x]], c1[x], x))
-    mapped_dom: list[int] = []
-    mapped_rng: list[int] = []
-    used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        x = domain[pos]
-        rowx = adj[x]
-        for y in by_color[c1[x]]:
-            if used[y]:
-                continue
-            rowy = adj[y]
-            ok = True
-            for xd, yd in zip(mapped_dom, mapped_rng):
-                if ((rowx >> xd) & 1) != ((rowy >> yd) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used[y] = True
-            mapped_dom.append(x)
-            mapped_rng.append(y)
-            if extend(pos + 1):
-                return True
-            used[y] = False
-            mapped_dom.pop()
-            mapped_rng.pop()
-        return False
-
-    if not extend(0):
-        return None
-    pi = [0] * n
-    for x, y in zip(mapped_dom, mapped_rng):
-        pi[x] = y
-    return pi
+        if c2[y] == c1[x]:
+            pi = _colored_iso(n, adj, nbrs, cx, _refine(nbrs, _individualize(c2, y)))
+            if pi is not None:
+                return pi
+    return None
 
 
 def _close(orbit: set[int], stack: list[int], gens: Sequence[Sequence[int]]) -> None:

@@ -190,6 +190,7 @@ class TestNonUniformPredicate:
         assert non_uniform_predicate(p4, 0.9, 1.0)
         assert not non_uniform_predicate(Graph.star(3), 0.5, 1.0)
         assert not non_uniform_predicate(Graph.empty(5), 0.9, 1.0)
+        assert not non_uniform_predicate(p4, 0.9, 0.5)  # 3 edges > C k = 2
 
 
 @pytest.mark.parametrize("call", [
@@ -212,11 +213,12 @@ class TestNonUniformPredicate:
     lambda: SelectorParams(beta=1.5),
     lambda: SelectorParams(eps=0.0),
     lambda: SelectorParams(C=0.0),
+    lambda: solve_epsilon(0),
 ], ids=["pair-s", "pair-t", "uniform-tau", "uniform-beta-0", "uniform-beta-big",
         "uniform-eps", "uniform-eps-rounds-to-0", "gap-eps", "gap-C", "sparse-alpha",
         "sparse-nu", "sparse-overflow", "non-uniform-beta-1", "non-uniform-beta-0",
         "selector-alpha", "selector-beta-0", "selector-beta-big", "selector-eps",
-        "selector-C"])
+        "selector-C", "solve-eps-C"])
 def test_domain_errors(call):
     with pytest.raises(InputError):
         call()

@@ -195,6 +195,8 @@ class TestMC:
 
     def test_single_sample(self, p3):
         assert brightness_mc(p3, 1, seed=3).estimate in (0.0, 1.0)
+        with pytest.raises(InputError, match="samples must be >= 1"):
+            brightness_mc(p3, 0, seed=3)
 
     def test_seed_reproducible(self, p4):
         a = brightness_mc(p4, 5000, seed=42)
@@ -278,6 +280,12 @@ class TestReport:
         rep = brightness_report(h, mc_samples=2000, seed=0)
         assert rep.exact is None and rep.mc is not None
         assert rep.mc.estimate > 0.9  # all vertices detectable
+
+    def test_input_errors(self, p3):
+        with pytest.raises(InputError, match="mc samples must be >= 0, got -1"):
+            brightness_report(p3, mc_samples=-1)
+        with pytest.raises(PreconditionError, match="at least 2 edges"):
+            brightness_report(with_isolated(Graph.path(2), 3))
 
     def test_bounds_below_exact_on_report(self, two_k2):
         rep = brightness_report(two_k2)

@@ -433,6 +433,20 @@ class TestOtherCommands:
                           "--sigma", "0.5")
         assert "large part 2 cannot host 4 picks" in error
 
+    @pytest.mark.parametrize("exit_code, argv, message", [
+        (2, ("tame", "Bg", "--set", "9"), "vertex 9 out of range for n=3"),
+        (2, ("simulate-coloring", "Bg", "Cr", "--trials", "10"),
+         "pattern has 4 vertices but host only 3"),
+        (2, ("bounds", "solve-eps", "--c", "0"), "C must be positive"),
+        (2, ("ind", "Cr", "--n", "3", "--search", "--iters", "1"),
+         "pattern has 4 vertices but n = 3"),
+        (3, ("ind", "Bg", "--n", "41", "--search", "--iters", "1"),
+         "ind_local_search supports n <= 40, got 41"),
+    ], ids=["tame-set-out-of-range", "simulate-pattern-above-host", "solve-eps-c-0",
+            "search-pattern-above-n", "search-n-41"])
+    def test_input_error_exit_codes(self, capsys, exit_code, argv, message):
+        assert message in run_error(capsys, exit_code, *argv)
+
     def test_blowup_of_the_empty_pattern_exit_2(self, capsys):
         error = run_error(capsys, 2, "construct", "blowup", "?", "--n", "3")
         assert "0-vertex pattern" in error
@@ -483,6 +497,23 @@ class TestOtherCommands:
             os.close(write_end)
         assert proc.returncode == 0
         assert proc.stderr == b""
+
+    def test_reader_closing_after_one_byte_exits_quietly(self):
+        # `python -m inducibility ... | head -c 1`: exit 0 and nothing on stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(inducibility.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "inducibility", "bounds", "phi", "--s", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert stderr == b""
 
     @pytest.mark.parametrize("argv", [
         ("tame", "Cr", "--set", "a"),

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from inducibility import verify
+from inducibility import coloring, verify
 from inducibility.coloring import (
     ColoringSummary,
     _ColorContext,
@@ -231,6 +231,25 @@ class TestSimulate:
     def test_trials_positive(self, host, pattern):
         with pytest.raises(InputError):
             simulate(host, pattern, 0, seed=0)
+
+    def test_pattern_larger_than_host(self, pattern):
+        with pytest.raises(InputError, match="pattern has 5 vertices but host only 4"):
+            simulate(Graph.path(4), pattern, 10, seed=0)
+
+    def test_core_memo_bound(self, pattern, monkeypatch):
+        """Clearing the core-key memo whenever it holds 50 masks changes no
+        tally: each key is recomputed when its mask comes again."""
+        sparse = Graph.gnp(random.Random(64), 64, 0.05)
+        kept = _ColorContext(sparse, pattern)
+        for rng in trial_rngs(300, 23):
+            record_trace(kept, rng)
+        expected = simulate(sparse, pattern, 300, seed=23)
+        monkeypatch.setattr(coloring, "CORE_MEMO_LIMIT", 50)
+        assert simulate(sparse, pattern, 300, seed=23) == expected
+        cleared = _ColorContext(sparse, pattern)
+        for rng in trial_rngs(300, 23):
+            record_trace(cleared, rng)
+        assert len(kept._core_by_mask) > 50 >= len(cleared._core_by_mask)
 
     def test_exact_event_probabilities(self, host, pattern):
         # independent hand computation for this configuration: a prefix of

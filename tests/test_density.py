@@ -138,6 +138,18 @@ class TestCountInduced:
         with pytest.raises(InputError):
             count_induced(Graph.complete(4), Graph.complete(3))
 
+    def test_join_table_bound(self, monkeypatch):
+        """Clearing a pattern's join tables whenever three are kept changes
+        no count: each table is rebuilt when its prefix comes again."""
+        h = Graph.gnp(random.Random(1), 6, 0.5)
+        g = Graph.gnp(random.Random(2), 24, 0.5)
+        kept = _Pattern(h)
+        copies = _count_matches(kept, g.adj)
+        monkeypatch.setattr(density, "JOIN_TABLE_LIMIT", 3)
+        cleared = _Pattern(h)
+        assert _count_matches(cleared, g.adj) == copies == count_induced(h, g)
+        assert len(kept.tables) > 3 >= len(cleared.tables)
+
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(density, "DEFAULT_SUBSET_BUDGET", 100)
         with pytest.raises(UnsupportedSizeError):
@@ -188,6 +200,10 @@ class TestMC:
     def test_close_to_exact(self, p3):
         est = induced_density_mc(p3, Graph.complete_bipartite(3, 3), 100_000, seed=1)
         assert abs(est.estimate - 0.9) < 0.01
+
+    def test_samples_positive(self, p3):
+        with pytest.raises(InputError, match="samples must be >= 1"):
+            induced_density_mc(p3, Graph.complete(4), 0, seed=1)
 
     def test_subset_sampler_uniform_support(self):
         rng = random.Random(34)

@@ -13,6 +13,7 @@ from inducibility.graphs import (
     _canonical_search,
     _encode_order,
     _induced_rows,
+    _orbit,
     automorphism_count,
     canonical_code,
     canonical_key,
@@ -42,6 +43,7 @@ class TestGraph6:
         assert parse_graph6("Bw") == Graph.complete(3)
         assert parse_graph6("A?") == Graph.empty(2)
         assert parse_graph6("Bg") == Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert parse_graph6(">>graph6<<Bw") == Graph.complete(3)
 
     def test_named_encodings(self):
         assert to_graph6(Graph.complete(3)) == "Bw"
@@ -85,6 +87,8 @@ class TestGraph6:
             ("Bww", "expected"),
             ("B!", "offset 1"),
             ("~~~~~", "unsupported"),
+            ("~", "truncated extended header"),
+            ("~??", "truncated extended header"),
         ],
     )
     def test_parse_errors_name_offsets(self, bad, fragment):
@@ -276,6 +280,23 @@ class TestCanonical:
             "d7609b24fa6d764784437b2bb0c6c9fa8dcf9c7e1d1ce6436c2a0e5e63ee408e"
         )
 
+    def test_search_outputs_pinned(self, classes_by_n):
+        # golden digest of all the search returns but its generators: the
+        # columns, the order that `_rooted` and `_joins` read, the group
+        # order and the orbit partition
+        rng = random.Random(29)
+        graphs = [g for n in range(7) for g in classes_by_n[n]]
+        graphs += [Graph.gnp(rng, n, rng.uniform(0.05, 0.95)) for n in range(2, 25) for _ in range(8)]
+        graphs += _symmetric_hosts()
+        digest = hashlib.sha256()
+        for g in graphs:
+            cols, order, gens, size = _canonical_search(g.n, g.adj)
+            orbits = sorted({tuple(sorted(_orbit(v, gens))) for v in range(g.n)})
+            digest.update(repr((cols, order, size, orbits)).encode())
+        assert digest.hexdigest() == (
+            "a73573845bd2dcc7aac7df583ee9b9d956909f1e4d00b27281da2af96521046f"
+        )
+
     def test_search_order_encodes_to_the_columns(self):
         rng = random.Random(51)
         graphs = [Graph.gnp(rng, n, rng.uniform(0.1, 0.9)) for n in (1, 2, 5, 9, 16, 30)]
@@ -422,6 +443,17 @@ class TestConstructionHelpers:
         g = disjoint_union(Graph.complete(2), Graph.complete(2))
         assert g.edge_count() == 2 and g.n == 4
         assert not g.has_edge(0, 2)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Graph(3, (0, 0)), "adjacency has 2 rows, expected 3"),
+        (lambda: Graph.from_edges(3, [(1, 1)]), r"self-loop \(1, 1\)"),
+        (lambda: Graph.from_edges(3, [(0, 3)]), r"edge \(0, 3\) out of range for n=3"),
+        (lambda: Graph.cycle(2), "cycle needs at least 3 vertices"),
+        (lambda: disjoint_union(Graph.empty(40), Graph.empty(25)), "exceeds the 64-vertex limit"),
+    ], ids=["row-count", "self-loop", "edge-out-of-range", "cycle-2", "union-past-64"])
+    def test_input_errors(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
 
     def test_validation(self):
         with pytest.raises(InputError):

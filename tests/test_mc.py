@@ -42,6 +42,15 @@ def test_offset_randbelow_is_two_argument_randrange():
         )
 
 
+def test_wilson_interval_needs_a_sample():
+    try:
+        mc.wilson_interval(0, 0)
+    except ValueError as exc:
+        assert str(exc) == "samples must be positive"
+    else:
+        raise AssertionError("wilson_interval(0, 0) returned")
+
+
 if __name__ == "__main__":
     import sys
 

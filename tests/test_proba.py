@@ -111,8 +111,15 @@ class TestMultiHypergeom:
         assert verified(verify._check_phi_binomial_limit).ok
 
     def test_domain(self):
-        with pytest.raises(InputError):
-            multi_hypergeom_joint(4, 2, (3, 3), 1)
+        for args, message in [
+            ((4, 2, (3, 3), 1), "parts exceed the population"),
+            ((4, 2, (-1, 2), 1), "part sizes must be nonnegative"),
+            ((4, 5, (1,), 1), "need 0 <= k <= n"),
+            ((4, -1, (1,), 1), "need 0 <= k <= n"),
+            ((4, 2, (1, 1), -1), "s must be nonnegative"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                multi_hypergeom_joint(*args)
 
 
 class TestPolyExp:
@@ -125,6 +132,10 @@ class TestPolyExp:
 
     def test_grid(self, verified):
         assert verified(verify._check_poly_exp_grid).ok
+
+    def test_domain(self):
+        with pytest.raises(InputError, match="s must be >= 1"):
+            poly_exp_check(0, 1.0)
 
 
 class TestLambdaSplit:

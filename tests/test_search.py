@@ -122,6 +122,8 @@ class TestEnumerate:
     def test_size_limit(self):
         with pytest.raises(UnsupportedSizeError):
             list(enumerate_graphs(10))
+        with pytest.raises(InputError, match="n must be nonnegative"):
+            list(enumerate_graphs(-1))
 
     def test_matches_unpruned_enumeration(self):
         # the same representatives in the same order, not only as many
@@ -489,6 +491,12 @@ class TestLocalSearch:
         res = ind_local_search(p3, 4, 10_000, seed=3)
         assert res.value == 1 and res.mode == "lower_bound"
 
+    def test_size_errors(self, p4):
+        with pytest.raises(InputError, match="pattern has 4 vertices but n = 3"):
+            ind_local_search(p4, 3, 10, seed=1)
+        with pytest.raises(UnsupportedSizeError, match="supports n <= 40, got 41"):
+            ind_local_search(p4, 41, 10, seed=1)
+
     def test_zero_iterations_returns_seed_graph(self, p3):
         res = ind_local_search(p3, 6, 0, seed=7)
         assert res.value == induced_density(p3, res.witness).density
@@ -529,25 +537,30 @@ class TestLocalSearch:
             ind_local_search(p3, 6, 100, seed=1, checkpoint=cp)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            pytest.param(lambda doc: {**doc, "best_density": "abc"}, id="density-abc"),
-            pytest.param(lambda doc: {**doc, "best_density": "1/0"}, id="density-1/0"),
-            pytest.param(lambda doc: {**doc, "iteration": "x"}, id="iteration-x"),
-            pytest.param(
-                lambda doc: {**doc, "rng_state": [3, [0] * 10, None]}, id="rng-state-size"
-            ),
-            pytest.param(lambda doc: [doc], id="top-level-list"),
-            pytest.param(
-                lambda doc: {**doc, "rng_state": [3, [0] * 625, None]}, id="rng-state-zero"
-            ),
+            pytest.param(lambda doc: {**doc, "best_density": "abc"}, "malformed checkpoint field",
+                         id="density-abc"),
+            pytest.param(lambda doc: {**doc, "best_density": "1/0"}, "malformed checkpoint field",
+                         id="density-1/0"),
+            pytest.param(lambda doc: {**doc, "iteration": "x"}, "'iteration' is not an integer",
+                         id="iteration-x"),
+            pytest.param(lambda doc: {**doc, "rng_state": [3, [0] * 10, None]},
+                         "malformed checkpoint field", id="rng-state-size"),
+            pytest.param(lambda doc: [doc], "is not a JSON object", id="top-level-list"),
+            pytest.param(lambda doc: {**doc, "rng_state": [3, [0] * 625, None]},
+                         "all-zero generator state", id="rng-state-zero"),
+            pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "best_graph"},
+                         "missing field 'best_graph'", id="missing-field"),
+            pytest.param(lambda doc: {**doc, "current_graph": to_graph6(Graph.empty(5))},
+                         "do not have n = 6 vertices", id="graph-not-on-n"),
         ],
     )
-    def test_malformed_checkpoint_rejected(self, p3, tmp_path, corrupt):
+    def test_malformed_checkpoint_rejected(self, p3, tmp_path, corrupt, message):
         cp = tmp_path / "run.json"
         ind_local_search(p3, 6, 50, seed=1, checkpoint=cp)
         cp.write_text(json.dumps(corrupt(json.loads(cp.read_text()))))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(cp, p3, 6)
 
     def test_resume_at_temperature_zero(self, p3, tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from inducibility import structure, verify
-from inducibility.errors import InternalCheckError, PreconditionError, UnsupportedSizeError
+from inducibility.errors import InputError, InternalCheckError, PreconditionError, UnsupportedSizeError
 from inducibility.graphs import Graph, to_graph6, with_isolated
 from inducibility.structure import (
     TameWitness,
@@ -129,6 +129,10 @@ class TestObscureOracle:
     def test_isolated_rejected(self):
         with pytest.raises(PreconditionError):
             is_obscure_oracle(with_isolated(Graph.path(3), 1), 3)
+
+    def test_vertex_out_of_range(self, p3):
+        with pytest.raises(InputError, match="vertex 3 out of range for n=3"):
+            is_obscure_oracle(p3, 3)
 
     def test_size_limit(self):
         with pytest.raises(UnsupportedSizeError):
