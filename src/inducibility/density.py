@@ -240,11 +240,6 @@ def _sample(rng: random.Random, n: int, k: int) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(picks)), mask
 
 
-def sample_k_subset(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
-    """Uniform k-subset of range(n), sorted."""
-    return _sample(rng, n, k)[0]
-
-
 def induced_density_mc(
     h: Graph, g: Graph, samples: int, seed: int
 ) -> MCEstimate:

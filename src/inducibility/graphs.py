@@ -16,9 +16,10 @@ cells, keeping the lexicographically smallest adjacency encoding.  A
 coloring whose cells of more than one vertex are each a set of pairwise
 twins ends a branch: every permutation inside those cells is an
 automorphism, so every order sorted by color encodes alike.  The search
-prunes by the automorphisms it finds along the way (the transpositions
-inside such cells, twin transpositions and the mappings of `_colored_iso`,
-which descends the same way), which stays exact, and returns them as
+prunes by the automorphisms it finds along the way, which stays exact:
+the transpositions inside such cells, twin transpositions, and the maps
+between two leaves that encode alike (leaf certificates, as in McKay and
+Piperno's "Practical graph isomorphism, II").  It returns them as
 generators of the group, which host enumeration prunes its augmentations
 by.  The same search counts the group by orbit-stabilizer along its first
 path; `automorphism_count` reads that order.  The canonical form's rows are
@@ -401,6 +402,11 @@ def _encode_order(n: int, adj: Sequence[int], order: Sequence[int]) -> tuple[int
     return tuple(enc)
 
 
+class _Match(Exception):
+    """A leaf that encodes like a kept vertex's first leaf; args are the
+    `firsts` dict holding that leaf and the automorphism from it to this one."""
+
+
 def _canonical_search(
     n: int, adj: Sequence[int]
 ) -> tuple[tuple[int, ...], list[int], list[list[int]], int]:
@@ -413,58 +419,72 @@ def _canonical_search(
     per orbit of its first split cell.  The orbits come from the
     automorphisms found at the node and below it, all of which fix the
     node's individualized vertices: a leaf's transpositions, the
-    transposition with a twin of a kept vertex, or the mapping
-    `_colored_iso` finds onto one.  Down the first branch these map each
-    kept vertex onto its whole orbit, so they generate the group (the
-    Schreier-Sims argument), and a node's group order is the orbit of its
-    first vertex times the order its first child returns (orbit-stabilizer).
+    transposition with a twin of a kept vertex, or a leaf certificate.  A
+    node keeps the first leaf below each kept vertex (`firsts`), and a leaf
+    below a later vertex u that encodes like one of them ends u's search:
+    the map between the two leaves, position by position, is an
+    automorphism that sends that kept vertex to u and fixes every vertex
+    individualized at or above the node, as such a vertex keeps its position
+    in every leaf below it.  A search that ends without one keeps u.  Down
+    the first branch these map each kept vertex onto its whole orbit, so
+    they generate the group (the Schreier-Sims argument), and a node's group
+    order is the orbit of its first vertex times the order its first child
+    returns (orbit-stabilizer).
     """
     nbrs = _neighbors(n, adj)
     best: tuple[tuple[int, ...], list[int]] | None = None
+    searching: list[dict] = []  # `firsts` of each node searching a later vertex, outermost first
 
-    def rec(colors: list[int]) -> tuple[list[list[int]], int]:
+    def rec(colors: list[int]):
+        """The generators and group order below `colors`, and its first leaf."""
         nonlocal best
         cells = _split_cells(n, colors)
         if _twin_cells(adj, cells):
             # every order that sorts by color encodes alike: record one
             leaf = sorted(range(n), key=colors.__getitem__)
             enc = _encode_order(n, adj, leaf)
+            for i, firsts in enumerate(searching):
+                if enc in firsts:
+                    del searching[i + 1:]  # the searches that the match ends
+                    raise _Match(firsts, [y for _, y in sorted(zip(firsts[enc], leaf))])
             if best is None or enc < best[0]:
                 best = (enc, leaf)
             gens = [_transposition(n, x, y) for cell in cells for x, y in zip(cell, cell[1:])]
-            return gens, math.prod(math.factorial(len(cell)) for cell in cells)
+            return gens, math.prod(math.factorial(len(cell)) for cell in cells), (enc, leaf)
         target = cells[0]
         v = target[0]
-        cv = _refine(nbrs, _individualize(colors, v))
-        gens, stab = rec(cv)
+        gens, stab, first = rec(_refine(nbrs, _individualize(colors, v)))
         covered = _orbit(v, gens)  # the orbits of the kept vertices, closed under gens
-        reps = [(v, cv)]
+        kept, firsts = [v], dict([first])
+        searching.append(firsts)
         for u in target[1:]:
             if u in covered:
                 continue
-            twin = next((r for r, _ in reps if _twins(adj, u, r)), None)
+            twin = next((r for r in kept if _twins(adj, u, r)), None)
             if twin is not None:
                 found = [_transposition(n, u, twin)]
             else:
-                cu = _refine(nbrs, _individualize(colors, u))
-                for _, cr in reps:
-                    perm = _colored_iso(n, adj, nbrs, cr, cu)
-                    if perm is not None:
-                        found = [perm]
-                        break
+                try:
+                    found, _, (enc, leaf) = rec(_refine(nbrs, _individualize(colors, u)))
+                except _Match as match:
+                    owner, perm = match.args
+                    if owner is not firsts:
+                        raise
+                    found = [perm]
                 else:
-                    reps.append((u, cu))
-                    found = rec(cu)[0]
+                    kept.append(u)
+                    firsts[enc] = leaf
             gens += found
             # close again: the new generators on the old points, every generator on the new
             grown = {u} | {perm[x] for perm in found for x in covered} - covered
             covered |= grown
             _close(covered, list(grown), gens)
+        searching.pop()
         # with v the only kept vertex, covered is v's orbit
-        orbit = covered if len(reps) == 1 else _orbit(v, gens)
-        return gens, len(orbit) * stab
+        orbit = covered if len(kept) == 1 else _orbit(v, gens)
+        return gens, len(orbit) * stab, first
 
-    gens, size = rec(_base_colors(nbrs))
+    gens, size, _ = rec(_base_colors(nbrs))
     assert best is not None
     return best[0], best[1], gens, size
 
@@ -507,37 +527,6 @@ def _transposition(n: int, x: int, y: int) -> list[int]:
     perm = list(range(n))
     perm[x], perm[y] = y, x
     return perm
-
-
-def _colored_iso(
-    n: int, adj: Sequence[int], nbrs: Sequence[Sequence[int]], c1: list[int], c2: list[int]
-) -> list[int] | None:
-    """A permutation pi preserving adjacency with c2[pi[x]] = c1[x], or None;
-    both colorings are refined.  At a leaf of c1 (`_twin_cells`) any two
-    color-preserving maps differ by an automorphism, so the one pairing each
-    color's vertices in order decides; otherwise the first vertex of c1's
-    first split cell goes to each vertex of its color in turn, both
-    individualized and refined."""
-    if sorted(c1) != sorted(c2):
-        return None
-    cells = _split_cells(n, c1)
-    if _twin_cells(adj, cells):
-        xs = sorted(range(n), key=c1.__getitem__)
-        ys = sorted(range(n), key=c2.__getitem__)
-        if _encode_order(n, adj, xs) != _encode_order(n, adj, ys):
-            return None
-        pi = [0] * n
-        for x, y in zip(xs, ys):
-            pi[x] = y
-        return pi
-    x = cells[0][0]
-    cx = _refine(nbrs, _individualize(c1, x))
-    for y in range(n):
-        if c2[y] == c1[x]:
-            pi = _colored_iso(n, adj, nbrs, cx, _refine(nbrs, _individualize(c2, y)))
-            if pi is not None:
-                return pi
-    return None
 
 
 def _close(orbit: set[int], stack: list[int], gens: Sequence[Sequence[int]]) -> None:

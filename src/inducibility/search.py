@@ -116,17 +116,10 @@ def _augmentations(n: int, rows: tuple[int, ...]) -> Iterator[int]:
             low = mask & -mask
             image[mask] = image[mask ^ low] | (1 << perm[low.bit_length() - 1])
         images.append(image)
-    seen = bytearray(size)
+    seen: set[int] = set()
     for mask in range(size):
-        if not seen[mask]:
-            seen[mask] = 1
-            stack = [mask]
-            while stack:
-                m = stack.pop()
-                for image in images:
-                    if not seen[image[m]]:
-                        seen[image[m]] = 1
-                        stack.append(image[m])
+        if mask not in seen:
+            seen |= _orbit(mask, images)  # an image table indexes like a permutation
             yield mask
 
 

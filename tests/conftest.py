@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,28 @@ sys.path.insert(0, str(Path(__file__).parent))
 from inducibility.graphs import Graph
 from inducibility.search import _classes
 from inducibility.verify import run_check
+
+
+@contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once it has run `seconds` seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the call did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def within():
+    """`with within(seconds):` bounds a block's wall time by SIGALRM."""
+    return _within
 
 
 @pytest.fixture(scope="session")

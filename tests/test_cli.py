@@ -4,7 +4,6 @@ import math
 import os
 import re
 import shlex
-import signal
 import subprocess
 import sys
 import time
@@ -56,10 +55,6 @@ def run_error(capsys, exit_code, *argv):
 def patch_run(monkeypatch, path, run):
     """Make the command at `path` run `run` in place of its row's function."""
     monkeypatch.setitem(cli.COMMANDS, path, cli.COMMANDS[path]._replace(run=run))
-
-
-def _timeout(signum, frame):
-    raise TimeoutError("the command did not finish within 5 s")
 
 
 def run_bad_flags(capsys, *argv):
@@ -161,18 +156,12 @@ class TestInd:
         assert "cannot write checkpoint" in error
 
     @pytest.mark.parametrize("pattern, n", [("@", 1), ("?", 0)])
-    def test_search_below_two_vertices_returns_the_seed_host(self, capsys, pattern, n):
+    def test_search_below_two_vertices_returns_the_seed_host(self, capsys, within, pattern, n):
         # no pair can flip; the one n-vertex host is the answer whatever --iters is
-        previous = signal.signal(signal.SIGALRM, _timeout)
-        try:
-            for iters in ("0", "1", "3"):
-                signal.alarm(5)  # a hang exits 4 through the CLI's last-resort handler
+        for iters in ("0", "1", "3"):
+            with within(5):  # a hang exits 4 through the CLI's last-resort handler
                 doc = run_json(capsys, "ind", pattern, "--n", str(n), "--search", "--iters", iters)
-                signal.alarm(0)
-                assert doc["outputs"] == {"mode": "lower_bound", "value": "1/1", "witness": pattern}
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+            assert doc["outputs"] == {"mode": "lower_bound", "value": "1/1", "witness": pattern}
 
     def test_exact_size_limit_exit_3(self, capsys):
         code, _ = run_cli(capsys, "ind", "Bg", "--n", "12", "--exact")

@@ -10,10 +10,10 @@ from inducibility import density, graphs
 from inducibility.density import (
     _count_matches,
     _Pattern,
+    _sample,
     count_induced,
     induced_density,
     induced_density_mc,
-    sample_k_subset,
 )
 from inducibility.errors import InputError, UnsupportedSizeError
 from inducibility.graphs import Graph, automorphism_count, canonical_key, complement, induced_subgraph
@@ -209,7 +209,7 @@ class TestMC:
         rng = random.Random(34)
         seen = set()
         for _ in range(2000):
-            seen.add(sample_k_subset(rng, 5, 2))
+            seen.add(_sample(rng, 5, 2)[0])
         assert len(seen) == 10
 
     def test_subset_sampler_draws_as_a_full_shuffle_does(self):
@@ -227,7 +227,7 @@ class TestMC:
             n = seed % 65
             ours, theirs = random.Random(seed), random.Random(seed)
             for k in range(n + 1):
-                assert sample_k_subset(ours, n, k) == listed(theirs, n, k), (seed, n, k)
+                assert _sample(ours, n, k)[0] == listed(theirs, n, k), (seed, n, k)
             assert ours.getstate() == theirs.getstate()
 
     def test_convergence_over_seeds(self, p3):

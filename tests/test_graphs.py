@@ -14,6 +14,7 @@ from inducibility.graphs import (
     _encode_order,
     _induced_rows,
     _orbit,
+    _refine,
     automorphism_count,
     canonical_code,
     canonical_key,
@@ -312,6 +313,29 @@ class TestCanonical:
         assert is_isomorphic(complement(Graph.path(4)), Graph.path(4))
 
 
+def _rook4():
+    idx = lambda i, j: 4 * i + j
+    edges = []
+    for i in range(4):
+        for j in range(4):
+            edges += [(idx(i, j), idx(i, jj)) for jj in range(j + 1, 4)]
+            edges += [(idx(i, j), idx(ii, j)) for ii in range(i + 1, 4)]
+    return Graph.from_edges(16, edges)
+
+
+def _shrikhande():
+    idx = lambda a, b: 4 * a + b
+    conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    edges = set()
+    for a in range(4):
+        for b in range(4):
+            for da, db in conn:
+                u = idx(a, b)
+                v = idx((a + da) % 4, (b + db) % 4)
+                edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(16, sorted(edges))
+
+
 class TestAutomorphisms:
     def test_examples(self):
         assert automorphism_count(Graph.star(3)) == 6
@@ -370,6 +394,45 @@ class TestAutomorphisms:
                         frontier.append(img)
             assert len(group) == order == brute_automorphisms(g), to_graph6(g)
 
+    def test_symmetric_hosts_generators_are_automorphisms(self):
+        # in relabelings of the complement of the 4x4 rook graph plus the
+        # Shrikhande graph, which refinement cannot tell apart, leaves inside
+        # nested searches match the kept first leaves of outer nodes and give
+        # their generators
+        rng = random.Random(30)
+        hosts = list(_symmetric_hosts())
+        _, rook, cube, _ = hosts
+        joined = complement(disjoint_union(_rook4(), _shrikhande()))
+        for g in (rook, cube, joined):
+            for _ in range(3):
+                p = list(range(g.n))
+                rng.shuffle(p)
+                hosts.append(relabel(g, p))
+        for g in hosts:
+            _, _, gens, order = _canonical_search(g.n, g.adj)
+            if g.n == joined.n:
+                assert order == 1152 * 192
+            e = edge_set(g)
+            for perm in gens:
+                assert sorted(perm) == list(range(g.n))
+                assert {frozenset((perm[u], perm[v])) for u, v in g.edges()} == e
+
+    def test_refinements_on_symmetric_hosts(self, monkeypatch):
+        # a sibling's search ends at its first leaf that encodes like a kept
+        # vertex's first leaf, with no second descent to compare colorings
+        calls = []
+
+        def counted(nbrs, colors):
+            calls.append(1)
+            return _refine(nbrs, colors)
+
+        monkeypatch.setattr("inducibility.graphs._refine", counted)
+        _, rook, cube, _ = _symmetric_hosts()
+        for g, bound in ((rook, 117), (cube, 28)):
+            calls.clear()
+            _canonical_search(g.n, g.adj)
+            assert len(calls) <= bound
+
     def test_divides_factorial(self, classes_by_n):
         for n in range(1, 8):
             for g in classes_by_n[n]:
@@ -399,28 +462,7 @@ class TestAutomorphisms:
         # rook and Shrikhande are both (16,6,2,2)-strongly-regular and
         # refinement alone cannot split them; exactness means the codes,
         # the isomorphism test, and the group orders must all tell them apart
-        def rook():
-            idx = lambda i, j: 4 * i + j
-            edges = []
-            for i in range(4):
-                for j in range(4):
-                    edges += [(idx(i, j), idx(i, jj)) for jj in range(j + 1, 4)]
-                    edges += [(idx(i, j), idx(ii, j)) for ii in range(i + 1, 4)]
-            return Graph.from_edges(16, edges)
-
-        def shrikhande():
-            idx = lambda a, b: 4 * a + b
-            conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
-            edges = set()
-            for a in range(4):
-                for b in range(4):
-                    for da, db in conn:
-                        u = idx(a, b)
-                        v = idx((a + da) % 4, (b + db) % 4)
-                        edges.add((min(u, v), max(u, v)))
-            return Graph.from_edges(16, sorted(edges))
-
-        r, s = rook(), shrikhande()
+        r, s = _rook4(), _shrikhande()
         assert sorted(r.degrees()) == sorted(s.degrees())
         assert not is_isomorphic(r, s)
         assert automorphism_count(r) == 1152

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import random
-import signal
 import zlib
 from fractions import Fraction
 
@@ -48,10 +47,6 @@ from oracles import (
 )
 
 BIPARTITE = ((1, 2), (1, 3), (2, 2), (1, 4), (2, 3))
-
-
-def _timeout(signum, frame):
-    raise TimeoutError("the call did not finish within 5 s")
 
 
 def _form(g):
@@ -353,19 +348,13 @@ class TestIndExact:
                 del pattern
                 gc.collect()
 
-    def test_through_refuses_a_lane_overflow(self):
+    def test_through_refuses_a_lane_overflow(self, within):
         """C(11, 5) = 462 subsets could wrap a byte lane: refused before any
         sum or join table is built."""
         pattern = _Pattern(Graph.path(6))
         rows = Graph.gnp(random.Random(30), 11, 0.5).adj
-        previous = signal.signal(signal.SIGALRM, _timeout)
-        try:
-            signal.alarm(5)
-            with pytest.raises(InternalCheckError, match="462 subsets"):
-                _through(pattern, rows)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with within(5), pytest.raises(InternalCheckError, match="462 subsets"):
+            _through(pattern, rows)
         assert pattern.sums == {} and not pattern.tables
 
     def test_census_matches_brute_count(self, classes_by_n):
