@@ -302,7 +302,7 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
                            citation="sparse core: (2 + 3e^2 a)/(2 + (e-2) nu) / e + 2a at"
                            " a = m/k with nu a bright-labeling probability bound")
 
-    if m <= alpha * k:
+    if m <= _as_fraction(alpha) * k:
         return sparse_report()
 
     if prof.max_degree >= _as_fraction(eps) * k:
@@ -325,8 +325,9 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
                            " graph's density bound at 1")
 
     # low maximum degree: look for a dominating repeated positive degree
+    beta_limit = _as_fraction(beta) * k
     tau = next((d for d, count in sorted(prof.k_hist.items())
-                if d >= 1 and count >= beta * k), None)
+                if d >= 1 and count >= beta_limit), None)
     if tau is not None:
         beta_actual = prof.k_hist[tau] / k
         f, value = uniform_degree_bound(tau, beta_actual, eps)
@@ -335,7 +336,7 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
                            citation="repeated low degree: 2 (phi(tau)/beta)^f with"
                            " f = floor(sqrt(beta/(tau eps)))")
 
-    if all(count <= beta * k for count in prof.k_hist.values()):
+    if all(count <= beta_limit for count in prof.k_hist.values()):
         return BoundReport(regime=REGIME_NON_UNIFORM, finite_value=None, inputs=inputs,
                            citation="no dominating degree multiplicity: vanishing bound"
                            " (asymptotic only)")

@@ -36,7 +36,9 @@ DENSITY_BUDGET = 2_000_000
 
 # `graph` is None when n, and `target` when k, exceeds the 64-vertex universe;
 # `achieved` is the exact probability of the defining pick event, and
-# `target_density` the full induced density, when affordable
+# `target_density` the full induced density, when affordable; for
+# `gnp_construction` the two are the sampled host's density, both None
+# when C(n, k) exceeds the subset budget
 ConstructionReport = namedtuple(
     "ConstructionReport", "graph target achieved limit_formula sigma target_density seed",
     defaults=(None,))
@@ -98,8 +100,8 @@ def gnp_construction(k: int, n: int, seed: int) -> ConstructionReport:
     """Random host with edge probability 1/C(k,2); the pattern is a single
     edge plus k-2 isolated vertices, so the defining event is the induced
     copy itself.  The limit formula is the expected density per k-subset;
-    the sampled graph's own density is the reported achieved value's
-    full-density twin (seed recorded)."""
+    `achieved` and `target_density` are both the sampled graph's own
+    density, None above the subset budget (seed recorded)."""
     if not 2 <= k <= n:
         raise InputError("need 2 <= k <= n")
     if n > MAX_VERTICES:
@@ -112,7 +114,7 @@ def gnp_construction(k: int, n: int, seed: int) -> ConstructionReport:
     return ConstructionReport(
         graph=graph,
         target=target,
-        achieved=density if density is not None else Fraction(0),
+        achieved=density,
         limit_formula=pairs * p * (1 - p) ** (pairs - 1),
         sigma=None,
         target_density=density,

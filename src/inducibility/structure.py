@@ -1,18 +1,20 @@
 """Taming sets and the happy / detectable / obscure vertex classes.
 
-A set V0 tames a graph when everything outside V0 is a clique or a stable
-set and each V0 vertex attaches to all of it or none of it; equivalently,
-every permutation fixing V0 pointwise is an automorphism.  The classifiers
-below are exact; the obscurity oracle is the definition-based exhaustive
-search (two deleted vertices plus an induced-subgraph match against the
-non-isolated core) and exists to cross-check the cheap characterization.
+A set V0 tames a graph when every permutation fixing V0 pointwise is an
+automorphism; equivalently, the vertices outside V0 are pairwise twins
+(same neighbors apart from each other), since swapping two vertices is an
+automorphism exactly when they are twins and such swaps generate every
+permutation.  That one twin test decides `is_tamed_by`, checks the closure
+witness and gives the minimum.  The classifiers below are exact; the
+obscurity oracle is the definition-based exhaustive search (two deleted
+vertices plus an induced-subgraph match against the non-isolated core) and
+exists to cross-check the cheap characterization.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .density import _count_matches, _Pattern
 from .errors import InputError, InternalCheckError, PreconditionError, UnsupportedSizeError
 from .graphs import Graph, _induced_rows, _twins, induced_subgraph, non_isolated_core
 
@@ -32,69 +34,48 @@ def _vertex_set_mask(h: Graph, vs) -> int:
     return mask
 
 
-def _mask_tames(h: Graph, v0_mask: int) -> bool:
-    rest = ((1 << h.n) - 1) ^ v0_mask
-    clique = stable = True
-    for v, row in enumerate(h.adj):
-        inside = row & rest
-        if (rest >> v) & 1:
-            stable = stable and not inside
-            clique = clique and inside == rest ^ (1 << v)
-            if not (clique or stable):
-                return False
-        elif inside and inside != rest:
-            return False  # a V0 vertex attached to part of the rest
-    return True
+def _tames(h: Graph, v0_mask: int) -> bool:
+    """The vertices outside v0_mask are pairwise twins; twins of a common
+    vertex are twins, so each is checked against the first."""
+    rest = [v for v in range(h.n) if not (v0_mask >> v) & 1]
+    return all(_twins(h.adj, rest[0], v) for v in rest[1:])
 
 
 def is_tamed_by(h: Graph, v0) -> bool:
-    """True iff V(h) minus v0 is a clique or stable set and every v0 vertex
-    attaches to all of it or none of it."""
-    return _mask_tames(h, _vertex_set_mask(h, v0))
+    """True iff the vertices of h outside v0 are pairwise twins, that is,
+    every permutation fixing v0 pointwise is an automorphism."""
+    return _tames(h, _vertex_set_mask(h, v0))
 
 
 def tame_witness_from(h: Graph, s) -> TameWitness:
-    """Close s into a taming set by adding the partially-attached and the
-    outside-connected vertices; the result always validates."""
+    """Close s into a taming set: V0 is s plus every vertex whose
+    neighborhood is not exactly s.  The vertices left outside all have
+    neighborhood s, so they are pairwise (non-adjacent) twins."""
     s_mask = _vertex_set_mask(h, s)
-    rest = ((1 << h.n) - 1) ^ s_mask
-    v0_mask = s_mask
-    r = rest
-    while r:
-        low = r & -r
-        v = low.bit_length() - 1
-        r ^= low
-        if (h.adj[v] & s_mask) != s_mask:
-            v0_mask |= low  # attached to only part of s
-        if h.adj[v] & rest:
-            v0_mask |= low  # has a neighbor outside s
-    v0 = frozenset(v for v in range(h.n) if (v0_mask >> v) & 1)
-    if not _mask_tames(h, v0_mask):
+    v0_mask = s_mask | sum(1 << v for v, row in enumerate(h.adj) if row != s_mask)
+    if not _tames(h, v0_mask):
         raise InternalCheckError("closure witness failed to tame; implementation bug")
+    v0 = frozenset(v for v in range(h.n) if (v0_mask >> v) & 1)
     return TameWitness(v0=v0, valid=True, source="closure")
 
 
 def minimal_taming_number(h: Graph) -> tuple[int, TameWitness]:
     """Smallest taming-set size with a witness, in O(n^2).
 
-    V0 tames h exactly when W = V \\ V0 is a set of pairwise twins: swapping
-    two vertices of W fixes V0, so it must be an automorphism; conversely,
-    pairwise twins form a clique or a stable set that each outside vertex
-    sees all or none of.  Twins joined by an edge (N[u] = N[v]) and twins
-    without one (N(u) = N(v)) each fall into classes, and three pairwise
-    twins are all of one kind, so the largest W is a largest class.  Ties go
-    to the smallest bitmask W: the witness that a scan of every W in
-    increasing bitmask order keeps.
+    V0 tames h exactly when W = V \\ V0 is a set of pairwise twins.  The
+    twin relation is an equivalence: adjacent twins (N[u] = N[w]) and
+    non-adjacent ones (N(u) = N(w)) are each transitive, and they never
+    chain, since if u, w are adjacent twins and v, w non-adjacent ones, then
+    u is in N(w) = N(v), so v is in N[u] = N[w], a contradiction.  So the
+    largest W is a largest twin class.  Ties go to the smallest bitmask W:
+    the witness that a scan of every W in increasing bitmask order keeps.
     """
     n, adj = h.n, h.adj
-    classes: list[int] = []
-    for adjacent in (0, 1):
-        kind: dict[int, int] = {}  # lowest vertex of each class -> the class as a bitmask
-        for v in range(n):
-            u = next((u for u in kind if (adj[u] >> v) & 1 == adjacent and _twins(adj, u, v)), v)
-            kind[u] = kind.get(u, 0) | 1 << v
-        classes += kind.values()
-    w = min(classes, key=lambda c: (-c.bit_count(), c), default=0)
+    classes: dict[int, int] = {}  # lowest vertex of each twin class -> the class as a bitmask
+    for v in range(n):
+        u = next((u for u in classes if _twins(adj, u, v)), v)
+        classes[u] = classes.get(u, 0) | 1 << v
+    w = min(classes.values(), key=lambda c: (-c.bit_count(), c), default=0)
     v0 = frozenset(v for v in range(n) if not (w >> v) & 1)
     return n - w.bit_count(), TameWitness(v0=v0, valid=True, source="exact_min")
 
@@ -134,6 +115,8 @@ def is_obscure_oracle(h: Graph, v: int) -> bool:
         raise UnsupportedSizeError(
             f"is_obscure_oracle supports n <= {OBSCURE_ORACLE_LIMIT}, got {h.n}"
         )
+    from .density import _count_matches, _Pattern  # only this oracle counts subsets
+
     core = non_isolated_core(induced_subgraph(h, [u for u in range(h.n) if u != v]))
     if core.n > h.n - 2:
         return False  # h - v1 - v2 is too small to hold the core

@@ -5,16 +5,16 @@ from the package code: permutation scans instead of canonical codes, edge
 sets instead of bitmasks, and a separate graph6 decoder that indexes the
 bit stream arithmetically.  `complete_bipartite_ind` is a published closed
 form that enumerates nothing.  Oracles must stay independent of the paths
-they check.  There are two exceptions.  `brute_classes` checks the
+they check.  The one exception is `brute_classes`, which checks the
 canonical augmentation of host enumeration: it labels every child with
 `canonical_key`, whose keys the golden digests in the tests pin
 independently.
-`brute_minimal_taming` checks the twin-class closed form by scanning every
-complement with the package's two-condition taming test, which the tests
-compare with `brute_is_tamed_by_permutations`.
 `dp_brightness` counts bright orderings by a DP over prefix sets, apart from
 the closed form it checks; it reaches cores of 14 vertices, where
-`brute_brightness` stops near 8.
+`brute_brightness` stops near 8.  It takes the detectable set from the
+package's `classify_vertices`, as the brightness tests do for
+`brute_brightness`; that classifier is checked against the definition-based
+obscurity oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from inducibility.graphs import Graph, _induced_rows, canonical_key
-from inducibility.structure import _mask_tames, classify_vertices
+from inducibility.structure import classify_vertices
 
 
 def ref_decode_graph6(line: str) -> tuple[int, set[frozenset[int]]]:
@@ -276,23 +276,35 @@ def brute_is_tamed_by_permutations(h: Graph, v0: set[int]) -> bool:
     return True
 
 
+def tames_by_definition(h: Graph, v0, e: set[frozenset[int]] | None = None) -> bool:
+    """The two-condition form over the edge set e of h: W = V \\ v0 is a
+    clique or a stable set, and every vertex of v0 is joined to all of W or
+    none of it."""
+    e = edge_set(h) if e is None else e
+    w = [v for v in range(h.n) if v not in v0]
+    inside = {frozenset(p) in e for p in combinations(w, 2)}  # {True}: a clique
+    return len(inside) <= 1 and all(len({frozenset((u, x)) in e for x in w}) <= 1 for u in v0)
+
+
 def brute_minimal_taming(h: Graph) -> tuple[int, frozenset[int]]:
     """Smallest taming-set size and a witness, by exhaustive search over the
-    complements W = V \\ V0 (W must be a clique or stable set with every
-    outside vertex attached to all or none of it)."""
+    complements W = V \\ V0, each checked by `tames_by_definition`.  Every
+    subset of a taming complement is one too (a vertex moved from W to V0
+    sees all of the rest of W or none of it), so the search grows each
+    taming W by one vertex above its largest until none grows; the witness
+    is the smallest bitmask W of the largest size."""
     n = h.n
-    full = (1 << n) - 1
-    best_size = -1
-    best_w = 0
-    for w in range(full + 1):
-        size = w.bit_count()
-        if size < best_size or (size == best_size and w >= best_w):
-            continue
-        if _mask_tames(h, full ^ w):
-            best_size, best_w = size, w
-    v0_mask = full ^ best_w
-    v0 = frozenset(v for v in range(n) if (v0_mask >> v) & 1)
-    return n - best_size, v0
+    e = edge_set(h)
+    level: list[tuple[int, ...]] = [()]
+    while grown := [
+        w + (v,)
+        for w in level
+        for v in range(w[-1] + 1 if w else 0, n)
+        if tames_by_definition(h, set(range(n)) - {*w, v}, e)
+    ]:
+        level = grown
+    best_w = min(sum(1 << v for v in w) for w in level)
+    return n - len(level[0]), frozenset(v for v in range(n) if not (best_w >> v) & 1)
 
 
 def brute_classes(n: int) -> tuple[Graph, ...]:

@@ -296,6 +296,20 @@ class TestSelector:
         assert rep.regime == "uniform_low_degree"
         assert rep.inputs["tau"] == 1
 
+    def test_beta_threshold_is_exact(self):
+        # 7 = 0.28 * 25 exactly, while the float product is 7.000000000000001
+        h = with_isolated(Graph.cycle(7), 18)
+        rep = regime_selector(h, SelectorParams(eps=0.5, beta=0.28))
+        assert rep.regime == "uniform_low_degree"
+        assert rep.inputs["tau"] == 2
+
+    def test_alpha_threshold_is_exact(self):
+        # m = 29 = 0.58 * 50 exactly, while the float product is 28.999999999999996
+        h = with_isolated(Graph.cycle(29), 21)
+        rep = regime_selector(h, SelectorParams(alpha=0.58))
+        assert rep.regime == "sparse_core"
+        assert rep.inputs["m"] == 29
+
     def test_complement_invariant_labels(self, classes_by_n):
         params = SelectorParams(C=1.0)
         for n in range(2, 8):

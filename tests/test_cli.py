@@ -238,6 +238,13 @@ class TestOtherCommands:
         )
         assert Fraction(doc["outputs"]["achieved"]) == Fraction(1990000, 4455100)
 
+    def test_construct_gnp_over_density_budget(self, capsys):
+        # C(40, 10) exceeds the subset budget: no density, not a false 0
+        doc = run_json(capsys, "construct", "gnp", "--k", "10", "--n", "40", "--seed", "7")
+        assert doc["outputs"]["achieved"] is None
+        assert doc["outputs"]["target_density"] is None
+        assert parse_graph6(doc["outputs"]["graph"]).edge_count() > 0
+
     def test_simulate(self, capsys):
         doc = run_json(
             capsys,

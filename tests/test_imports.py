@@ -36,12 +36,15 @@ COMMANDS = [
     (["density", "Bg", "DQc", "--mc", "100"], {"density", "mc"}),
     (["ind", "Bg", "--n", "5", "--search", "--iters", "5"], {"density", "mc", "search"}),
     (["ind", "Bg", "--n", "5", "--exact"], {"density", "mc", "search"}),
-    (["classify", "Bw", "--mc", "10"], {"brightness", "density", "mc", "structure"}),
+    (["classify", "Bw", "--mc", "10"], {"brightness", "mc", "structure"}),
+    (["tame", "Cr"], {"structure"}),
+    (["construct", "blowup", "Cr", "--v0", "0,3", "--n", "32"],
+     {"constructions", "density", "mc", "proba", "structure"}),
     (["bounds", "phi", "--s", "2"], {"bounds"}),
     (["proba", "binom", "--k", "3", "--p", "1/3", "--s", "1"], {"proba"}),
 ]
-COMMAND_IDS = ["density", "density-mc", "ind-search", "ind-exact", "classify", "bounds-phi",
-               "proba-binom"]
+COMMAND_IDS = ["density", "density-mc", "ind-search", "ind-exact", "classify", "tame",
+               "construct-blowup", "bounds-phi", "proba-binom"]
 
 
 @pytest.mark.parametrize("argv, modules", COMMANDS, ids=COMMAND_IDS)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,7 +14,13 @@ from inducibility.structure import (
     minimal_taming_number,
     tame_witness_from,
 )
-from oracles import brute_is_tamed_by_permutations, brute_minimal_taming
+from oracles import (
+    all_labeled_graphs,
+    brute_is_tamed_by_permutations,
+    brute_minimal_taming,
+    edge_set,
+    tames_by_definition,
+)
 
 
 def planted_twins(rng, n):
@@ -45,12 +52,21 @@ class TestTaming:
         assert is_tamed_by(p4, {0, 1, 2, 3})
 
     def test_two_condition_form_matches_permutation_form(self):
-        rng = random.Random(11)
-        for _ in range(150):
-            n = rng.randint(1, 6)
-            h = Graph.gnp(rng, n, 0.5)
-            v0 = {v for v in range(n) if rng.random() < 0.5}
-            assert is_tamed_by(h, v0) == brute_is_tamed_by_permutations(h, v0)
+        # every labelled graph on n <= 5 vertices, with every v0
+        for n in range(6):
+            for h in all_labeled_graphs(n):
+                for mask in range(1 << n):
+                    v0 = {v for v in range(n) if mask >> v & 1}
+                    assert is_tamed_by(h, v0) == brute_is_tamed_by_permutations(h, v0)
+
+    def test_twin_form_matches_definition(self, classes_by_n):
+        # every class on n <= 7 vertices, with every v0
+        for n in range(8):
+            for h in classes_by_n[n]:
+                e = edge_set(h)
+                for mask in range(1 << n):
+                    v0 = {v for v in range(n) if mask >> v & 1}
+                    assert is_tamed_by(h, v0) == tames_by_definition(h, v0, e), (to_graph6(h), v0)
 
     def test_witness_examples(self, p4):
         w = tame_witness_from(Graph.complete_bipartite(2, 3), {0, 1})
@@ -61,8 +77,21 @@ class TestTaming:
         assert w.v0 == frozenset({0, 1, 2})
         assert w.source == "closure"
 
+    def test_closure_witness_pinned(self):
+        # the closure of every s in every labelled graph on n <= 5 vertices
+        digest = hashlib.sha256()
+        for n in range(6):
+            for h in all_labeled_graphs(n):
+                for mask in range(1 << n):
+                    s = {v for v in range(n) if mask >> v & 1}
+                    v0 = sorted(tame_witness_from(h, s).v0)
+                    digest.update(repr((h.n, h.adj, mask, v0)).encode())
+        assert digest.hexdigest() == (
+            "dc3f0077ca51ae2d5540873c984c1af5368728df943f991781f49f967cb70e7c"
+        )
+
     def test_untamed_closure_is_an_internal_error(self, monkeypatch, p4):
-        monkeypatch.setattr(structure, "_mask_tames", lambda h, mask: False)
+        monkeypatch.setattr(structure, "_tames", lambda h, mask: False)
         with pytest.raises(InternalCheckError, match="closure witness"):
             tame_witness_from(p4, {1})
 
