@@ -73,7 +73,9 @@ class _ColorContext:
     and a per-host memo of core keys, cleared wholesale once it holds
     `CORE_MEMO_LIMIT` masks.  An edgeless mask has the empty core, so a black
     set that stays edgeless is answered without a key or a memo entry: the
-    context keeps the last such set, the black set of a trace's next call."""
+    context keeps the last such set, the black set of a trace's next call.
+    Such a set is always black: h has two edges, and deleting a detectable
+    vertex leaves one, so the empty core is neither h's nor an h - v's."""
 
     def __init__(self, g: Graph, h: Graph, max_steps: int | None = None):
         if h.n < 3 or h.edge_count() < 2:
@@ -92,7 +94,6 @@ class _ColorContext:
         )
         self._core_by_mask: dict[int, bytes] = {}
         self.empty_core = _core_key(h.adj, 0)
-        self.empty_is_black = self.empty_core not in self.deleted_codes | {self.core_code}
         self._edgeless_black = 0  # a black set known to have no edge
 
     def core_code_of_mask(self, mask: int) -> bytes:
@@ -110,9 +111,8 @@ class _ColorContext:
         if (black_mask == 0 or black_mask == self._edgeless_black) and not (
             self.g.adj[v] & black_mask
         ):
-            if self.empty_is_black:
-                self._edgeless_black = black_mask | (1 << v)
-            return self.empty_is_black
+            self._edgeless_black = black_mask | (1 << v)
+            return True
         code = self.core_code_of_mask(black_mask | (1 << v))
         return code != self.core_code and code not in self.deleted_codes
 

@@ -106,6 +106,9 @@ def gnp_construction(k: int, n: int, seed: int) -> ConstructionReport:
         raise InputError("need 2 <= k <= n")
     if n > MAX_VERTICES:
         raise InputError(f"gnp host has {n} vertices, above the {MAX_VERTICES}-vertex limit")
+    if seed < 0:
+        # random.Random seeds from |seed|, so -s would build s's host
+        raise InputError(f"seed must be >= 0, got {seed}")
     pairs = math.comb(k, 2)
     p = 1 / pairs
     graph = Graph.gnp(random.Random(seed), n, p)

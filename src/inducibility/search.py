@@ -51,14 +51,17 @@ The local search is simulated annealing over single edge flips with
 geometric cooling.  Density is maintained incrementally: flipping (u, v)
 changes the count by the copies through both endpoints after the flip
 minus those before, each counted by the density module's forced walk.
-Every run is resumable bit-exactly from a versioned JSON checkpoint; a
-malformed or stale checkpoint is rejected rather than silently restarted.
+The loop keeps its state in locals; a `SearchState` record carries it to
+and from a versioned JSON checkpoint, from which every run resumes
+bit-exactly.  A checkpoint replaces its file whole, never in place, and a
+malformed or stale one is rejected rather than silently restarted.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import struct
 from collections import namedtuple
@@ -66,7 +69,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
 from .density import _count_matches, _Pattern
 from .errors import CheckpointError, InputError, InternalCheckError, UnsupportedSizeError
@@ -367,52 +370,61 @@ def _flip_delta(pattern: _Pattern, adj: list[int], u: int, v: int) -> int:
     return _count_matches(pattern, flipped, (u, v)) - _count_matches(pattern, adj, (u, v))
 
 
-class _SearchState:
-    """The annealing's mutable state, as a checkpoint stores it."""
-
-    __slots__ = ("h", "n", "iteration", "temperature", "rng", "current", "current_copies",
-                 "best_adj", "best_copies", "since_improve")
-
-    def __init__(self, **fields: Any) -> None:
-        for name, value in fields.items():
-            setattr(self, name, value)
+# the annealing's state between iterations, as a checkpoint stores it; rows are tuples
+SearchState = namedtuple(
+    "SearchState", "iteration temperature rng current best best_copies since_improve"
+)
 
 
-def _seed_graph(rng: random.Random, n: int) -> list[int]:
+def _seed_graph(rng: random.Random, n: int) -> tuple[int, ...]:
     rows = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if rng.getrandbits(1):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return rows
+    return tuple(rows)
 
 
-def save_checkpoint(path: str | Path, state: _SearchState) -> None:
-    total = math.comb(state.n, state.h.n)
+def save_checkpoint(path: str | Path, h: Graph, state: SearchState) -> None:
+    """Write the search `state` for pattern `h` to `path`.
+
+    The document goes to a temporary file beside `path`, which then
+    replaces it whole, so a process interrupted mid-write leaves the
+    previous checkpoint intact.  Nothing is synced to disk: this does not
+    guard against power loss.
+    """
+    n = len(state.current)
     version, internal, gauss = state.rng.getstate()
     doc = {
         "version": CHECKPOINT_VERSION,
-        "h_code": to_graph6(state.h),
-        "n": state.n,
+        "h_code": to_graph6(h),
+        "n": n,
         "iteration": state.iteration,
         "temperature": float.hex(state.temperature),
         "rng_state": [version, list(internal), None if gauss is None else float.hex(gauss)],
-        "current_graph": to_graph6(Graph(state.n, tuple(state.current))),
-        "best_graph": to_graph6(Graph(state.n, state.best_adj)),
-        "best_density": f"{state.best_copies}/{total}",
+        "current_graph": to_graph6(Graph(n, state.current)),
+        "best_graph": to_graph6(Graph(n, state.best)),
+        "best_density": f"{state.best_copies}/{math.comb(n, h.n)}",
         "since_improve": state.since_improve,
     }
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="ascii")
+        tmp.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="ascii")
+        os.replace(tmp, path)
     except OSError as exc:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
 
 
 def load_checkpoint(
     path: str | Path, h: Graph, n: int, pattern: _Pattern | None = None
-) -> _SearchState:
-    """The search state stored at `path`, recounted with h's `pattern`."""
+) -> SearchState:
+    """The search state stored at `path`, its best host recounted with h's `pattern`."""
     pattern = pattern or _Pattern(h)
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
@@ -458,18 +470,8 @@ def load_checkpoint(
             f"stored best density {stored} disagrees with recount {recount};"
             " refusing to resume from a stale witness"
         )
-    return _SearchState(
-        h=h,
-        n=n,
-        iteration=iteration,
-        temperature=temperature,
-        rng=rng,
-        current=list(current.adj),
-        current_copies=_count_matches(pattern, current.adj),
-        best_adj=best.adj,
-        best_copies=best_copies,
-        since_improve=since_improve,
-    )
+    return SearchState(iteration, temperature, rng, current.adj, best.adj, best_copies,
+                       since_improve)
 
 
 def ind_local_search(
@@ -481,8 +483,9 @@ def ind_local_search(
 ) -> IndResult:
     """Simulated-annealing lower bound on the maximum induced density.
 
-    Deterministic per seed; if `checkpoint` names an existing file the run
-    resumes from it bit-exactly.  The checkpoint file is written before the
+    Deterministic per seed, which must be >= 0: `random.Random` seeds from
+    |seed|, so -s would repeat the run of s.  If `checkpoint` names an
+    existing file the run resumes from it bit-exactly.  The checkpoint file is written before the
     first iteration, so an unwritable path fails before any work, and again
     when the run ends.  Below two vertices no pair can flip, so the seed
     host, the only host, is returned whatever `iters` is.
@@ -495,66 +498,61 @@ def ind_local_search(
         )
     if iters < 0:
         raise InputError(f"iters must be >= 0, got {iters}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     pattern = _Pattern(h)
     if checkpoint is not None and Path(checkpoint).exists():
-        st = load_checkpoint(checkpoint, h, n, pattern)
+        state = load_checkpoint(checkpoint, h, n, pattern)
+        copies = _count_matches(pattern, state.current)
     else:
         rng = random.Random(seed)
-        current = _seed_graph(rng, n)
-        copies = _count_matches(pattern, current)
-        st = _SearchState(
-            h=h,
-            n=n,
-            iteration=0,
-            temperature=T0,
-            rng=rng,
-            current=current,
-            current_copies=copies,
-            best_adj=tuple(current),
-            best_copies=copies,
-            since_improve=0,
-        )
+        rows = _seed_graph(rng, n)
+        copies = _count_matches(pattern, rows)
+        state = SearchState(0, T0, rng, rows, rows, copies, 0)
     if checkpoint is not None:
-        save_checkpoint(checkpoint, st)
+        save_checkpoint(checkpoint, h, state)
+    iteration, temperature, rng, current, best, best_copies, since_improve = state
+    current = list(current)
 
     total = math.comb(n, h.n)
-    while st.iteration < iters and n >= 2:
-        u = randbelow(st.rng, n)
-        v = randbelow(st.rng, n)
+    while iteration < iters and n >= 2:
+        u = randbelow(rng, n)
+        v = randbelow(rng, n)
         while v == u:
-            v = randbelow(st.rng, n)
+            v = randbelow(rng, n)
         if u > v:
             u, v = v, u
-        delta = _flip_delta(pattern, st.current, u, v)
+        delta = _flip_delta(pattern, current, u, v)
         accept = delta >= 0
         if not accept:
             # at temperature 0 every downhill move is rejected
-            prob = math.exp((delta / total) / st.temperature) if st.temperature > 0 else 0.0
-            accept = st.rng.random() < prob
+            prob = math.exp((delta / total) / temperature) if temperature > 0 else 0.0
+            accept = rng.random() < prob
         if accept:
-            st.current[u] ^= 1 << v
-            st.current[v] ^= 1 << u
-            st.current_copies += delta
-        if st.current_copies > st.best_copies:
-            st.best_copies = st.current_copies
-            st.best_adj = tuple(st.current)
-            st.since_improve = 0
+            current[u] ^= 1 << v
+            current[v] ^= 1 << u
+            copies += delta
+        if copies > best_copies:
+            best_copies = copies
+            best = tuple(current)
+            since_improve = 0
         else:
-            st.since_improve += 1
-        if st.since_improve >= RESTART_AFTER:
-            st.temperature = T0
-            st.current = list(st.best_adj)
-            st.current_copies = st.best_copies
-            st.since_improve = 0
+            since_improve += 1
+        if since_improve >= RESTART_AFTER:
+            temperature = T0
+            current = list(best)
+            copies = best_copies
+            since_improve = 0
         else:
-            st.temperature *= COOLING
-        st.iteration += 1
+            temperature *= COOLING
+        iteration += 1
 
     if checkpoint is not None:
-        save_checkpoint(checkpoint, st)
-    if _count_matches(pattern, st.best_adj) != st.best_copies:
+        save_checkpoint(checkpoint, h, SearchState(iteration, temperature, rng, tuple(current),
+                                                   best, best_copies, since_improve))
+    if _count_matches(pattern, best) != best_copies:
         raise InternalCheckError("incremental copy count drifted; implementation bug")
-    return IndResult(Fraction(st.best_copies, total), Graph(n, st.best_adj), "lower_bound")
+    return IndResult(Fraction(best_copies, total), Graph(n, best), "lower_bound")
 
 
 if __name__ == "__main__":

@@ -703,6 +703,25 @@ class TestDeterminism:
         digest = hashlib.sha256(first.encode()).hexdigest()
         assert digest == self.STDOUT_SHA256[argv[0]]
 
+    @pytest.mark.parametrize("argv", [a for a in COMMANDS if a[0] in ("ind", "construct")],
+                             ids=lambda a: a[0])
+    def test_negative_seed_exit_2(self, capsys, argv):
+        # random.Random(-s) is random.Random(s): a negative seed would repeat a positive run
+        argv = argv[:-1] + ("-" + argv[-1],)
+        assert "seed must be >= 0" in run_error(capsys, 2, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", to_graph6(Graph.path(12)), "--mc", "200", "--seed", "1"),
+        ("brightness", to_graph6(Graph.path(12)), "--mc", "200", "--seed", "1"),
+        ("density", "Bg", "DQc", "--mc", "1000", "--seed", "5"),
+        ("simulate-coloring", to_graph6(Graph.path(8)), "Bg", "--trials", "400", "--seed", "6"),
+    ], ids=lambda a: a[0])
+    def test_monte_carlo_accepts_negative_seed(self, capsys, argv):
+        # the Monte-Carlo streams of -s are not those of s
+        negative = run_json(capsys, *argv[:-1], "-" + argv[-1])
+        assert negative["inputs"]["seed"] == -int(argv[-1])
+        assert negative["outputs"] != run_json(capsys, *argv)["outputs"]
+
 
 STAR20 = "TsaCCA?_C?O?_?_?O?C??_?A??C??C??A???"
 

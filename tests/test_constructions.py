@@ -90,6 +90,11 @@ class TestGnp:
         rep = gnp_construction(6, 8, seed=0)
         assert rep.target.n == 6 and rep.target.edge_count() == 1
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-3) is random.Random(3): -3 would build seed 3's host
+        with pytest.raises(InputError, match="seed must be >= 0, got -3"):
+            gnp_construction(3, 8, seed=-3)
+
 
 class TestSplitPlusEdge:
     def test_small_case(self):

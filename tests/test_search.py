@@ -513,6 +513,41 @@ class TestLocalSearch:
         assert resumed.value == full.value
         assert resumed.witness == full.witness
 
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        """A fresh run and its resume write the same checkpoint bytes as ever."""
+        cp = tmp_path / "run.json"
+        ind_local_search(Graph.path(4), 12, 300, 5, checkpoint=cp)
+        assert hashlib.sha256(cp.read_bytes()).hexdigest() == (
+            "b4331d46971ff95b4cba38b217f55e2cc001a5821bf182774f8e39e6195a46c3")
+        ind_local_search(Graph.path(4), 12, 600, 5, checkpoint=cp)
+        assert hashlib.sha256(cp.read_bytes()).hexdigest() == (
+            "4d02d763599d15f213551ebaecd4d5b6b53255a62cce45c8bf14e5ebdd33ac47")
+
+    def test_negative_seed_rejected(self, p3, tmp_path):
+        # random.Random(-11) is random.Random(11): -11 would repeat seed 11's run
+        cp = tmp_path / "run.json"
+        ind_local_search(p3, 6, 50, seed=11, checkpoint=cp)
+        saved = cp.read_bytes()
+        for checkpoint in (None, cp):
+            with pytest.raises(InputError, match="seed must be >= 0, got -11"):
+                ind_local_search(p3, 6, 100, seed=-11, checkpoint=checkpoint)
+        assert cp.read_bytes() == saved
+
+    def test_interrupted_write_keeps_the_old_checkpoint(self, p3, tmp_path, monkeypatch):
+        cp = tmp_path / "run.json"
+        ind_local_search(p3, 6, 50, seed=1, checkpoint=cp)
+        saved = cp.read_bytes()
+
+        def replace(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(search.os, "replace", replace)
+        with pytest.raises(CheckpointError, match="cannot write checkpoint.*interrupted"):
+            ind_local_search(p3, 6, 100, seed=1, checkpoint=cp)
+        assert cp.read_bytes() == saved
+        assert load_checkpoint(cp, p3, 6).iteration == 50
+        assert [f.name for f in tmp_path.iterdir()] == ["run.json"]
+
     def test_checkpoint_mismatch_rejected(self, p3, p4, tmp_path):
         cp = tmp_path / "run.json"
         ind_local_search(p3, 6, 50, seed=1, checkpoint=cp)
