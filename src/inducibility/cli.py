@@ -61,12 +61,17 @@ EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
 
 DIGIT_LIMIT = 4300  # CPython's default cap on the digits str(int) converts
+_TOO_LONG = 10**DIGIT_LIMIT  # the least integer of more than DIGIT_LIMIT digits
 
 
 def _fmt(value: Any) -> Any:
     """JSON-ready rendering: Fractions as p/q, floats at 12 significant digits,
     graphs as graph6, and a report record (a named tuple) as an object keyed
-    by its `_fields`, checked before the other tuples."""
+    by its `_fields`, checked before the other tuples.  An integer or a
+    rational term of more than DIGIT_LIMIT digits is refused."""
+    if isinstance(value, (int, Fraction)):
+        if max(abs(value.numerator), value.denominator) >= _TOO_LONG:
+            raise UnsupportedSizeError(f"an output value passes {DIGIT_LIMIT} digits")
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from .density import induced_density
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, UnsupportedSizeError
 from .graphs import MAX_VERTICES, Graph, with_isolated
 from .proba import HypergeomParams, hypergeom_point, multi_hypergeom_joint
 from .structure import is_tamed_by
@@ -46,6 +47,23 @@ ConstructionReport = namedtuple(
 
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
+
+
+def _check_float_range(n: int) -> None:
+    """Part sizes are rounded from float products with n, so n must convert to a float."""
+    try:
+        float(n)
+    except OverflowError:
+        raise UnsupportedSizeError("n is past the float range of the part sizes") from None
+
+
+def _binomial_limit(k: int, r: int, sigma: float) -> float:
+    """C(k, r) sigma^r (1 - sigma)^(k - r), through logarithms once C(k, r)
+    is past the float range (the value itself is at most 1)."""
+    ways = math.comb(k, r)
+    if ways <= sys.float_info.max:
+        return ways * sigma**r * (1 - sigma) ** (k - r)
+    return math.exp(math.log(ways) + r * math.log(sigma) + (k - r) * math.log1p(-sigma))
 
 
 def _maybe_density(target: Graph | None, graph: Graph | None) -> Fraction | None:
@@ -75,7 +93,7 @@ def _two_part(
         graph=graph,
         target=target,
         achieved=hypergeom_point(HypergeomParams(n, small, k, r)),
-        limit_formula=math.comb(k, r) * sigma**r * (1 - sigma) ** (k - r),
+        limit_formula=_binomial_limit(k, r, sigma),
         sigma=sigma,
         target_density=_maybe_density(target, graph),
     )
@@ -88,6 +106,7 @@ def split_construction(k: int, r: int, n: int, sigma: float) -> ConstructionRepo
         raise InputError("need 1 <= r < k <= n")
     if not 0 < sigma < 1:
         raise InputError("sigma must be in (0, 1)")
+    _check_float_range(n)
     small = _round_half_up(sigma * n)
     if small < r:
         raise InputError(f"small part {small} cannot host {r} picks")
@@ -132,6 +151,7 @@ def split_plus_edge(k: int, n: int) -> ConstructionReport:
         raise InputError("need k >= 4")
     if n < k:
         raise InputError("need n >= k")
+    _check_float_range(n)
     small = _round_half_up(2 * n / k)  # in [2, n - k + 2] as k >= 4: both sides host their picks
     return _two_part(k, 2, n, small, 2 / k, clique=True)
 

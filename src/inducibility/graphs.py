@@ -213,26 +213,24 @@ def parse_graph6(text: str) -> Graph:
             f"expected {nbytes} data bytes after offset {body - 1},"
             f" got {len(data) - body}"
         )
-    rows = [0] * n
-    i, j = 0, 1
-    done = 0
-    for idx in range(nbytes):
-        b = data[body + idx]
+    # the inverse of `_upper_triangle`: one bit stream, read column by column
+    stream = 0
+    for off in range(body, len(data)):
+        b = data[off]
         if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} out of range [63, 126] at offset {body + idx}")
-        val = b - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = (val >> shift) & 1
-            if done < nbits:
-                if bit:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                done += 1
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif bit:
-                raise Graph6Error(f"nonzero padding bit at offset {body + idx}")
+            raise Graph6Error(f"byte {b} out of range [63, 126] at offset {off}")
+        stream = (stream << 6) | (b - 63)
+    bits = format(stream, f"0{6 * nbytes}b")
+    if "1" in bits[nbits:]:
+        raise Graph6Error(f"nonzero padding bit at offset {len(data) - 1}")
+    rows = [0] * n
+    start = 0
+    for j in range(1, n):
+        for i, bit in enumerate(bits[start:start + j]):
+            if bit == "1":
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        start += j
     return Graph(n, tuple(rows))
 
 

@@ -117,25 +117,38 @@ def test_criterion_09_coloring_simulation(verified):
               " and caps hold", f"{elapsed:.1f}s")
 
 
+# SHA-256 of each seeded command's stdout, the one table of pinned CLI
+# digests (tests/test_cli.py reads its determinism cases from it)
+CLI_STDOUT_SHA256 = {
+    ("classify", "Bg"):
+        "11304c10d46376b55cd314a685198b14258a33b24880b0eda06ec8583b353a30",
+    ("brightness", "Bg", "--mc", "3000", "--seed", "1"):
+        "069170f3ca4d7dc74cac7c93bc7369291596854ee878f31aaa51ebf440b3c32a",
+    ("density", "Bg", "DQc", "--mc", "1500", "--seed", "5"):
+        "22a022a9b95709b5f3ff8d8a81ca1bd7aacf99bae7059356c893d7ff72e0f031",
+    ("ind", "Bg", "--n", "5", "--search", "--iters", "200", "--seed", "2"):
+        "482653966ed9593356320d3e71aed48ca10b10f1603ea0f88d301ef78397d205",
+    ("construct", "gnp", "--k", "4", "--n", "10", "--seed", "8"):
+        "1e38439253fd14d5f075847c3b17dea40f4778e5e85596e27ed9ac685b849004",
+    ("simulate-coloring", "Dg?", "Cg", "--trials", "600", "--seed", "6"):
+        "3bbefa4cbed06227a93ce4631a90a0d992d42a9bd94e443fdf568b150ec22818",
+    ("proba", "lambda", "--y", "0.5", "--z", "0.5"):
+        "bca40f8197b8f4f6a56f2637f05d5bcb878c53c07fa0c41743f8a06053d5797d",
+    ("brightness", "Bg", "--mc", "2000", "--seed", "1"):
+        "a9a0bccea67922ca47b5f8557468b7b306ef2ad630e4dec0230844dba2fd5065",
+    ("density", "Bg", "DQc", "--mc", "1000", "--seed", "5"):
+        "0b80c61495b29fba8679fbc115a95d49a0e4821f8098b0e25ce7d543d18545fb",
+    ("ind", "Bg", "--n", "5", "--search", "--iters", "150", "--seed", "2"):
+        "60e4b1c1dcab7cbb982bd777a0728220425f20e6759e077c4f38e8e7c14b9fee",
+    ("simulate-coloring", "DQc", "Cl", "--trials", "400", "--seed", "6"):
+        "6d6ac16b4071d2053f56dc74ad2ee867ba3c79538d591ec4bf311f6bd19f7438",
+    ("bounds", "alpha"):
+        "df72745c0820f68a64d9604a7efc086020802e38ca214533a0f69dd3800169ac",
+}
+
+
 def test_criterion_10_cli_determinism(capsys):
-    # each command's stdout SHA-256
-    commands = [
-        (["classify", "Bg"],
-         "11304c10d46376b55cd314a685198b14258a33b24880b0eda06ec8583b353a30"),
-        (["brightness", "Bg", "--mc", "3000", "--seed", "1"],
-         "069170f3ca4d7dc74cac7c93bc7369291596854ee878f31aaa51ebf440b3c32a"),
-        (["density", "Bg", "DQc", "--mc", "1500", "--seed", "5"],
-         "22a022a9b95709b5f3ff8d8a81ca1bd7aacf99bae7059356c893d7ff72e0f031"),
-        (["ind", "Bg", "--n", "5", "--search", "--iters", "200", "--seed", "2"],
-         "482653966ed9593356320d3e71aed48ca10b10f1603ea0f88d301ef78397d205"),
-        (["construct", "gnp", "--k", "4", "--n", "10", "--seed", "8"],
-         "1e38439253fd14d5f075847c3b17dea40f4778e5e85596e27ed9ac685b849004"),
-        (["simulate-coloring", "Dg?", "Cg", "--trials", "600", "--seed", "6"],
-         "3bbefa4cbed06227a93ce4631a90a0d992d42a9bd94e443fdf568b150ec22818"),
-        (["proba", "lambda", "--y", "0.5", "--z", "0.5"],
-         "bca40f8197b8f4f6a56f2637f05d5bcb878c53c07fa0c41743f8a06053d5797d"),
-    ]
-    for argv, digest in commands:
+    for argv, digest in CLI_STDOUT_SHA256.items():
         outputs = []
         for _ in range(3):
             code = cli_main(list(argv))

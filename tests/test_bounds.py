@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from inducibility import verify
 from inducibility.bounds import (
     BoundReport,
     SelectorParams,
@@ -36,9 +35,6 @@ class TestPhi:
         assert abs(phi(1) - 1 / E) < 1e-14
         assert abs(phi(2) - 2 / E**2) < 1e-14
         assert abs(phi(3) - 27 / (6 * E**3)) < 1e-14
-
-    def test_strictly_decreasing_and_small_tail(self, verified):
-        assert verified(verify._check_phi_decreasing).ok
 
     def test_no_overflow_at_large_s(self):
         assert 0 < phi(500) < phi(100)

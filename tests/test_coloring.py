@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from inducibility import coloring, verify
+from inducibility import coloring
 from inducibility.coloring import (
     ColoringSummary,
     _ColorContext,
@@ -75,9 +75,6 @@ class TestRunTrial:
                 1 for _, c in tr.steps[: tr.stop_index] if c == "black"
             )
             assert blacks_up_to_stop == k - 2
-
-    def test_match_signatures(self, verified):
-        assert verified(verify._check_match_trace_shape).ok
 
     def test_match_nonblacks_are_last_non_isolated_arrivals(self, host, pattern):
         for seed in range(2000):
@@ -162,15 +159,6 @@ class TestRunTrial:
 
 
 class TestSimulate:
-    def test_acceptance_shape(self, verified):
-        assert verified(verify._check_coloring_inclusions).ok
-
-    def test_conditional_brightness_floor(self, verified):
-        assert verified(verify._check_coloring_inclusions).ok
-
-    def test_signature_caps(self, verified):
-        assert verified(verify._check_signature_caps).ok
-
     def test_no_copy_means_no_match(self, pattern):
         bare = Graph.empty(10)
         s = simulate(bare, pattern, 1000, seed=1)
@@ -224,9 +212,6 @@ class TestSimulate:
             assert simulate(g, pattern, trials, seed, max_steps) == expected
             assert (total["truncated"] > 0) == (max_steps is not None)
             assert total["count_prefix_match_k"] > 0
-
-    def test_growing_host_consecutive_bound(self, verified):
-        assert verified(verify._check_conditional_consecutive).ok
 
     def test_trials_positive(self, host, pattern):
         with pytest.raises(InputError):

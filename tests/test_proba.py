@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from inducibility import proba, verify
+from inducibility import proba
 from inducibility.errors import InputError, InternalCheckError
 from inducibility.proba import (
     HypergeomParams,
@@ -41,9 +41,6 @@ class TestBinomMode:
         assert binom_point_max_bound(2, 1) == Fraction(1, 2)
         assert binom_point_max_bound(4, 2) == Fraction(3, 8)
 
-    def test_grid_sweep(self, verified):
-        assert verified(verify._check_binomial_mode_sweep).ok
-
     def test_domain(self):
         with pytest.raises(InputError):
             binom_point_max_bound(4, 0)
@@ -54,9 +51,6 @@ class TestBinomMode:
 class TestHypergeom:
     def test_plugin(self):
         assert hypergeom_point(HypergeomParams(4, 2, 2, 1)) == Fraction(2, 3)
-
-    def test_normalization_random(self, verified):
-        assert verified(verify._check_hypergeom_normalization).ok
 
     def test_binomial_convergence(self):
         pmf = hypergeom_point(HypergeomParams(10**4, 10**3, 10, 1))
@@ -104,12 +98,6 @@ class TestMultiHypergeom:
         assert multi_hypergeom_joint(6, 6, (1, 1), 0) == 0  # remainder too small
         assert multi_hypergeom_joint(10, 9, (1, 1), 1) == Fraction(8, 10)
 
-    def test_poisson_cap(self, verified):
-        assert verified(verify._check_multi_joint_cap).ok
-
-    def test_phi_is_binomial_limit(self, verified):
-        assert verified(verify._check_phi_binomial_limit).ok
-
     def test_domain(self):
         for args, message in [
             ((4, 2, (3, 3), 1), "parts exceed the population"),
@@ -130,9 +118,6 @@ class TestPolyExp:
             lhs, rhs, ok = poly_exp_check(s, float(s))
             assert ok and abs(lhs - rhs) < 1e-9
 
-    def test_grid(self, verified):
-        assert verified(verify._check_poly_exp_grid).ok
-
     def test_domain(self):
         with pytest.raises(InputError, match="s must be >= 1"):
             poly_exp_check(0, 1.0)
@@ -142,13 +127,6 @@ class TestLambdaSplit:
     def test_origin(self):
         ls = lambda_split(0.0, 0.0)
         assert ls.lo == 0.0 and ls.hi == 1.0 and ls.lam == 0.5
-
-    def test_minimizer_interval(self, verified):
-        assert verified(verify._check_lambda_grid).ok
-
-    def test_grid_nonempty(self, verified):
-        assert verified(verify._check_lambda_grid).ok
-        assert abs(math.exp(2) - 4 * E * E / 4) < 1e-9  # tight boundary point
 
     def test_interior_critical_point_value_is_one(self):
         y, z = 2 / E, 1 - 2 / E

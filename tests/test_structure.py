@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from inducibility import structure, verify
+from inducibility import structure
 from inducibility.errors import InputError, InternalCheckError, PreconditionError, UnsupportedSizeError
 from inducibility.graphs import Graph, to_graph6, with_isolated
 from inducibility.structure import (
@@ -95,12 +95,6 @@ class TestTaming:
         with pytest.raises(InternalCheckError, match="closure witness"):
             tame_witness_from(p4, {1})
 
-    def test_witness_validates_randomly(self, verified):
-        assert verified(verify._check_closure_witness).ok
-
-    def test_minimal_taming_examples(self, verified):
-        assert verified(verify._check_aut_vs_taming).ok
-
     def test_minimal_witness_is_valid_and_minimal(self, classes_by_n):
         # the closed form against the scan of every complement: the number
         # and the witness, on every class with n <= 7 and on larger graphs
@@ -166,17 +160,3 @@ class TestObscureOracle:
     def test_size_limit(self):
         with pytest.raises(UnsupportedSizeError):
             is_obscure_oracle(Graph.cycle(11), 0)
-
-    def test_matches_classifier_exhaustive_small(self, verified):
-        assert verified(verify._check_detectable_characterization).ok
-
-
-class TestModuleInvariants:
-    def test_happy_count_floor(self, verified):
-        assert verified(verify._check_happy_floor).ok
-
-    def test_detectable_deletion_keeps_edge(self, verified):
-        assert verified(verify._check_detectable_deletion).ok
-
-    def test_taming_complement_invariant(self, verified):
-        assert verified(verify._check_taming_complement).ok
