@@ -215,8 +215,8 @@ def non_uniform_predicate(h: Graph, beta: float, C: float) -> bool:
     """Hypotheses of the vanishing-bound case: edge count at most C*k and
     every degree multiplicity at most beta*k (the conclusion itself is
     asymptotic and never evaluated to a number)."""
-    if not 0 < beta < 1:
-        raise InputError("beta must be in (0, 1)")
+    if not 0 < beta <= 1:
+        raise InputError("beta must be in (0, 1]")
     k = h.n
     prof = degree_profile(h)
     if prof.edge_count > _as_fraction(C) * k:
@@ -336,7 +336,8 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
                            citation="repeated low degree: 2 (phi(tau)/beta)^f with"
                            " f = floor(sqrt(beta/(tau eps)))")
 
-    if all(count <= beta_limit for count in prof.k_hist.values()):
+    # the predicate's edge test holds here, after the dense check
+    if non_uniform_predicate(work, beta, C):
         return BoundReport(regime=REGIME_NON_UNIFORM, finite_value=None, inputs=inputs,
                            citation="no dominating degree multiplicity: vanishing bound"
                            " (asymptotic only)")

@@ -27,7 +27,7 @@ from .brightness import (
     brightness_lower_bounds,
     brightness_mc,
 )
-from .coloring import _ColorContext, record_trace, simulate
+from .coloring import _ColorContext, _run, simulate
 from .constructions import dtame_blowup, split_construction
 from .graphs import (
     Graph,
@@ -445,7 +445,8 @@ def _check_coloring_inclusions():
 
 @_check("coloring", "match_trace_shape")
 def _check_match_trace_shape():
-    # one recorded trace per seed on one context; 3P3 matches twice as often as P3 + 7K1
+    # one trace per seed on one context, its steps not recorded; 3P3 matches
+    # twice as often as P3 + 7K1
     g = functools.reduce(disjoint_union, [Graph.path(3)] * 3)
     h = with_isolated(Graph.path(3), 2)
     k = h.n
@@ -454,18 +455,15 @@ def _check_match_trace_shape():
     seen = 0
     for seed in range(60_000):
         rng.seed(seed)  # the state of random.Random(seed), without building one
-        tr = record_trace(ctx, rng)
-        if tr.isolated_nonblack_violations:
+        (stop, green, red, _, _, _, full, two_green, one_red, _, truncated,
+         violations) = _run(ctx, rng)
+        if violations:
             return False, f"seed={seed}: an isolated arrival was not black"
-        if not tr.full_match or tr.truncated:
+        if not full or truncated:
             continue
         seen += 1
-        if (
-            not (tr.two_green or tr.one_red)
-            or tr.green_count + tr.red_count > 2
-            or tr.stop_index not in (k - 1, k)
-        ):
-            return False, f"seed={seed} Y={tr.green_count} Z={tr.red_count} L={tr.stop_index}"
+        if not (two_green or one_red) or green + red > 2 or stop not in (k - 1, k):
+            return False, f"seed={seed} Y={green} Z={red} L={stop}"
     return seen >= 300, f"{seen} matching traces: a signature, Y+Z <= 2, L in {{k-1, k}}"
 
 

@@ -145,6 +145,10 @@ def complete_bipartite_ind(s: int, t: int, n: int) -> Fraction:
     return Fraction(best, comb(n, s + t))
 
 
+# (s, t) of each complete bipartite pattern K_{s,t} on 3 to 5 vertices, s <= t
+BIPARTITE = ((1, 2), (1, 3), (2, 2), (1, 4), (2, 3))
+
+
 def brute_event_share(k: int, blocks: list[tuple[int, int]]) -> Fraction:
     """Share of the k-subsets of a host, whose vertices run through
     consecutive blocks of the given sizes, that take exactly the given

@@ -4,14 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criteria 01-04, 06 and 09 (and the phi line of 05) are checks of
 `inducibility.verify`, which pins their tolerances; they are read from the
 session's `verified` fixture, so each check runs once per test session and
-`inducibility verify all` runs the same definitions.  The other tolerances
-are pinned here.
+`inducibility verify all` runs the same definitions.  Criterion 08 reads
+the session's `exact_table`, the `ind_exact` values that
+`tests/test_search.py` pins and checks.  The other tolerances are pinned
+here.
 """
 
 import hashlib
 import json
 import math
-import time
 from fractions import Fraction
 
 from inducibility import verify
@@ -22,8 +23,7 @@ from inducibility.bounds import (
 )
 from inducibility.cli import main as cli_main
 from inducibility.constructions import split_construction
-from inducibility.graphs import Graph, complement, is_isomorphic
-from inducibility.search import _classes, ind_exact
+from inducibility.graphs import Graph, canonical_key, is_isomorphic
 
 E = math.e
 
@@ -94,20 +94,16 @@ def test_criterion_07_constructions():
     report(7, "split achieved exact at n=300; limits near 1/e and 2/e^2")
 
 
-def test_criterion_08_search():
-    start = time.monotonic()
-    p3 = Graph.path(3)
-    res = ind_exact(p3, 4)
+def test_criterion_08_search(exact_table):
+    res = exact_table[canonical_key(Graph.path(3)), 4]
     assert res.value == 1 and is_isomorphic(res.witness, Graph.cycle(4))
-    for h in _classes(4):
-        values = [ind_exact(h, n).value for n in range(4, 9)]
-        assert all(values[i] >= values[i + 1] for i in range(4)), h
-        for n in (4, 5, 6):
-            assert ind_exact(h, n).value == ind_exact(complement(h), n).value
-    elapsed = time.monotonic() - start
-    assert elapsed < 1800
-    report(8, "ind(P3,4)=1 with C4 witness; monotone and complement-symmetric",
-           f"11 patterns, n in 4..8, {elapsed:.1f}s")
+    assert exact_table.faults == []
+    assert exact_table.seconds < 1800
+    report(8, "ind(P3,4)=1 with C4 witness; every class on 2-5 vertices for"
+              " n <= 8 monotone, complement-symmetric, Brown-Sidorenko where"
+              " bipartite, witnesses recounted by brute force",
+           f"{len(exact_table.patterns)} patterns, {len(exact_table)} values"
+           f" in {exact_table.seconds:.1f}s")
 
 
 def test_criterion_09_coloring_simulation(verified):
@@ -117,8 +113,11 @@ def test_criterion_09_coloring_simulation(verified):
               " and caps hold", f"{elapsed:.1f}s")
 
 
-# SHA-256 of each seeded command's stdout, the one table of pinned CLI
-# digests (tests/test_cli.py reads its determinism cases from it)
+STAR20 = "TsaCCA?_C?O?_?_?O?C??_?A??C??C??A???"
+
+# SHA-256 of the stdout of each seeded command and of one command line per
+# output schema: the one table of pinned CLI digests, which
+# tests/test_cli.py reads its digest cases from
 CLI_STDOUT_SHA256 = {
     ("classify", "Bg"):
         "11304c10d46376b55cd314a685198b14258a33b24880b0eda06ec8583b353a30",
@@ -144,6 +143,55 @@ CLI_STDOUT_SHA256 = {
         "6d6ac16b4071d2053f56dc74ad2ee867ba3c79538d591ec4bf311f6bd19f7438",
     ("bounds", "alpha"):
         "df72745c0820f68a64d9604a7efc086020802e38ca214533a0f69dd3800169ac",
+    ("tame", "Cr"):
+        "8327577bf808e260a9dd9830b23939eada476d96740463fc75036f6204c02e01",
+    ("tame", "Cr", "--set", "0"):
+        "8af1dee13931a1ad2cbee40c84fd2c32b529d47a78d86786b581e0f9e1df4a16",
+    ("tame", "Cr", "--set", ""):
+        "ddd5dd1df22beee324a089a12985dccecabec8863edd7c3b4cc614b6919c03b9",
+    ("classify", "A_"):
+        "22fb57890db7c9bf1c733476f93460282abd3509c7610466211bbaedb47dff06",
+    ("classify", "KhCGGC@?G?_@", "--mc", "400", "--seed", "3"):
+        "2b8293160284e66c0ec237a87e7754b6e9ba996f9fc0cb271d001897b7609229",
+    ("brightness", "Dhc", "--mc", "0"):
+        "22b321236f70eb7e0a927e5e378782b6e6b5d2cfe2afde35567f49e84f76ff0c",
+    ("density", "Bg", "DQc"):
+        "a893841023525b04f37073fd5bc019cb69f6be2c084bcf3df781b1aa931859ba",
+    ("ind", "Bg", "--n", "6", "--exact"):
+        "afd6da3f676cf0bcf60cc49ecee9f0b85023319606bd337b04be83389ab7187e",
+    ("construct", "split", "--k", "3", "--r", "1", "--n", "300", "--sigma",
+     "0.3333333333333333"):
+        "140ad1ad7aa14f1fcc940ce6accb05d6b8fb78f9750057c2f3336734b964b04a",
+    ("construct", "split-plus-edge", "--k", "4", "--n", "8"):
+        "6bb3781f16fccc46db46929df55977bb37a7bbb7143f45f3f83b27761b401068",
+    ("construct", "blowup", "Cr", "--v0", "0,3", "--n", "32"):
+        "307b0fbbb005ff0d09ea6edd51c2f7b65254f3d92ae7893e8c786725307aac6a",
+    ("bounds", "phi", "--s", "2"):
+        "32fb21cb1010eb9666b6132e8928568cb9bab764fe57116dfdd06329ed83556f",
+    ("bounds", "high-degree", "--s", "2", "--ind-reduced", "0.5"):
+        "4e1247d1ebded2140524df3831b2f634bc9ffb907b914dbeac72f5a4d632b0e3",
+    ("bounds", "high-degree", "--s", "1", "--t", "2"):
+        "556ade6ca65abbc1eba008ed4777025b4f09084b58fd3feff303a8ece17313c8",
+    ("bounds", "uniform", "--tau", "1", "--beta", "0.5", "--eps", "0.03125"):
+        "88e9ddb538b87265100577ebb9a99176585e2e7f08e916f76e5095049b60daf7",
+    ("bounds", "sparse", "--alpha", "0.01", "--nu", "0.5"):
+        "c024fb1967a46e78e9abef616a2f3b8662868e27eef071df3692a78392688487",
+    ("bounds", "gap", STAR20, "--eps", "0.5", "--c", "1.0"):
+        "76834675cb0de11cc5964b94f4147b3935962d76ce23439025c56e8cdc0e8184",
+    ("bounds", "select", "DQc", "--c", "1.0"):
+        "4bb3fe69fa8f85e371563a8c0d66c418cc4f51cc0460817e59619c38d6f191d4",
+    ("bounds", "select", STAR20, "--eps", "0.1", "--alpha", "0.01", "--beta", "0.9"):
+        "bedd3d0867ca99c0796a47aced4abb1dfa2c9e2e17a9c40077b3c6c81da062f2",
+    ("bounds", "solve-eps", "--c", "2.0"):
+        "1c763cd18a26d5855ef89275985c620f58edb1af9bd1008285a92f41f75037f4",
+    ("proba", "binom", "--k", "4", "--p", "1/3", "--s", "2"):
+        "b6c1756ab7e57e47a250114704e84d9bbc7e62d38779d7a74bfede6d4b1d9808",
+    ("proba", "hypergeom", "--population", "50", "--successes", "10", "--sample",
+     "5", "--hits", "2"):
+        "9111c7400d1cacb2e199d420761140872bd29d9e7be005fd15821442ab866737",
+    ("proba", "multi", "--population", "6", "--sample", "3", "--parts", "2,2",
+     "--s", "1"):
+        "b5f1c12c26580c45b66fc1744b2d26c4e33985f1997447740d2733437020664a",
 }
 
 
@@ -158,4 +206,5 @@ def test_criterion_10_cli_determinism(capsys):
         assert outputs[0] == outputs[1] == outputs[2], argv
         assert hashlib.sha256(outputs[0]).hexdigest() == digest, argv
         json.loads(outputs[0])  # well-formed single JSON document
-    report(10, "seeded CLI output byte-identical across runs and pinned")
+    report(10, "pinned CLI output byte-identical across runs",
+           f"{len(CLI_STDOUT_SHA256)} command lines")

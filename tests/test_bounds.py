@@ -188,6 +188,12 @@ class TestNonUniformPredicate:
         assert not non_uniform_predicate(Graph.empty(5), 0.9, 1.0)
         assert not non_uniform_predicate(p4, 0.9, 0.5)  # 3 edges > C k = 2
 
+    def test_beta_one_is_in_the_domain(self, p4):
+        """beta ranges over (0, 1], as in SelectorParams."""
+        assert non_uniform_predicate(Graph.star(10), 1.0, 1.0)
+        with pytest.raises(InputError, match=r"^beta must be in \(0, 1\]$"):
+            non_uniform_predicate(p4, 1.5, 1.0)
+
 
 @pytest.mark.parametrize("call", [
     lambda: high_degree_pair_bound(0, 1),
@@ -202,7 +208,6 @@ class TestNonUniformPredicate:
     lambda: sparse_regime_bound(-0.1, 0.5),
     lambda: sparse_regime_bound(0.1, 1.5),
     lambda: sparse_regime_bound(1e308, 0.5),  # the value overflows
-    lambda: non_uniform_predicate(Graph.star(10), 1.0, 1.0),
     lambda: non_uniform_predicate(Graph.star(10), 0.0, 1.0),
     lambda: SelectorParams(alpha=-1.0),
     lambda: SelectorParams(beta=0.0),
@@ -212,7 +217,7 @@ class TestNonUniformPredicate:
     lambda: solve_epsilon(0),
 ], ids=["pair-s", "pair-t", "uniform-tau", "uniform-beta-0", "uniform-beta-big",
         "uniform-eps", "uniform-eps-rounds-to-0", "gap-eps", "gap-C", "sparse-alpha",
-        "sparse-nu", "sparse-overflow", "non-uniform-beta-1", "non-uniform-beta-0",
+        "sparse-nu", "sparse-overflow", "non-uniform-beta-0",
         "selector-alpha", "selector-beta-0", "selector-beta-big", "selector-eps",
         "selector-C", "solve-eps-C"])
 def test_domain_errors(call):

@@ -36,6 +36,7 @@ from inducibility.search import (
 )
 from inducibility.verify import _aut_floor_holds
 from oracles import (
+    BIPARTITE,
     all_labeled_graphs,
     brute_census,
     brute_classes,
@@ -45,8 +46,6 @@ from oracles import (
     complete_bipartite_ind,
     relabel,
 )
-
-BIPARTITE = ((1, 2), (1, 3), (2, 2), (1, 4), (2, 3))
 
 
 def _form(g):
@@ -248,16 +247,14 @@ class TestClassTable:
 
 
 class TestIndExact:
-    def test_values_and_witnesses_are_pinned(self):
+    def test_values_and_witnesses_are_pinned(self, exact_table):
         """One line per pattern class with 2 <= k <= 5 and host size k <= n <= 8
-        (229 calls), hashed; recorded before this pin was added."""
+        (229 entries), hashed; recorded before this pin was added."""
         digest = hashlib.sha256()
-        for k in range(2, 6):
-            for h in _classes(k):
-                for n in range(k, 9):
-                    r = ind_exact(h, n)
-                    line = f"{to_graph6(h)} {n} {r.value} {to_graph6(r.witness)}\n"
-                    digest.update(line.encode())
+        for (key, n), r in exact_table.items():
+            h = exact_table.patterns[key]
+            line = f"{to_graph6(h)} {n} {r.value} {to_graph6(r.witness)}\n"
+            digest.update(line.encode())
         assert digest.hexdigest() == (
             "6b21d617daf1b5b18631ab6ed4d3e0de87527edc27da3c7b611d7c7a7f426589"
         )
@@ -383,26 +380,39 @@ class TestIndExact:
         monkeypatch.setattr(search, "_deck_counts", lambda h, n: [d - 1 for d in deck(h, n)])
         assert next(_brute_mismatches(classes_by_n, brute_max, monkeypatch), None)
 
-    def test_complete_bipartite_closed_form(self):
-        for s, t in BIPARTITE:
-            h = Graph.complete_bipartite(s, t)
-            for n in range(s + t, 9):
-                want = complete_bipartite_ind(s, t, n)
-                assert ind_exact(h, n).value == want, (s, t, n)
-                assert ind_exact(complement(h), n).value == want, (s, t, n)
+    def test_monotone_in_n(self, exact_table):
+        """ind(h, n) <= ind(h, n - 1) for every entry of the n <= 8 table."""
+        assert exact_table.failing("monotone") == []
+
+    def test_complete_bipartite_closed_form(self, exact_table):
+        """K_{s,t} and its complement reach Brown and Sidorenko's value at
+        every n <= 8."""
+        assert exact_table.failing("brown-sidorenko") == []
+
+    def test_complement_symmetry_n8(self, exact_table):
+        """A host's complement holds the complement's copies; the table
+        checks it at every n <= 8, n = 8 included."""
+        assert exact_table.failing("complement") == []
+
+    def test_witness_density_matches_value(self, exact_table):
+        """Every witness in the table holds value * C(n, k) copies, counted
+        by the brute-force oracle."""
+        assert exact_table.failing("brute recount") == []
+
+    def test_never_exceeds_one_and_universal_witness(self, exact_table):
+        for (key, n), res in exact_table.items():
+            assert res.value <= 1
+            if res.value == 1:
+                # every k-subset of the witness induces the pattern
+                h = exact_table.patterns[key]
+                counted = induced_density(h, res.witness)
+                assert counted.copies == counted.total, (to_graph6(h), n)
 
     @pytest.mark.slow
     def test_complete_bipartite_closed_form_n9(self):
         for s, t in BIPARTITE:
             h, want = Graph.complete_bipartite(s, t), complete_bipartite_ind(s, t, 9)
             assert ind_exact(h, 9).value == want == ind_exact(complement(h), 9).value, (s, t)
-
-    def test_complement_symmetry_n8(self, classes_by_n):
-        """A host's complement holds the complement's copies."""
-        value = {canonical_key(h): ind_exact(h, 8).value for k in range(2, 6) for h in classes_by_n[k]}
-        for k in range(2, 6):
-            for h in classes_by_n[k]:
-                assert value[canonical_key(h)] == value[canonical_key(complement(h))], to_graph6(h)
 
     @pytest.mark.slow
     def test_n9(self):
@@ -422,22 +432,20 @@ class TestIndExact:
             res = ind_exact(Graph.empty(0), n)
             assert res.value == 1 and res.witness == Graph.empty(n)
 
-    def test_p3_at_4(self, p3):
-        res = ind_exact(p3, 4)
+    def test_p3_at_4(self, p3, exact_table):
+        res = exact_table[canonical_key(p3), 4]
         assert res.value == 1
         assert is_isomorphic(res.witness, Graph.cycle(4))
         assert res.mode == "exact"
 
-    def test_k3_at_5(self):
-        res = ind_exact(Graph.complete(3), 5)
+    def test_k3_at_5(self, exact_table):
+        res = exact_table[canonical_key(Graph.complete(3)), 5]
         assert res.value == 1 and is_isomorphic(res.witness, Graph.complete(5))
 
-    def test_p3_at_5(self, p3):
-        res = ind_exact(p3, 5)
-        assert Fraction(9, 10) <= res.value <= 1
-        assert res.value == Fraction(9, 10)
+    def test_p3_at_5(self, p3, exact_table):
+        assert exact_table[canonical_key(p3), 5].value == Fraction(9, 10)
 
-    def test_matches_labeled_brute_force(self):
+    def test_matches_labeled_brute_force(self, exact_table):
         rng = random.Random(41)
         for _ in range(6):
             k = rng.randint(2, 3)
@@ -451,28 +459,13 @@ class TestIndExact:
                     if rng.random() < 0.5
                 ],
             )
-            assert ind_exact(h, n).value == brute_ind_over_labeled(h, n)
-
-    def test_witness_density_matches_value(self, classes_by_n):
-        for h in classes_by_n[4][:4]:
-            res = ind_exact(h, 6)
-            assert induced_density(h, res.witness).density == res.value
+            assert exact_table[canonical_key(h), n].value == brute_ind_over_labeled(h, n)
 
     def test_input_errors(self, p3):
         with pytest.raises(InputError):
             ind_exact(Graph.complete(5), 4)
         with pytest.raises(UnsupportedSizeError):
             ind_exact(p3, 10)
-
-    def test_never_exceeds_one_and_universal_witness(self, classes_by_n):
-        for h in classes_by_n[3]:
-            res = ind_exact(h, 5)
-            assert res.value <= 1
-            if res.value == 1:
-                # every k-subset of the witness induces the pattern
-                assert induced_density(h, res.witness).copies == induced_density(
-                    h, res.witness
-                ).total
 
 
 class TestLocalSearch:
@@ -490,10 +483,10 @@ class TestLocalSearch:
         res = ind_local_search(p3, 6, 0, seed=7)
         assert res.value == induced_density(p3, res.witness).density
 
-    def test_never_exceeds_exact_with_equality_report(self, classes_by_n):
+    def test_never_exceeds_exact_with_equality_report(self, classes_by_n, exact_table):
         hits = total = 0
         for h in classes_by_n[3]:
-            exact = ind_exact(h, 6).value
+            exact = exact_table[canonical_key(h), 6].value
             found = ind_local_search(h, 6, 1500, seed=1).value
             assert found <= exact
             total += 1
