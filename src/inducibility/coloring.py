@@ -12,7 +12,13 @@ enter the green/red counts.  A trace that reaches its step limit before L
 is truncated and leaves its non-black terms uncoloured ("nonblack").
 
 Every core, the pattern's and the host's, is keyed by one function of a
-vertex mask, `_core_key`; the host's keys are memoized per mask.
+vertex mask, `_core_key`; the host's keys are memoized per mask.  A host
+set is keyed only when its edge count could match: the cores it is tested
+against have e(h) edges, or e(h) - deg(u) for a detectable u, and edge
+count is an isomorphism invariant, so a set with any other count is black,
+and is no prefix match and no red term, without a key.  The edges of the
+black set and of the first k draws are kept as the trace runs, one popcount
+per vertex new to its set.
 
 Per-trace flags record whether the first j draws were distinct with a core
 matching the pattern's (j = k-2, k-1, k), the conjunction of the first and
@@ -27,7 +33,8 @@ black; any violation is counted and indicates an implementation bug.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
+from typing import Iterable, Iterator
 
 from .errors import InputError, PreconditionError
 from .graphs import Graph, _canon_cached, _induced_rows
@@ -35,7 +42,7 @@ from .mc import trial_rngs
 from .structure import classify_vertices
 
 # the core-code memo is cleared when it outgrows this many masks; a
-# 20,000-trace run of P3 + 2K1 on G(64, 0.05) stores 13,856-17,841 (the
+# 20,000-trace run of P3 + 2K1 on G(64, 0.05) stores 7,884-10,305 (the
 # `classify` benchmark's colouring job, workload seeds 1-10), so it never
 # clears there
 CORE_MEMO_LIMIT = 100_000
@@ -69,13 +76,12 @@ def _core_key(adj: tuple[int, ...], mask: int) -> bytes:
 
 
 class _ColorContext:
-    """Pattern-derived core keys, the trace step limit (see `run_trial`)
-    and a per-host memo of core keys, cleared wholesale once it holds
-    `CORE_MEMO_LIMIT` masks.  An edgeless mask has the empty core, so a black
-    set that stays edgeless is answered without a key or a memo entry: the
-    context keeps the last such set, the black set of a trace's next call.
-    Such a set is always black: h has two edges, and deleting a detectable
-    vertex leaves one, so the empty core is neither h's nor an h - v's."""
+    """Pattern-derived core keys and `edge_counts`, the edge counts of
+    those cores (see the module docstring), the trace step limit (see
+    `run_trial`) and a per-host memo of core keys, cleared wholesale once
+    it holds `CORE_MEMO_LIMIT` masks.  0 is never an edge count: h has two
+    edges and deleting a detectable vertex leaves one, so an edgeless set
+    is always black."""
 
     def __init__(self, g: Graph, h: Graph, max_steps: int | None = None):
         if h.n < 3 or h.edge_count() < 2:
@@ -88,104 +94,127 @@ class _ColorContext:
         self.g = g
         self.k = h.n
         full = (1 << h.n) - 1
+        detectable = classify_vertices(h).detectable
         self.core_code = _core_key(h.adj, full)
-        self.deleted_codes = frozenset(
-            _core_key(h.adj, full ^ (1 << v)) for v in classify_vertices(h).detectable
+        self.deleted_codes = frozenset(_core_key(h.adj, full ^ (1 << v)) for v in detectable)
+        self.edge_count = h.edge_count()
+        self.edge_counts = frozenset(
+            {self.edge_count, *(self.edge_count - h.adj[v].bit_count() for v in detectable)}
         )
         self._core_by_mask: dict[int, bytes] = {}
-        self.empty_core = _core_key(h.adj, 0)
-        self._edgeless_black = 0  # a black set known to have no edge
 
     def core_code_of_mask(self, mask: int) -> bytes:
         code = self._core_by_mask.get(mask)
         if code is None:
-            if mask == self._edgeless_black:
-                return self.empty_core
             code = _core_key(self.g.adj, mask)
             if len(self._core_by_mask) >= CORE_MEMO_LIMIT:
                 self._core_by_mask.clear()
             self._core_by_mask[mask] = code
         return code
 
-    def is_black(self, black_mask: int, v: int) -> bool:
-        if (black_mask == 0 or black_mask == self._edgeless_black) and not (
-            self.g.adj[v] & black_mask
-        ):
-            self._edgeless_black = black_mask | (1 << v)
+    def is_black(self, mask: int, edges: int) -> bool:
+        """Whether the drawn vertex is black, given `mask`, the black set
+        plus that vertex, and `edges`, the edges it induces."""
+        if edges not in self.edge_counts:
             return True
-        code = self.core_code_of_mask(black_mask | (1 << v))
+        code = self.core_code_of_mask(mask)
         return code != self.core_code and code not in self.deleted_codes
 
-    def color(self, u_mask: int, v: int) -> str:
-        """Colour of a non-black term v given the black set U at L."""
-        return RED if self.core_code_of_mask(u_mask | (1 << v)) == self.core_code else GREEN
+    def color(self, u_mask: int, u_edges: int, v: int) -> str:
+        """Colour of a non-black term v given the black set U at L and the
+        edges U induces."""
+        bit = 1 << v
+        if not u_mask & bit:
+            u_edges += (self.g.adj[v] & u_mask).bit_count()
+        if u_edges == self.edge_count and self.core_code_of_mask(u_mask | bit) == self.core_code:
+            return RED
+        return GREEN
+
+
+def _traces(
+    ctx: _ColorContext, rngs: Iterable[random.Random], steps: list | None = None
+) -> Iterator[tuple]:
+    """Per generator of `rngs`, one trace's `ColoredTrace` fields after
+    `black_prefix`, with the stop index in front.  When a list is given,
+    it holds the current trace's steps, each term and its colour, with
+    terms left uncoloured recorded as "nonblack"."""
+    k, core_code, edge_count = ctx.k, ctx.core_code, ctx.edge_count
+    adj, n, max_steps = ctx.g.adj, ctx.g.n, ctx.max_steps
+    # each step draws `rng.randrange(n)`: CPython's `_randbelow` rejection loop
+    n_bits = n.bit_length()
+    is_black, color, core_of = ctx.is_black, ctx.color, ctx.core_code_of_mask
+    for rng in rngs:
+        getrandbits = rng.getrandbits
+        if steps is not None:
+            steps.clear()
+        waiting: list[int] = []  # the non-black terms before L
+        matches: list[bool] = []  # the prefix matches at j = k-2, k-1, k
+        black_mask = drawn_mask = u_mask = 0
+        black_edges = drawn_edges = u_edges = 0
+        stop: int | None = None
+        blacks = violations = 0
+        distinct_prefix = True
+        prev_nonblack = consecutive = False
+
+        i, limit = 0, max_steps
+        while i < limit:
+            i += 1
+            v = getrandbits(n_bits)
+            while v >= n:
+                v = getrandbits(n_bits)
+            bit = 1 << v
+            if i <= k:
+                if drawn_mask & bit:
+                    distinct_prefix = False
+                else:
+                    drawn_edges += (adj[v] & drawn_mask).bit_count()
+                if i >= k - 2:
+                    matches.append(distinct_prefix and drawn_edges == edge_count
+                                   and core_of(drawn_mask | bit) == core_code)
+            edges = black_edges if black_mask & bit else black_edges + (adj[v] & black_mask).bit_count()
+            if is_black(black_mask | bit, edges):
+                black_mask |= bit
+                black_edges = edges
+                if steps is not None:
+                    steps.append((v, BLACK))
+                if stop is None:
+                    blacks += 1
+                    prev_nonblack = False
+                    if blacks == k - 2:
+                        stop, u_mask, u_edges, limit = i, black_mask, black_edges, max(i, k)
+            else:
+                if not adj[v] & drawn_mask:
+                    violations += 1
+                if stop is None:
+                    # U is not known yet: the colour waits for L
+                    waiting.append(v)
+                    consecutive = consecutive or prev_nonblack
+                    prev_nonblack = True
+                    if steps is not None:
+                        steps.append((v, NONBLACK))
+                elif steps is not None:
+                    steps.append((v, color(u_mask, u_edges, v)))
+            drawn_mask |= bit
+
+        green = red = None
+        if stop is not None:
+            colours = [color(u_mask, u_edges, w) for w in waiting] if waiting else waiting
+            red = colours.count(RED)
+            green = len(colours) - red
+            if steps is not None:
+                fill = iter(colours)
+                steps[:] = [(w, next(fill) if c == NONBLACK else c) for w, c in steps]
+        km2, km1, km = matches
+        yield (
+            stop, green, red, km2, km1, km, km2 and km,
+            green == 2 and red == 0, green == 0 and red == 1,
+            consecutive and stop is not None, stop is None, violations,
+        )
 
 
 def _run(ctx: _ColorContext, rng: random.Random, steps: list | None = None) -> tuple:
-    """One trace's `ColoredTrace` fields after `black_prefix`, with the stop
-    index in front; each term and its colour is appended to `steps` when a
-    list is given, and terms left uncoloured are recorded as "nonblack"."""
-    k, core_code = ctx.k, ctx.core_code
-    adj, n = ctx.g.adj, ctx.g.n
-    # each step draws `rng.randrange(n)`: CPython's `_randbelow` rejection loop
-    getrandbits, n_bits = rng.getrandbits, n.bit_length()
-    is_black, color, core_of = ctx.is_black, ctx.color, ctx.core_code_of_mask
-    waiting: list[int] = []  # the non-black terms before L
-    matches: list[bool] = []  # the prefix matches at j = k-2, k-1, k
-    black_mask = drawn_mask = u_mask = 0
-    stop: int | None = None
-    blacks = violations = 0
-    distinct_prefix = True
-    prev_nonblack = consecutive = False
-
-    i, limit = 0, ctx.max_steps
-    while i < limit:
-        i += 1
-        v = getrandbits(n_bits)
-        while v >= n:
-            v = getrandbits(n_bits)
-        bit = 1 << v
-        if i <= k and drawn_mask & bit:
-            distinct_prefix = False
-        if is_black(black_mask, v):
-            black_mask |= bit
-            if steps is not None:
-                steps.append((v, BLACK))
-            if stop is None:
-                blacks += 1
-                prev_nonblack = False
-                if blacks == k - 2:
-                    stop, u_mask, limit = i, black_mask, max(i, k)
-        else:
-            if not adj[v] & drawn_mask:
-                violations += 1
-            if stop is None:
-                # U is not known yet: the colour waits for L
-                waiting.append(v)
-                consecutive = consecutive or prev_nonblack
-                prev_nonblack = True
-                if steps is not None:
-                    steps.append((v, NONBLACK))
-            elif steps is not None:
-                steps.append((v, color(u_mask, v)))
-        drawn_mask |= bit
-        if k - 2 <= i <= k:
-            matches.append(distinct_prefix and core_of(drawn_mask) == core_code)
-
-    green = red = None
-    if stop is not None:
-        colours = [color(u_mask, w) for w in waiting]
-        red = colours.count(RED)
-        green = len(colours) - red
-        if steps is not None:
-            fill = iter(colours)
-            steps[:] = [(w, next(fill) if c == NONBLACK else c) for w, c in steps]
-    km2, km1, km = matches
-    return (
-        stop, green, red, km2, km1, km, km2 and km,
-        green == 2 and red == 0, green == 0 and red == 1,
-        consecutive and stop is not None, stop is None, violations,
-    )
+    """The fields of `rng`'s trace, `_traces` over that one generator."""
+    return next(_traces(ctx, (rng,), steps))
 
 
 def record_trace(ctx: _ColorContext, rng: random.Random) -> ColoredTrace:
@@ -230,10 +259,7 @@ def simulate(
     if trials < 1:
         raise InputError("trials must be >= 1")
     ctx = _ColorContext(g, h, max_steps)
-    tally: dict[tuple, int] = {}
-    for rng in trial_rngs(trials, seed):
-        flags = _run(ctx, rng)
-        tally[flags] = tally.get(flags, 0) + 1
+    tally = Counter(_traces(ctx, trial_rngs(trials, seed)))
     rows = []
     for flags, times in tally.items():
         _, _, _, km2, km1, km, full, two_green, one_red, consecutive, truncated, isolated = flags

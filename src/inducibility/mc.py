@@ -11,8 +11,9 @@ made in two places:
 - `randbelow` here, CPython's `randrange(w)`, for the subset sampler of
   `density`, the moves of `search` and the two draws of a `brightness_mc`
   trial; `tests/test_mc.py` guards it;
-- `coloring._run`, `randrange(n)` per step, inlined; the pinned trace
-  digests of `tests/test_coloring.py` guard it.
+- `coloring._traces`, `randrange(n)` per step, inlined in its one loop
+  over every trace of a run; the pinned trace digests of
+  `tests/test_coloring.py` guard it.
 """
 
 from __future__ import annotations

@@ -42,10 +42,15 @@ of the parent inducing some h - u, and each such subset makes at most one
 copy, so a parent's deck, the number of those subsets, plus its own count
 bounds every child.  The deck is `_host_counts` summed over h's distinct
 vertex-deleted subgraphs: a subset induces one class, so none is counted
-twice.  Parents are scored in decreasing order of that bound, and the scan
-stops at the first whose bound is below the best count found so far.  A
-parent whose bound equals the best is still scored, so every child at the
-maximum is seen and the witness does not depend on the pruning.
+twice.  The second bound averages: a copy in an n-vertex child G misses
+n - k of its vertices, so (n - k) X(G) is the sum of X(G - w) over every
+vertex w, at most the parent's count plus n - 1 times M, the largest count
+over `_tree(n - 1)` (the double counting behind the monotonicity of
+ind(h, n), Pippenger and Golumbic 1975).  Parents are scored in decreasing
+order of the smaller bound, and the scan stops at the first whose bound is
+below the best count found so far.  A parent whose bound equals the best
+is still scored, so every child at the maximum is seen and the witness
+does not depend on the pruning.
 
 The local search is simulated annealing over single edge flips with
 geometric cooling.  Density is maintained incrementally: flipping (u, v)
@@ -316,15 +321,24 @@ def _deck_counts(pattern: _Pattern, n: int) -> list[int]:
     return [sum(c) for c in zip(*(_host_counts(_Pattern(g), n) for g in deletions))]
 
 
+def _bounds(pattern: _Pattern, n: int, counts: list[int]) -> list[int]:
+    """A bound on the copies in every child of each `_tree(n - 1)` class,
+    given the classes' `counts`: the smaller of the count plus the deck and
+    the averaging bound (count + (n - 1) * max(counts)) // (n - k)."""
+    top = max(counts)
+    return [min(c + d, (c + (n - 1) * top) // (n - pattern.k))
+            for c, d in zip(counts, _deck_counts(pattern, n - 1))]
+
+
 def ind_exact(h: Graph, n: int) -> IndResult:
     """Maximum induced density of h over all n-vertex hosts, with witness.
 
     Every n-vertex host is a child of an (n - 1)-vertex class, so the
     maximum is read off the masks of the classes of `_tree(n - 1)`: a
     child's copies are its parent's (`_host_counts`) plus those through the
-    new vertex (`_through`).  No child of a parent holds more than the
-    parent's count plus its deck (`_deck_counts`), so parents are scored in
-    decreasing order of that bound until it falls below the best count;
+    new vertex (`_through`).  No child of a parent holds more than its
+    `_bounds` entry, so parents are scored in decreasing order of that
+    bound until it falls below the best count;
     a parent whose bound ties the best is still scored.  The witness is the
     child at the maximum of smallest canonical code, the first such host in
     canonical-code order.
@@ -341,7 +355,7 @@ def ind_exact(h: Graph, n: int) -> IndResult:
         return IndResult(Fraction(1), Graph(n, _induced_rows(h.adj, _canonical_search(n, h.adj)[1])), "exact")
     pattern = _Pattern(h)
     counts = _host_counts(pattern, n - 1)
-    bound = [c + d for c, d in zip(counts, _deck_counts(pattern, n - 1))]
+    bound = _bounds(pattern, n, counts)
     tree = _tree(n - 1)[0]
     best, tied = -1, []
     for p in sorted(range(len(tree)), key=bound.__getitem__, reverse=True):

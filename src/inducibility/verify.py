@@ -27,7 +27,7 @@ from .brightness import (
     brightness_lower_bounds,
     brightness_mc,
 )
-from .coloring import _ColorContext, _run, simulate
+from .coloring import _ColorContext, _traces, simulate
 from .constructions import dtame_blowup, split_construction
 from .graphs import (
     Graph,
@@ -450,13 +450,17 @@ def _check_match_trace_shape():
     g = functools.reduce(disjoint_union, [Graph.path(3)] * 3)
     h = with_isolated(Graph.path(3), 2)
     k = h.n
-    ctx = _ColorContext(g, h)
     rng = random.Random()
+
+    def reseeded(seeds):
+        for seed in seeds:
+            rng.seed(seed)  # the state of random.Random(seed), without building one
+            yield rng
+
     seen = 0
-    for seed in range(60_000):
-        rng.seed(seed)  # the state of random.Random(seed), without building one
-        (stop, green, red, _, _, _, full, two_green, one_red, _, truncated,
-         violations) = _run(ctx, rng)
+    traces = _traces(_ColorContext(g, h), reseeded(range(60_000)))
+    for seed, (stop, green, red, _, _, _, full, two_green, one_red, _, truncated,
+               violations) in enumerate(traces):
         if violations:
             return False, f"seed={seed}: an isolated arrival was not black"
         if not full or truncated:

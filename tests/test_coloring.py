@@ -31,32 +31,52 @@ def pattern():
 
 
 class TestColorStep:
-    """The colour of the next drawn vertex given the black vertices so far,
-    passed to `is_black` as a bitmask."""
+    """The colour of the next drawn vertex given the black vertices so far
+    plus itself, passed to `is_black` as a bitmask and its edge count."""
 
     def test_first_vertex_always_black(self, host, pattern):
         ctx = _ColorContext(host, pattern)
         for v in range(host.n):
-            assert ctx.is_black(0, v)
+            assert ctx.is_black(1 << v, 0)
 
     def test_isolated_arrival_black(self, host, pattern):
         # vertex 5 is isolated in the host, so always isolated on arrival;
         # blacks {0, 2} (the two path leaves) is a reachable black state
-        assert _ColorContext(host, pattern).is_black(0b101, 5)
+        assert _ColorContext(host, pattern).is_black(0b100101, 0)
 
     def test_completing_the_core_is_not_black(self, host, pattern):
         # blacks hold one edge of the path; adding the third path vertex
         # recreates the pattern's core
-        assert not _ColorContext(host, pattern).is_black(0b11, 2)
+        assert not _ColorContext(host, pattern).is_black(0b111, 2)
 
     def test_completing_deleted_core_not_black(self, host, pattern):
         # one black path endpoint; adding the middle forms a single edge,
         # the core of the pattern minus one detectable leaf
-        assert not _ColorContext(host, pattern).is_black(0b1, 1)
+        assert not _ColorContext(host, pattern).is_black(0b11, 1)
 
     def test_sparse_pattern_required(self, host):
         with pytest.raises(PreconditionError):
             _ColorContext(host, Graph.complete(2))
+
+
+def test_edge_count_filter_is_sound(classes_by_n):
+    """A host set whose edge count is outside `edge_counts` has a core that
+    is neither h's nor a detectable h - u's, for every pattern on 3 to 5
+    vertices with two edges, over every mask of every class on at most 6
+    vertices and of four seeded G(12, p); no edge count is 0."""
+    rng = random.Random(12)
+    hosts = [g for n in range(7) for g in classes_by_n[n]]
+    hosts += [Graph.gnp(rng, 12, p) for p in (0.15, 0.3, 0.5, 0.7)]
+    cores = set()  # (edge count, core key) of every host mask
+    for g in hosts:
+        for mask in range(1 << g.n):
+            edges = sum((g.adj[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1) // 2
+            cores.add((edges, coloring._core_key(g.adj, mask)))
+    for h in (h for k in (3, 4, 5) for h in classes_by_n[k] if h.edge_count() >= 2):
+        ctx = _ColorContext(Graph.empty(12), h)
+        codes = {ctx.core_code, *ctx.deleted_codes}
+        assert 0 not in ctx.edge_counts
+        assert all(edges in ctx.edge_counts for edges, key in cores if key in codes), h
 
 
 class TestRunTrial:

@@ -354,6 +354,20 @@ class TestIndExact:
             _through(pattern, rows)
         assert pattern.sums == {} and not pattern.tables
 
+    def test_bounds_cover_every_child(self):
+        """For P4, C5, the bull, the paw and K1,3, every parent on at most
+        7 vertices has a `_bounds` entry at least the copies in each child:
+        its count plus the most copies through the new vertex."""
+        bull = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
+        paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        for h in (Graph.path(4), Graph.cycle(5), bull, paw, Graph.star(3)):
+            pattern = _Pattern(h)
+            for n in range(h.n + 1, 9):
+                counts = _host_counts(pattern, n - 1)
+                bounds = search._bounds(pattern, n, counts)
+                for rows, count, bound in zip(search._tree(n - 1)[0], counts, bounds):
+                    assert bound >= count + max(_through(pattern, rows)), (to_graph6(h), n, rows)
+
     def test_census_matches_brute_count(self, classes_by_n):
         for k in range(5):
             for h in classes_by_n[k]:
