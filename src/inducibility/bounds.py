@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
 from fractions import Fraction
 from typing import Any
 
-from .errors import InputError, InternalCheckError, PreconditionError
+from .errors import InputError, InternalCheckError, PreconditionError, UnsupportedSizeError
 from .graphs import Graph, canonical_key, complement, degree_profile
 
 E = math.e
@@ -109,7 +108,13 @@ def uniform_degree_bound(tau: int, beta: float, eps: float) -> tuple[int, float]
     eps_f = _positive_fraction("eps", eps)
     ratio = _as_fraction(beta) / (tau * eps_f)
     f = math.isqrt(ratio.numerator // ratio.denominator)
-    return f, 2.0 * (phi(tau) / beta) ** f
+    try:
+        value = 2.0 * (phi(tau) / beta) ** f
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InputError(f"uniform bound overflows at f = {f}")
+    return f, value
 
 
 DegreeGapReport = namedtuple("DegreeGapReport", "a b delta s S")
@@ -169,46 +174,36 @@ def sparse_regime_bound(alpha: float, nu: float) -> float:
     return value
 
 
-def _bisect(ok: Callable[[float], bool], lo: float, hi: float) -> float:
-    """The last point found where ok holds, bisecting [lo, hi] to width
-    1e-12; ok(lo) must hold and ok(hi) must not."""
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+# each closed-form threshold is scaled by 1 - CLOSED_FORM_MARGIN, so that its
+# inequality still holds when evaluated in floats
+CLOSED_FORM_MARGIN = 1e-12
+# C eps at the 2/e^2 target, where sqrt(1/(8 C eps)) - 1 = 2/(1 - ln 2)
+EPS_TIMES_C = 1 / (8 * (1 + 2 / (1 - math.log(2))) ** 2)
 
 
 def find_sparse_alpha() -> tuple[float, float]:
-    """Largest alpha (to 1e-12, by bisection) keeping the sparse bound below
-    1/e at the 1/12 floor, plus the bound value at alpha/2."""
+    """Largest alpha keeping the sparse bound below 1/e at the 1/12 floor,
+    plus the bound value at alpha/2.
 
-    def ok(a: float) -> bool:
-        return sparse_regime_bound(a, 1 / 12) < 1 / E
-
-    if not ok(0.0):
-        raise InternalCheckError("sparse bound already at 1/e for alpha = 0")
-    alpha = _bisect(ok, 0.0, 1.0)
+    With D = 2 + (e-2)/12 the bound is below 1/e exactly when
+    alpha < (e-2) / (12 e (3e + 2D)); that threshold is returned times
+    1 - CLOSED_FORM_MARGIN.
+    """
+    d = 2 + (E - 2) / 12
+    alpha = (E - 2) / (12 * E * (3 * E + 2 * d)) * (1 - CLOSED_FORM_MARGIN)
     return alpha, sparse_regime_bound(alpha / 2, 1 / 12)
 
 
 def solve_epsilon(C: float) -> float:
-    """Largest eps with 2 (2/e)^(sqrt(1/(8 C eps)) - 1) <= 2/e^2, found by
-    bisection to 1e-12."""
+    """Largest eps in (0, 1] with 2 (2/e)^(sqrt(1/(8 C eps)) - 1) <= 2/e^2.
+
+    That is min(1, c0 / C) with c0 = EPS_TIMES_C = 1 / (8 (1 + 2/(1 - ln 2))^2)
+    ~ 0.00221172, taken times 1 - CLOSED_FORM_MARGIN; dividing c0 by C forms
+    no 8 C, which could overflow.
+    """
     if C <= 0:
         raise InputError("C must be positive")
-
-    def ok(eps: float) -> bool:
-        x = 8 * C * eps  # when it underflows to 0 the exponent is +inf and the bound holds
-        return x == 0 or 2 * (2 / E) ** (math.sqrt(1 / x) - 1) <= 2 / (E * E)
-
-    if not ok(1e-15):
-        raise InputError("the 2/e^2 target is unreachable even at eps = 1e-15")
-    if ok(1.0):
-        return 1.0
-    return _bisect(ok, 1e-15, 1.0)
+    return min(1.0, EPS_TIMES_C / C * (1 - CLOSED_FORM_MARGIN))
 
 
 def non_uniform_predicate(h: Graph, beta: float, C: float) -> bool:
@@ -305,6 +300,9 @@ def regime_selector(h: Graph, params: SelectorParams | None = None) -> BoundRepo
     if m <= _as_fraction(alpha) * k:
         return sparse_report()
 
+    if p.eps is None and _as_fraction(eps) == 0:
+        raise UnsupportedSizeError(f"the eps derived from C = {C}, {eps}, rounds to 0"
+                                   " at the 1e-12 resolution of rationals; pass --eps")
     if prof.max_degree >= _as_fraction(eps) * k:
         gap = find_degree_gap(work, eps, C)
         # derive T straight from the exact S rather than re-thresholding

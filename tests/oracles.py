@@ -15,6 +15,9 @@ the closed form it checks; it reaches cores of 14 vertices, where
 package's `classify_vertices`, as the brightness tests do for
 `brute_brightness`; that classifier is checked against the definition-based
 obscurity oracle.
+`bisect_sparse_alpha` and `bisect_epsilon` find the paper's two thresholds
+by bisection on the inequalities themselves, apart from the closed forms
+they check.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, sqrt
+from math import e as E
 
 from inducibility.graphs import Graph, _induced_rows, canonical_key
 from inducibility.structure import classify_vertices
@@ -334,3 +338,29 @@ def all_labeled_graphs(n: int):
         yield Graph.from_edges(
             n, [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
         )
+
+
+def _bisect_last(ok) -> float:
+    """The last point found in (0, 1] where ok holds: halve from 1 until ok
+    holds, then bisect to a width of 1e-15 relative to the upper end, or
+    until the midpoint is no float strictly between the ends."""
+    hi = 1.0
+    if ok(hi):
+        return hi
+    lo = hi / 2
+    while not ok(lo):
+        hi, lo = lo, lo / 2
+    while hi - lo > 1e-15 * hi and lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+def bisect_sparse_alpha() -> float:
+    """Largest alpha with (2 + 3e^2 alpha) / (2 + (e-2)/12) / e + 2 alpha < 1/e."""
+    return _bisect_last(lambda a: (2 + 3 * E * E * a) / (2 + (E - 2) / 12) / E + 2 * a < 1 / E)
+
+
+def bisect_epsilon(C: float) -> float:
+    """Largest eps in (0, 1] with 2 (2/e)^(sqrt(1/(8 C eps)) - 1) <= 2/e^2;
+    8 eps is formed before the product with C, which cannot then overflow."""
+    return _bisect_last(lambda eps: 2 * (2 / E) ** (sqrt(1 / ((8 * eps) * C)) - 1) <= 2 / E**2)

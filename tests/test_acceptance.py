@@ -142,7 +142,7 @@ CLI_STDOUT_SHA256 = {
     ("simulate-coloring", "DQc", "Cl", "--trials", "400", "--seed", "6"):
         "6d6ac16b4071d2053f56dc74ad2ee867ba3c79538d591ec4bf311f6bd19f7438",
     ("bounds", "alpha"):
-        "df72745c0820f68a64d9604a7efc086020802e38ca214533a0f69dd3800169ac",
+        "a4966a2dcfc2ede3a932f3a6f29488ea9f5b5e15b2bc3cd45a39fdad890fff80",
     ("tame", "Cr"):
         "8327577bf808e260a9dd9830b23939eada476d96740463fc75036f6204c02e01",
     ("tame", "Cr", "--set", "0"):
@@ -179,11 +179,11 @@ CLI_STDOUT_SHA256 = {
     ("bounds", "gap", STAR20, "--eps", "0.5", "--c", "1.0"):
         "76834675cb0de11cc5964b94f4147b3935962d76ce23439025c56e8cdc0e8184",
     ("bounds", "select", "DQc", "--c", "1.0"):
-        "4bb3fe69fa8f85e371563a8c0d66c418cc4f51cc0460817e59619c38d6f191d4",
+        "bd39e14bf12b87a71fafad466435555c7c6d6dc58e87473f9984b72ae3962664",
     ("bounds", "select", STAR20, "--eps", "0.1", "--alpha", "0.01", "--beta", "0.9"):
         "bedd3d0867ca99c0796a47aced4abb1dfa2c9e2e17a9c40077b3c6c81da062f2",
     ("bounds", "solve-eps", "--c", "2.0"):
-        "1c763cd18a26d5855ef89275985c620f58edb1af9bd1008285a92f41f75037f4",
+        "76e6ce5d2344f0d167bf113810a5910f259441bc52d3e79c8ed255030b74a63a",
     ("proba", "binom", "--k", "4", "--p", "1/3", "--s", "2"):
         "b6c1756ab7e57e47a250114704e84d9bbc7e62d38779d7a74bfede6d4b1d9808",
     ("proba", "hypergeom", "--population", "50", "--successes", "10", "--sample",

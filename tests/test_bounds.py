@@ -27,6 +27,8 @@ from inducibility.brightness import (
 from inducibility.errors import InputError, PreconditionError
 from inducibility.graphs import Graph, complement, degree_profile, with_isolated
 
+from oracles import bisect_epsilon, bisect_sparse_alpha
+
 E = math.e
 
 
@@ -179,6 +181,14 @@ class TestSolveEpsilon:
             # close to the closed-form optimum
             closed = 1 / (8 * c * (1 + 2 / (1 - math.log(2))) ** 2)
             assert abs(eps - closed) < 1e-6
+
+
+def test_closed_forms_match_bisection():
+    # each closed form sits 1e-12 below its threshold, relative to it
+    assert abs(find_sparse_alpha()[0] / bisect_sparse_alpha() - 1) <= 2e-12
+    for e in range(-2, 309):
+        C = 10.0**e
+        assert abs(solve_epsilon(C) / bisect_epsilon(C) - 1) <= 2e-12, C
 
 
 class TestNonUniformPredicate:

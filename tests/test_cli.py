@@ -353,6 +353,17 @@ class TestOtherCommands:
         error = run_error(capsys, 2, "bounds", "sparse", "--alpha", "1e308", "--nu", "0.5")
         assert "overflows" in error
 
+    def test_bounds_uniform_overflow_exit_2(self, capsys):
+        # f = 3162, and 36.8^3162 is past the float range
+        error = run_error(capsys, 2, "bounds", "uniform", "--tau", "1", "--beta", "0.01",
+                          "--eps", "1e-9")
+        assert "uniform bound overflows" in error
+
+    def test_bounds_select_derived_eps_rounding_to_0_exit_3(self, capsys):
+        # no --eps: the eps derived from C = 1e10 is 2.2e-13, a rational 0
+        error = run_error(capsys, 3, "bounds", "select", "DQc", "--c", "1e10")
+        assert "C = 10000000000.0" in error and "pass --eps" in error
+
     def test_proba_lambda_overflowing_square(self, capsys):
         doc = run_json(capsys, "proba", "lambda", "--y", "1e300", "--z", "1e300")
         assert doc["outputs"] == {"lo": 0.0, "hi": 1.0, "lambda": 0.5}
@@ -362,9 +373,12 @@ class TestOtherCommands:
         assert "not JSON compliant" in run_error(capsys, 4, "classify", "Bg")
 
     def test_bounds_solve_eps_early_exits(self, capsys):
-        doc = run_json(capsys, "bounds", "solve-eps", "--c", "1e-308")
-        assert doc["outputs"]["eps"] == 1.0  # the whole interval qualifies
-        assert "unreachable" in run_error(capsys, 2, "bounds", "solve-eps", "--c", "1e308")
+        # eps is c0 / C at every C, down to a subnormal at 1e308, and 1.0 below c0
+        for c, eps in [("1e-308", 1.0), ("1e10", 2.21172168239e-13),
+                       ("1e13", 2.21172168239e-16), ("1e308", 2.21172168239e-311)]:
+            assert run_json(capsys, "bounds", "solve-eps", "--c", c)["outputs"]["eps"] == eps
+        doc = run_json(capsys, "bounds", "select", "A_", "--c", "1e300")
+        assert doc["outputs"]["inputs"]["eps"] == 2.21172168239e-303
 
     def test_construct_split_plus_edge_and_blowup(self, capsys):
         doc = run_json(capsys, "construct", "split-plus-edge", "--k", "4", "--n", "8")
@@ -685,7 +699,7 @@ class TestCommandTable:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
         lines = [line for line in block.splitlines() if line.startswith("inducibility ")]
-        assert len(lines) >= 10
+        assert len(lines) >= 17
         for line in lines:
             args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
             cli._inputs(args)  # no flag the example's mode ignores

@@ -20,14 +20,36 @@ from inducibility.graphs import Graph, disjoint_union, with_isolated
 from inducibility.mc import trial_rngs
 
 
+HOST = with_isolated(Graph.path(3), 7)
+PATTERN = with_isolated(Graph.path(3), 2)
+
+
 @pytest.fixture
 def host():
-    return with_isolated(Graph.path(3), 7)
+    return HOST
 
 
 @pytest.fixture
 def pattern():
-    return with_isolated(Graph.path(3), 2)
+    return PATTERN
+
+
+def _sparse_host() -> Graph:
+    rng = random.Random(5)
+    return Graph.from_edges(
+        40, [(i, j) for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.1]
+    )
+
+
+# (host, pattern, seeds, step cap) of the pinned traces
+TRACE_CASES = (
+    (HOST, PATTERN, 300, None),
+    (functools.reduce(disjoint_union, [Graph.path(3)] * 3), PATTERN, 300, 5),
+    (with_isolated(Graph.complete(5), 5), PATTERN, 300, 6),
+    (with_isolated(Graph.cycle(6), 2), PATTERN, 300, 5),
+    (_sparse_host(), with_isolated(Graph.path(4), 3), 200, None),
+    (with_isolated(Graph.cycle(12), 4), with_isolated(Graph.star(3), 2), 200, None),
+)
 
 
 class TestColorStep:
@@ -123,24 +145,12 @@ class TestRunTrial:
         else:
             assert tr.stop_index is not None
 
-    def test_traces_pinned(self, host, pattern):
+    def test_traces_pinned(self):
         # SHA-256 of every field of 1,600 traces, recorded before the trace
         # was coloured in one pass; the step limits of the middle three
         # pairs truncate 54 traces, and 1,433 traces draw past L
-        rng = random.Random(5)
-        sparse = Graph.from_edges(
-            40, [(i, j) for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.1]
-        )
-        cases = [
-            (host, pattern, 300, None),
-            (functools.reduce(disjoint_union, [Graph.path(3)] * 3), pattern, 300, 5),
-            (with_isolated(Graph.complete(5), 5), pattern, 300, 6),
-            (with_isolated(Graph.cycle(6), 2), pattern, 300, 5),
-            (sparse, with_isolated(Graph.path(4), 3), 200, None),
-            (with_isolated(Graph.cycle(12), 4), with_isolated(Graph.star(3), 2), 200, None),
-        ]
         digest = hashlib.sha256()
-        for g, h, seeds, max_steps in cases:
+        for g, h, seeds, max_steps in TRACE_CASES:
             for seed in range(seeds):
                 tr = run_trial(g, h, seed, max_steps)
                 digest.update(repr(tuple(tr)).encode())
@@ -148,22 +158,10 @@ class TestRunTrial:
             "746b7e4d54ba3d15ad16a7072302e345afba7a5457e4450165bf83d5f1dfa84e"
         )
 
-    def test_flags_only_run_is_the_recorded_run(self, host, pattern):
-        # the cases of test_traces_pinned: without a step list, `_run` draws
+    def test_flags_only_run_is_the_recorded_run(self):
+        # the TRACE_CASES of test_traces_pinned: without a step list, `_run` draws
         # the same vertices and returns the fields of the recorded trace
-        rng = random.Random(5)
-        sparse = Graph.from_edges(
-            40, [(i, j) for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.1]
-        )
-        cases = [
-            (host, pattern, 300, None),
-            (functools.reduce(disjoint_union, [Graph.path(3)] * 3), pattern, 300, 5),
-            (with_isolated(Graph.complete(5), 5), pattern, 300, 6),
-            (with_isolated(Graph.cycle(6), 2), pattern, 300, 5),
-            (sparse, with_isolated(Graph.path(4), 3), 200, None),
-            (with_isolated(Graph.cycle(12), 4), with_isolated(Graph.star(3), 2), 200, None),
-        ]
-        for g, h, seeds, max_steps in cases:
+        for g, h, seeds, max_steps in TRACE_CASES:
             ctx = _ColorContext(g, h, max_steps)
             for seed in range(seeds):
                 bare, recorded = random.Random(seed), random.Random(seed)
