@@ -212,15 +212,10 @@ def _traces(
         )
 
 
-def _run(ctx: _ColorContext, rng: random.Random, steps: list | None = None) -> tuple:
-    """The fields of `rng`'s trace, `_traces` over that one generator."""
-    return next(_traces(ctx, (rng,), steps))
-
-
 def record_trace(ctx: _ColorContext, rng: random.Random) -> ColoredTrace:
     """The trace of `rng` on `ctx`, every step recorded."""
     steps: list[tuple[int, str]] = []
-    stop, *flags = _run(ctx, rng, steps)
+    stop, *flags = next(_traces(ctx, (rng,), steps))
     black_prefix = tuple(v for v, c in steps[:stop] if c == BLACK)
     return ColoredTrace(tuple(steps), stop, black_prefix, *flags)
 

@@ -37,7 +37,7 @@ at the maximum are labelled, to pick the witness.  So scoring builds
 `_tree` up to n - 1, and `_tree(n)` is built only to enumerate the
 n-vertex classes.
 
-Parents are scored best-first.  A copy through v is v plus a (k - 1)-subset
+Two bounds prune the parents.  A copy through v is v plus a (k - 1)-subset
 of the parent inducing some h - u, and each such subset makes at most one
 copy, so a parent's deck, the number of those subsets, plus its own count
 bounds every child.  The deck is `_host_counts` summed over h's distinct
@@ -47,10 +47,13 @@ n - k of its vertices, so (n - k) X(G) is the sum of X(G - w) over every
 vertex w, at most the parent's count plus n - 1 times M, the largest count
 over `_tree(n - 1)` (the double counting behind the monotonicity of
 ind(h, n), Pippenger and Golumbic 1975).  Parents are scored in decreasing
-order of the smaller bound, and the scan stops at the first whose bound is
-below the best count found so far.  A parent whose bound equals the best
-is still scored, so every child at the maximum is seen and the witness
-does not depend on the pruning.
+order of their count.  The averaging bound falls with the count, so the
+scan stops at the first parent whose averaging bound is below the best
+count found so far; the deck bound does not, so it only skips a parent.
+The deck is computed the first time a parent after the first scored one
+reaches that test.  A parent whose bound equals the best is still scored,
+so every child at the maximum is seen and the witness does not depend on
+the pruning.
 
 The local search is simulated annealing over single edge flips with
 geometric cooling.  Density is maintained incrementally: flipping (u, v)
@@ -321,27 +324,19 @@ def _deck_counts(pattern: _Pattern, n: int) -> list[int]:
     return [sum(c) for c in zip(*(_host_counts(_Pattern(g), n) for g in deletions))]
 
 
-def _bounds(pattern: _Pattern, n: int, counts: list[int]) -> list[int]:
-    """A bound on the copies in every child of each `_tree(n - 1)` class,
-    given the classes' `counts`: the smaller of the count plus the deck and
-    the averaging bound (count + (n - 1) * max(counts)) // (n - k)."""
-    top = max(counts)
-    return [min(c + d, (c + (n - 1) * top) // (n - pattern.k))
-            for c, d in zip(counts, _deck_counts(pattern, n - 1))]
-
-
 def ind_exact(h: Graph, n: int) -> IndResult:
     """Maximum induced density of h over all n-vertex hosts, with witness.
 
     Every n-vertex host is a child of an (n - 1)-vertex class, so the
     maximum is read off the masks of the classes of `_tree(n - 1)`: a
     child's copies are its parent's (`_host_counts`) plus those through the
-    new vertex (`_through`).  No child of a parent holds more than its
-    `_bounds` entry, so parents are scored in decreasing order of that
-    bound until it falls below the best count;
-    a parent whose bound ties the best is still scored.  The witness is the
-    child at the maximum of smallest canonical code, the first such host in
-    canonical-code order.
+    new vertex (`_through`).  Parents are scored in decreasing order of
+    their count.  The scan stops at the first whose averaging bound is below
+    the best count, and skips one whose deck bound is; the deck is computed
+    when the second parent reaches that test, so a scan that stops there
+    never computes it.  A parent whose bounds tie the best is still scored.
+    The witness is the child at the maximum of smallest canonical code, the
+    first such host in canonical-code order.
     """
     if h.n > n:
         raise InputError(f"pattern has {h.n} vertices but n = {n}")
@@ -355,12 +350,17 @@ def ind_exact(h: Graph, n: int) -> IndResult:
         return IndResult(Fraction(1), Graph(n, _induced_rows(h.adj, _canonical_search(n, h.adj)[1])), "exact")
     pattern = _Pattern(h)
     counts = _host_counts(pattern, n - 1)
-    bound = _bounds(pattern, n, counts)
+    most = max(counts)
     tree = _tree(n - 1)[0]
-    best, tied = -1, []
-    for p in sorted(range(len(tree)), key=bound.__getitem__, reverse=True):
-        if bound[p] < best:
+    best, tied, deck = -1, [], None
+    for p in sorted(range(len(tree)), key=counts.__getitem__, reverse=True):
+        if (counts[p] + (n - 1) * most) // (n - h.n) < best:
             break
+        if best >= 0:
+            if deck is None:
+                deck = _deck_counts(pattern, n - 1)
+            if counts[p] + deck[p] < best:
+                continue
         rows = tree[p]
         through = _through(pattern, rows)
         top = counts[p] + max(through)

@@ -116,8 +116,8 @@ def test_criterion_09_coloring_simulation(verified):
 STAR20 = "TsaCCA?_C?O?_?_?O?C??_?A??C??C??A???"
 
 # SHA-256 of the stdout of each seeded command and of one command line per
-# output schema: the one table of pinned CLI digests, which
-# tests/test_cli.py reads its digest cases from
+# output schema: the one table of pinned CLI digests, asserted only by
+# criterion 10
 CLI_STDOUT_SHA256 = {
     ("classify", "Bg"):
         "11304c10d46376b55cd314a685198b14258a33b24880b0eda06ec8583b353a30",
@@ -196,15 +196,23 @@ CLI_STDOUT_SHA256 = {
 
 
 def test_criterion_10_cli_determinism(capsys):
+    # every line runs before any assertion, so a failure names each mismatch
+    mismatches = []
     for argv, digest in CLI_STDOUT_SHA256.items():
-        outputs = []
+        runs = []
         for _ in range(3):
             code = cli_main(list(argv))
-            out = capsys.readouterr().out
-            assert code == 0, (argv, out)
-            outputs.append(out.encode())
-        assert outputs[0] == outputs[1] == outputs[2], argv
-        assert hashlib.sha256(outputs[0]).hexdigest() == digest, argv
-        json.loads(outputs[0])  # well-formed single JSON document
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        code, out, err = runs[0]
+        if code != 0:
+            mismatches.append(f"{' '.join(argv)}: exit {code}: {err.strip()}")
+        elif runs.count(runs[0]) != 3:
+            mismatches.append(f"{' '.join(argv)}: the three runs differ")
+        elif hashlib.sha256(out.encode()).hexdigest() != digest:
+            mismatches.append(f"{' '.join(argv)}: digest of {out.strip()}")
+        else:
+            json.loads(out)  # well-formed single JSON document
+    assert not mismatches, "\n".join(mismatches)
     report(10, "pinned CLI output byte-identical across runs",
            f"{len(CLI_STDOUT_SHA256)} command lines")

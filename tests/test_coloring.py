@@ -10,7 +10,7 @@ from inducibility import coloring
 from inducibility.coloring import (
     ColoringSummary,
     _ColorContext,
-    _run,
+    _traces,
     record_trace,
     run_trial,
     simulate,
@@ -159,13 +159,13 @@ class TestRunTrial:
         )
 
     def test_flags_only_run_is_the_recorded_run(self):
-        # the TRACE_CASES of test_traces_pinned: without a step list, `_run` draws
+        # the TRACE_CASES of test_traces_pinned: without a step list, `_traces` draws
         # the same vertices and returns the fields of the recorded trace
         for g, h, seeds, max_steps in TRACE_CASES:
             ctx = _ColorContext(g, h, max_steps)
             for seed in range(seeds):
                 bare, recorded = random.Random(seed), random.Random(seed)
-                flags = _run(ctx, bare)
+                flags = next(_traces(ctx, (bare,)))
                 tr = record_trace(ctx, recorded)
                 assert flags == (tr.stop_index, *tuple(tr)[3:]), seed
                 assert bare.getstate() == recorded.getstate(), seed

@@ -356,17 +356,32 @@ class TestIndExact:
 
     def test_bounds_cover_every_child(self):
         """For P4, C5, the bull, the paw and K1,3, every parent on at most
-        7 vertices has a `_bounds` entry at least the copies in each child:
-        its count plus the most copies through the new vertex."""
+        7 vertices bounds the copies in each child, its count plus the most
+        copies through the new vertex, by its deck bound and by its
+        averaging bound, each on its own."""
         bull = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
         paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
         for h in (Graph.path(4), Graph.cycle(5), bull, paw, Graph.star(3)):
             pattern = _Pattern(h)
             for n in range(h.n + 1, 9):
                 counts = _host_counts(pattern, n - 1)
-                bounds = search._bounds(pattern, n, counts)
-                for rows, count, bound in zip(search._tree(n - 1)[0], counts, bounds):
-                    assert bound >= count + max(_through(pattern, rows)), (to_graph6(h), n, rows)
+                deck, most = search._deck_counts(pattern, n - 1), max(counts)
+                for rows, count, d in zip(search._tree(n - 1)[0], counts, deck):
+                    child = count + max(_through(pattern, rows))
+                    assert count + d >= child, ("deck", to_graph6(h), n, rows)
+                    assert (count + (n - 1) * most) // (n - h.n) >= child, (
+                        "averaging", to_graph6(h), n, rows)
+
+    def test_c4_at_8_computes_no_deck(self, exact_table, monkeypatch):
+        """The averaging bound stops C4's scan at n = 8 after its first
+        parent, before any parent reaches the deck bound."""
+
+        def deck(pattern, n):
+            raise AssertionError("the deck was computed")
+
+        monkeypatch.setattr(search, "_deck_counts", deck)
+        c4 = Graph.cycle(4)
+        assert ind_exact(c4, 8) == exact_table[canonical_key(c4), 8]
 
     def test_census_matches_brute_count(self, classes_by_n):
         for k in range(5):
@@ -387,9 +402,9 @@ class TestIndExact:
         assert next(_brute_mismatches(classes_by_n, brute_max, monkeypatch), None)
 
     def test_pruning_tied_parents_is_caught(self, classes_by_n, brute_max, monkeypatch):
-        """Stopping at a bound equal to the best, not below it, skips a
-        parent with a child at the maximum; a bound one smaller on every
-        parent is the same scan."""
+        """Skipping a parent whose deck bound equals the best, not only one
+        below it, skips a parent with a child at the maximum; a deck one
+        smaller on every parent is the same scan."""
         deck = search._deck_counts
         monkeypatch.setattr(search, "_deck_counts", lambda h, n: [d - 1 for d in deck(h, n)])
         assert next(_brute_mismatches(classes_by_n, brute_max, monkeypatch), None)
