@@ -1,17 +1,20 @@
-"""Lower-bound constructions: split bipartite hosts, sparse random hosts,
-and the blow-up of a tamed graph.
+"""Lower-bound constructions: blow-ups of a template, and sparse random hosts.
 
-Each generator returns the exact probability of its defining pick event at
-this n, from the hypergeometric kernels of the proba module, and the
-closed-form n -> infinity value of that probability; both work for any n.
-The concrete host graph (and the pattern, and the pattern's full induced
-density in the host) is materialized only when it fits the 64-vertex graph
-universe.  The defining event (say, exactly r picks on the small side)
-always induces the pattern, but for some parameter coincidences other pick
-patterns induce it as well, so the full induced density of the pattern can
-strictly exceed the event probability; when the subset budget allows, that
-full density is computed through the density module and reported
-separately.
+Every host but the random one is one blow-up: a template graph on parts,
+each part a clique or an independent set of a given size, two parts joined
+completely where the template has an edge.  The split host blows up an edge
+(split plus edge makes its small part a clique), and the blow-up of a
+pattern tamed by V0 has one part per vertex of V0 and one for the rest.  The
+defining event picks s vertices in each of the first f parts and the other
+k - f s outside them; its exact probability at this n comes from the joint
+hypergeometric kernel of the proba module, next to each family's closed-form
+n -> infinity value.  The concrete host graph (and the pattern, and the
+pattern's full induced density in the host) is materialized only when it
+fits the 64-vertex graph universe.  The defining event always induces the
+pattern, but for some parameter coincidences other pick patterns induce it
+as well, so the full induced density can strictly exceed the event
+probability; when the subset budget allows, it is computed through the
+density module and reported separately.
 
 Part sizes use round-half-up with the residue absorbed by the large part,
 so achieved-versus-limit gaps include rounding effects.
@@ -24,15 +27,20 @@ import random
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .density import induced_density
 from .errors import InputError, PreconditionError, UnsupportedSizeError
-from .graphs import MAX_VERTICES, Graph, with_isolated
-from .proba import HypergeomParams, hypergeom_point, multi_hypergeom_joint
+from .graphs import MAX_VERTICES, Graph, _induced_rows, with_isolated
+from .proba import multi_hypergeom_joint
 from .structure import is_tamed_by
 
 DENSITY_BUDGET = 2_000_000
+# The digits of C(n, k), the event probability's unreduced denominator, times
+# m = min(k, n - k): about the digit steps of the divisions inside
+# math.comb(n, k).  From this budget on, the probability is refused before it
+# is computed; README's size-limit table gives the timings behind the value.
+EVENT_BUDGET = 3 * 10**12
 
 
 # `graph` is None when n, and `target` when k, exceeds the 64-vertex universe;
@@ -57,6 +65,18 @@ def _check_float_range(n: int) -> None:
         raise UnsupportedSizeError("n is past the float range of the part sizes") from None
 
 
+def _check_event_budget(n: int, k: int) -> None:
+    """Refuse when m = min(k, n - k) times the digits of C(n, k) = C(n, m) passes
+    EVENT_BUDGET, by the lower bound (n - m + 1)^m / (e m^(m + 1/2) e^-m) on C(n, m)."""
+    m = min(k, n - k)
+    if m < 1:
+        return
+    ln_comb = m * (math.log(n - m + 1) - math.log(m) + 1) - math.log(m) / 2 - 1
+    if m * ln_comb / math.log(10) >= EVENT_BUDGET:
+        raise UnsupportedSizeError("the exact event probability is out of reach: the digits of"
+                                   f" C(n, k) times min(k, n - k) pass {EVENT_BUDGET:,}")
+
+
 def _binomial_limit(k: int, r: int, sigma: float) -> float:
     """C(k, r) sigma^r (1 - sigma)^(k - r), through logarithms once C(k, r)
     is past the float range (the value itself is at most 1)."""
@@ -74,29 +94,30 @@ def _maybe_density(target: Graph | None, graph: Graph | None) -> Fraction | None
     return induced_density(target, graph).density
 
 
-def _two_part(
-    k: int, r: int, n: int, small: int, sigma: float, clique: bool
-) -> ConstructionReport:
-    """A `small`-vertex side, a clique when `clique` is set, joined completely
-    to an independent side of the other n - small vertices.  The defining
-    event picks r vertices on the small side and k - r on the other, so the
-    target is the same graph at sizes (r, k - r)."""
+def _blowup(template: Graph, cliques: tuple[bool, ...], sizes: tuple[int, ...]) -> Graph:
+    """Part i is the next sizes[i] vertices, a clique when cliques[i]; parts
+    i and j are joined completely where the template has the edge ij."""
+    masks = [((1 << size) - 1) << start for size, start in zip(sizes, accumulate((0, *sizes)))]
+    joined = [sum(masks[j] for j in range(template.n) if template.has_edge(i, j))
+              | (masks[i] if cliques[i] else 0) for i in range(template.n)]
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return Graph(len(part), tuple(joined[i] & ~(1 << v) for v, i in enumerate(part)))
 
-    def host(a: int, b: int) -> Graph:
-        full, side = (1 << (a + b)) - 1, (1 << a) - 1
-        rows = [full ^ (1 << v if clique else side) for v in range(a)] + [side] * b
-        return Graph(a + b, tuple(rows))
 
-    graph = host(small, n - small) if n <= MAX_VERTICES else None
-    target = host(r, k - r) if k <= MAX_VERTICES else None
-    return ConstructionReport(
-        graph=graph,
-        target=target,
-        achieved=hypergeom_point(HypergeomParams(n, small, k, r)),
-        limit_formula=_binomial_limit(k, r, sigma),
-        sigma=sigma,
-        target_density=_maybe_density(target, graph),
-    )
+def _report(template: Graph, cliques: tuple[bool, ...], sizes: tuple[int, ...], k: int, f: int,
+            s: int, limit, sigma: float | None = None, target: Graph | None = None
+            ) -> ConstructionReport:
+    """The blow-up at part `sizes` with its event: s picks in each of the
+    first f parts and k - f s in the others.  `limit()` is the closed-form
+    value, called once the budget check passes; the target defaults to the
+    blow-up at the pick counts."""
+    n = sum(sizes)
+    _check_event_budget(n, k)
+    graph = _blowup(template, cliques, sizes) if n <= MAX_VERTICES else None
+    if target is None and k <= MAX_VERTICES:
+        target = _blowup(template, cliques, (s,) * f + (k - f * s,))
+    return ConstructionReport(graph, target, multi_hypergeom_joint(n, k, sizes[:f], s), limit(),
+                              sigma, _maybe_density(target, graph))
 
 
 def split_construction(k: int, r: int, n: int, sigma: float) -> ConstructionReport:
@@ -112,7 +133,8 @@ def split_construction(k: int, r: int, n: int, sigma: float) -> ConstructionRepo
         raise InputError(f"small part {small} cannot host {r} picks")
     if n - small < k - r:
         raise InputError(f"large part {n - small} cannot host {k - r} picks")
-    return _two_part(k, r, n, small, sigma, clique=False)
+    return _report(Graph.complete(2), (False, False), (small, n - small), k, 1, r,
+                   lambda: _binomial_limit(k, r, sigma), sigma)
 
 
 def gnp_construction(k: int, n: int, seed: int) -> ConstructionReport:
@@ -153,14 +175,15 @@ def split_plus_edge(k: int, n: int) -> ConstructionReport:
         raise InputError("need n >= k")
     _check_float_range(n)
     small = _round_half_up(2 * n / k)  # in [2, n - k + 2] as k >= 4: both sides host their picks
-    return _two_part(k, 2, n, small, 2 / k, clique=True)
+    return _report(Graph.complete(2), (True, False), (small, n - small), k, 1, 2,
+                   lambda: _binomial_limit(k, 2, 2 / k), 2 / k)
 
 
 def dtame_blowup(h: Graph, v0, n: int) -> ConstructionReport:
-    """Blow up a tamed pattern: one size-floor(n/k) group per taming vertex
+    """Blow up a tamed pattern: one size-floor(n/k) part per taming vertex
     (kept edgeless inside, since the defining event takes one vertex per
-    group) and one group for the rest, cliqued exactly when the rest is a
-    clique in h; groups are joined following h's adjacency."""
+    part) and one part for the rest, cliqued exactly when the rest is a
+    clique in h; parts are joined following h's adjacency."""
     v0 = sorted(set(v0))
     for v in v0:
         if not 0 <= v < h.n:
@@ -168,43 +191,21 @@ def dtame_blowup(h: Graph, v0, n: int) -> ConstructionReport:
     if not is_tamed_by(h, v0):
         raise PreconditionError("v0 is not a taming set of h")
     k = h.n
-    if k == 0:  # the empty set tames it, but there is no group to size
+    if k == 0:  # the empty set tames it, but there is no part to size
         raise InputError("the 0-vertex pattern has nothing to blow up")
     if n < k:
         raise InputError("need n >= k")
     d = len(v0)
     rest = [v for v in range(k) if v not in v0]
-    group_size = n // k
-    sizes = [group_size] * d + [n - d * group_size]
-    graph: Graph | None = None
-    if n <= MAX_VERTICES:
-        # group i stands for v0[i] and the rest group for rest[0], which
-        # taming makes attach to each v0[i] all-or-none; with no rest the
-        # leftover group stands for no vertex and stays isolated
-        reps = v0 + rest[:1]
-        rest_is_clique = bool(rest) and all(h.has_edge(u, v) for u, v in combinations(rest, 2))
-        group = [i for i, size in enumerate(sizes) for _ in range(size)]
+    # the rest part stands for rest[0], which taming makes attach to each
+    # v0[i] all-or-none; with no rest it stands for no vertex and stays isolated
+    reps = v0 + rest[:1]
+    template = with_isolated(Graph(len(reps), _induced_rows(h.adj, reps)), d + 1 - len(reps))
+    rest_is_clique = bool(rest) and all(h.has_edge(u, v) for u, v in combinations(rest, 2))
+    size = n // k
 
-        def adjacent(i: int, j: int) -> bool:
-            if i == j:
-                return i == d and rest_is_clique
-            return max(i, j) < len(reps) and h.has_edge(reps[i], reps[j])
+    def limit() -> float:  # multinomial, at part fractions 1/k each and (k-d)/k for the rest
+        return math.factorial(k) / math.factorial(k - d) * (1 / k) ** d * ((k - d) / k) ** (k - d)
 
-        graph = Graph.from_edges(
-            n, [(x, y) for x, y in combinations(range(n), 2) if adjacent(group[x], group[y])]
-        )
-    # multinomial limit at group fractions 1/k each and (k-d)/k for the rest
-    limit = (
-        math.factorial(k)
-        / math.factorial(k - d)
-        * (1 / k) ** d
-        * ((k - d) / k) ** (k - d)
-    )
-    return ConstructionReport(
-        graph=graph,
-        target=h,
-        achieved=multi_hypergeom_joint(n, k, sizes[:d], 1),
-        limit_formula=limit,
-        sigma=None,
-        target_density=_maybe_density(h, graph),
-    )
+    return _report(template, (False,) * d + (rest_is_clique,), (size,) * d + (n - d * size,),
+                   k, d, 1, limit, target=h)

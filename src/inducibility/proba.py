@@ -52,11 +52,9 @@ def binom_point_max_bound(k: int, s: int) -> Fraction:
 
 
 def hypergeom_point(params: HypergeomParams) -> Fraction:
-    """Exact C(r,s) C(n-r,k-s) / C(n,k); zero when infeasible."""
-    n, r, k, s = params.population, params.successes, params.sample, params.hits
-    if s > r or k - s > n - r:
-        return Fraction(0)
-    return Fraction(math.comb(r, s) * math.comb(n - r, k - s), math.comb(n, k))
+    """Exact C(r,s) C(n-r,k-s) / C(n,k), the one-part joint kernel; zero when infeasible."""
+    return multi_hypergeom_joint(params.population, params.sample, (params.successes,),
+                                 params.hits)
 
 
 def multi_hypergeom_joint(
@@ -71,10 +69,10 @@ def multi_hypergeom_joint(
         raise InputError("parts exceed the population")
     if not 0 <= k <= n:
         raise InputError("need 0 <= k <= n")
-    if not parts:
-        return Fraction(1)
     if s < 0:
         raise InputError("s must be nonnegative")
+    if not parts:
+        return Fraction(1)
     f = len(parts)
     rest = n - sum(parts)
     outside = k - f * s

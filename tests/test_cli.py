@@ -170,6 +170,15 @@ REFUSED = {
         "split-achieved-digits": (("construct", "split", "--k", "20000", "--r", "1",
                                    "--n", "40000", "--sigma", "0.5"), 3,
                                   "an output value passes 4300 digits", 5),
+        # C(10^9, 10^6) has 3.4 million digits; times 10^6 they pass the work budget
+        **{f"{family}-event-budget": (
+            ("construct", family, "--k", "1000000", "--n", "1000000000", *flags), 3,
+            "the exact event probability is out of reach", 1)
+           for family, flags in [("split", ("--r", "1", "--sigma", "0.5")),
+                                 ("split-plus-edge", ())]},
+        "multi-no-parts-negative-s": (("proba", "multi", "--population", "5", "--sample", "2",
+                                       "--parts", "", "--s", "-1"), 2,
+                                      "s must be nonnegative", 5),
     },
     "test_blowup_of_the_empty_pattern_exit_2": (("construct", "blowup", "?", "--n", "3"), 2,
                                                 "0-vertex pattern", 5),

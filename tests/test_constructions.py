@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from inducibility import constructions
 from inducibility.cli import _fmt
 from inducibility.constructions import (
     dtame_blowup,
@@ -14,7 +15,7 @@ from inducibility.constructions import (
     split_plus_edge,
 )
 from inducibility.density import induced_density
-from inducibility.errors import InputError, PreconditionError
+from inducibility.errors import InputError, PreconditionError, UnsupportedSizeError
 from inducibility.graphs import Graph, is_isomorphic
 from inducibility.search import _classes
 from inducibility.structure import is_tamed_by
@@ -156,6 +157,20 @@ class TestBlowup:
         # the empty set tames the 0-vertex graph, which has no group to size
         with pytest.raises(InputError, match="0-vertex pattern"):
             dtame_blowup(Graph.empty(0), set(), 3)
+
+
+@pytest.mark.parametrize("n, k", [(10, 1), (10, 5), (1000, 3), (10**6, 999_000), (10**30, 40),
+                                  (10**400, 64)],
+                         ids=["10-1", "10-5", "1000-3", "1e6-999000", "1e30-40", "1e400-64"])
+def test_event_budget_reads_a_lower_bound(monkeypatch, n, k):
+    """The refusal never fires below the budget, where min(k, n - k) times the
+    digits of C(n, k) is the work, and fires once the work is 1.5 times it."""
+    work = min(k, n - k) * math.log10(math.comb(n, k))
+    monkeypatch.setattr(constructions, "EVENT_BUDGET", work * (1 + 1e-9))
+    constructions._check_event_budget(n, k)
+    monkeypatch.setattr(constructions, "EVENT_BUDGET", work / 1.5)
+    with pytest.raises(UnsupportedSizeError, match="out of reach"):
+        constructions._check_event_budget(n, k)
 
 
 def _split_cases():

@@ -105,6 +105,7 @@ class TestMultiHypergeom:
             ((4, 5, (1,), 1), "need 0 <= k <= n"),
             ((4, -1, (1,), 1), "need 0 <= k <= n"),
             ((4, 2, (1, 1), -1), "s must be nonnegative"),
+            ((4, 2, (), -1), "s must be nonnegative"),
         ]:
             with pytest.raises(InputError, match=message):
                 multi_hypergeom_joint(*args)
