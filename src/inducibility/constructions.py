@@ -39,7 +39,8 @@ DENSITY_BUDGET = 2_000_000
 # The digits of C(n, k), the event probability's unreduced denominator, times
 # m = min(k, n - k): about the digit steps of the divisions inside
 # math.comb(n, k).  From this budget on, the probability is refused before it
-# is computed; README's size-limit table gives the timings behind the value.
+# is computed, and so is the limit formula's exact C(k, r) by the same measure;
+# README's size-limit table gives the timings behind the value.
 EVENT_BUDGET = 3 * 10**12
 
 
@@ -65,21 +66,24 @@ def _check_float_range(n: int) -> None:
         raise UnsupportedSizeError("n is past the float range of the part sizes") from None
 
 
-def _check_event_budget(n: int, k: int) -> None:
-    """Refuse when m = min(k, n - k) times the digits of C(n, k) = C(n, m) passes
-    EVENT_BUDGET, by the lower bound (n - m + 1)^m / (e m^(m + 1/2) e^-m) on C(n, m)."""
+def _check_event_budget(n: int, k: int, what: str = "the exact event probability",
+                        work: str = "C(n, k) times min(k, n - k)") -> None:
+    """Refuse `what` when m = min(k, n - k) times the digits of C(n, k) = C(n, m)
+    passes EVENT_BUDGET, by the lower bound (n - m + 1)^m / (e m^(m + 1/2) e^-m)
+    on C(n, m)."""
     m = min(k, n - k)
     if m < 1:
         return
     ln_comb = m * (math.log(n - m + 1) - math.log(m) + 1) - math.log(m) / 2 - 1
     if m * ln_comb / math.log(10) >= EVENT_BUDGET:
-        raise UnsupportedSizeError("the exact event probability is out of reach: the digits of"
-                                   f" C(n, k) times min(k, n - k) pass {EVENT_BUDGET:,}")
+        raise UnsupportedSizeError(f"{what} is out of reach: the digits of {work} pass {EVENT_BUDGET:,}")
 
 
 def _binomial_limit(k: int, r: int, sigma: float) -> float:
     """C(k, r) sigma^r (1 - sigma)^(k - r), through logarithms once C(k, r)
-    is past the float range (the value itself is at most 1)."""
+    is past the float range (the value itself is at most 1).  C(k, r) is
+    formed exactly, so it is held to the event budget first."""
+    _check_event_budget(k, r, "the limit formula", "C(k, r) times min(r, k - r)")
     ways = math.comb(k, r)
     if ways <= sys.float_info.max:
         return ways * sigma**r * (1 - sigma) ** (k - r)

@@ -4,9 +4,12 @@ One matcher, `_count_matches`, answers "which k-subsets of the host induce
 h?" for every caller.  It walks increasing vertex subsets depth-first,
 extends the prefix's induced rows one vertex at a time, and prunes every
 prefix whose sorted degree sequence is not that of an induced subgraph of h
-of its size.  The last vertices are counted by one popcount per mask of the
-(k - 1)-vertex prefix's join table, carried from h's rooted deck by a
-labelling of the prefix, so counts are exact.  Densities are exact rationals.
+of its size.  A (k - 2)-vertex prefix Q counts the completions of each
+child S = Q + w itself: S's join table, carried from h's rooted deck by a
+labelling of S, folds over Q's neighbourhood classes into two masks, so the
+later vertices that complete S are one popcount (`_fold`).  S is walked
+vertex by vertex only until its table is built, so counts are exact.
+Densities are exact rationals.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 
 from .errors import InputError, UnsupportedSizeError
 from .graphs import Graph, _canon_cached, _canonical_search, _induced_rows, _orbit, _pack_key
-from .mc import MCEstimate, randbelow, run_bernoulli_streams
+from .mc import MCEstimate, run_bernoulli_streams
 
 DEFAULT_SUBSET_BUDGET = 10**8
 # a pattern's join tables are cleared when they outgrow this many: one per
@@ -62,7 +65,8 @@ class _Pattern:
     carries N_h(u) to t by an isomorphism h - u -> S, so t is a deck mask
     carried to S and moved by Aut(S), which also moves the mask of every u
     in u's orbit there: one u per orbit is enough, and only a u whose h - u
-    has S's degree multiset.  The matcher counts S's completions by popcount.
+    has S's degree multiset.  The matcher folds S's table over the classes
+    of S less its last vertex and counts S's completions by one popcount.
     """
 
     def __init__(self, h: Graph) -> None:
@@ -145,8 +149,36 @@ def _induces(pattern: _Pattern, adj: Sequence[int], verts: Sequence[int], mask: 
     """Whether the k host vertices `verts`, with bitmask `mask`, induce the
     pattern: one subset, such as a Monte-Carlo sample; its degree multiset
     is tested first."""
-    return (sum(1 << 7 * (adj[v] & mask).bit_count() for v in verts) in pattern._levels[0]
+    degs = 0
+    for v in verts:
+        degs += 1 << 7 * (adj[v] & mask).bit_count()
+    return (degs in pattern._levels[0]
             and _canon_cached(pattern.k, _induced_rows(adj, verts)) == pattern.key)
+
+
+def _fold(adj: Sequence[int], prefix: tuple[int, ...], table: frozenset[int],
+          classes: dict[int, int]) -> tuple[int, int]:
+    """`on` and `off` of S = `prefix` plus a vertex w, whose join table is
+    `table`: x completes S when x is joined to w in `on`, or not joined to w
+    in `off`.  The classes M(s) = {x : N(x) meets `prefix` in s} (bit i of s
+    for prefix[i]) are disjoint, so `on` is the union of M(t less w's bit)
+    over the t that hold w, and `off` over the rest; `classes` keeps each
+    M(s) of this prefix for its siblings."""
+    top = 1 << len(prefix)
+    on = off = 0
+    for t in table:
+        s = t & (top - 1)
+        part = classes.get(s)
+        if part is None:
+            part = -1
+            for i, p in enumerate(prefix):
+                part &= adj[p] if (s >> i) & 1 else ~adj[p]
+            classes[s] = part
+        if t & top:
+            on |= part
+        else:
+            off |= part
+    return on, off
 
 
 def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] = ()) -> int:
@@ -163,21 +195,22 @@ def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] 
         return 0
     free = [w for w in range(n) if w not in forced]
 
-    def walk(start: int, prefix: tuple[int, ...], mask: int, rows: tuple[int, ...], degs: int) -> int:
+    def walk(start: int, prefix: tuple[int, ...], mask: int, rows: tuple[int, ...], degs: int,
+             classes: dict[int, int]) -> int:
         j = len(prefix)
         level, top, complete = keys[j + 1 - f], 1 << j, j + 1 == k
         joins = complete and pattern.tables.get(rows, False)  # False until built, None if unlisted
+        folds = None
+        if j + 2 == k:  # each child's completions are counted here, from this prefix's classes
+            classes, folds = {}, {}
         # rows and degree multiset of each extension, by its neighbours in the prefix
         extended: dict[int, tuple[tuple[int, ...], int] | None] = {}
         copies = 0
         for idx, w in enumerate(free[start : len(free) - (k - j) + 1], start):
-            if joins not in (False, None) and len(joins) <= (later := (1 << n) - (1 << w) & ~mask).bit_count():
-                for t in joins:  # count the later vertices joined to exactly t's prefix vertices
-                    hit = later
-                    for i, p in enumerate(prefix):
-                        hit &= adj[p] if (t >> i) & 1 else ~adj[p]
-                    copies += hit.bit_count()
-                return copies
+            if joins not in (False, None) and j:  # the rest by the fold over the prefix less its last
+                on, off = _fold(adj, prefix[:-1], joins, classes)
+                a = adj[prefix[-1]]
+                return copies + ((1 << n) - (1 << w) & ~mask & (on & a | off & ~a)).bit_count()
             nbrs = adj[w] & mask
             if nbrs not in extended:
                 grown, last, grown_degs = [], 0, degs
@@ -201,11 +234,23 @@ def _count_matches(pattern: _Pattern, adj: Sequence[int], forced: Sequence[int] 
                 else:
                     extended[nbrs] = ext, grown_degs
             found = extended[nbrs]
-            if found is not None:
-                copies += 1 if complete else walk(idx + 1, prefix + (w,), mask | (1 << w), *found)
+            if found is None:
+                continue
+            if folds is not None:  # S = prefix + w is walked only while its table is unbuilt or unlisted
+                fold = folds.get(nbrs)
+                if fold is None:
+                    table = pattern.tables.get(found[0], False)
+                    if table is not False and table is not None:
+                        fold = folds[nbrs] = _fold(adj, prefix, table, classes)
+                if fold is not None:
+                    on, off = fold
+                    a = adj[w]
+                    copies += ((1 << n) - (2 << w) & ~mask & (on & a | off & ~a)).bit_count()
+                    continue
+            copies += 1 if complete else walk(idx + 1, prefix + (w,), mask | (1 << w), *found, classes)
         return copies
 
-    return walk(0, tuple(forced), sum(1 << v for v in forced), rows, _degrees(rows))
+    return walk(0, tuple(forced), sum(1 << v for v in forced), rows, _degrees(rows), {})
 
 
 def count_induced(h: Graph, g: Graph) -> int:
@@ -225,19 +270,30 @@ def induced_density(h: Graph, g: Graph) -> DensityResult:
     return DensityResult(copies=copies, total=total, density=Fraction(copies, total))
 
 
-def _sample(rng: random.Random, n: int, k: int) -> tuple[tuple[int, ...], int]:
+def _draws(n: int, k: int) -> list[tuple[int, int, int]]:
+    """What `_sample` draws for a k-subset of range(n): per pick i, i, the
+    n - i positions left and their bit length."""
+    return [(i, n - i, (n - i).bit_length()) for i in range(k)]
+
+
+def _sample(rng: random.Random, draws: list[tuple[int, int, int]]) -> tuple[tuple[int, ...], int]:
     """Uniform k-subset of range(n), sorted, and its bitmask, by partial
-    Fisher-Yates; O(k) extra memory."""
+    Fisher-Yates over `_draws(n, k)`; O(k) extra memory."""
+    getrandbits = rng.getrandbits
     moved: dict[int, int] = {}  # position -> the id swapped into it; the rest hold their own
     picks = []
     mask = 0
-    for i in range(k):
-        j = i + randbelow(rng, n - i)
+    for i, w, b in draws:
+        j = getrandbits(b)  # CPython's randrange(i, n): w = n - i, b its bit length
+        while j >= w:
+            j = getrandbits(b)
+        j += i
         pick = moved.get(j, j)
         picks.append(pick)
         mask |= 1 << pick
         moved[j] = moved.get(i, i)
-    return tuple(sorted(picks)), mask
+    picks.sort()
+    return tuple(picks), mask
 
 
 def induced_density_mc(
@@ -247,11 +303,11 @@ def induced_density_mc(
     _check_sizes(h, g)
     if samples < 1:
         raise InputError("samples must be >= 1")
-    k, n = h.n, g.n
     pattern = _Pattern(h)
     adj = g.adj
+    draws = _draws(g.n, h.n)
 
     def trial(rng: random.Random) -> bool:
-        return _induces(pattern, adj, *_sample(rng, n, k))
+        return _induces(pattern, adj, *_sample(rng, draws))
 
     return run_bernoulli_streams(trial, samples, seed)

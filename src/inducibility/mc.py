@@ -6,11 +6,14 @@ stream-index order, so every estimate is bit-identical for a fixed seed.
 The streams run one after another in one thread.  Every uniform index the
 package draws reproduces CPython's `randrange` stream (same values, same
 final generator state) with fewer Python calls per draw.  Those draws are
-made in two places:
+made in three places:
 
-- `randbelow` here, CPython's `randrange(w)`, for the subset sampler of
-  `density`, the moves of `search` and the two draws of a `brightness_mc`
-  trial; `tests/test_mc.py` guards it;
+- `randbelow` here, CPython's `randrange(w)`, for the moves of `search`
+  and the two draws of a `brightness_mc` trial; `tests/test_mc.py` guards
+  it;
+- `density._sample`, `randrange(i, n)` per pick, inlined in the subset
+  sampler of `density --mc`; `tests/test_density.py` replays it against a
+  full shuffle;
 - `coloring._traces`, `randrange(n)` per step, inlined in its one loop
   over every trace of a run; the pinned trace digests of
   `tests/test_coloring.py` guard it.

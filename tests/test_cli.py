@@ -176,6 +176,10 @@ REFUSED = {
             "the exact event probability is out of reach", 1)
            for family, flags in [("split", ("--r", "1", "--sigma", "0.5")),
                                  ("split-plus-edge", ())]},
+        # C(n, k) = 1 here, but C(k, r) in the limit formula has about 3 million digits
+        "split-limit-budget": (("construct", "split", "--k", "10000000", "--r", "5000000",
+                                "--n", "10000000", "--sigma", "0.5"), 3,
+                               "the limit formula is out of reach", 5),
         "multi-no-parts-negative-s": (("proba", "multi", "--population", "5", "--sample", "2",
                                        "--parts", "", "--s", "-1"), 2,
                                       "s must be nonnegative", 5),

@@ -9,6 +9,7 @@ import pytest
 from inducibility import density, graphs
 from inducibility.density import (
     _count_matches,
+    _draws,
     _Pattern,
     _sample,
     count_induced,
@@ -95,6 +96,36 @@ class TestCountInduced:
                                        for verts, code in form.items())
                         for _ in range(2):
                             assert _count_matches(pattern, g.adj, forced) == expected, (h, g, forced)
+
+    def test_fold_matches_brute_force(self, classes_by_n, monkeypatch):
+        """Every class with k <= 5, each in one of three seeded hosts on 12 to
+        20 vertices at p = 0.85, 0.5 and 0.15 in turn, and two seeded 6-vertex
+        induced subgraphs of the first host in it, under forced tuples of every
+        size: a (k - 2)-vertex prefix folds its children's tables over its
+        classes, and a forced (k - 1)-vertex prefix folds its own.  Each count
+        runs on a fresh pattern, then again on its tables; then all of it once
+        more with one table kept at a time, so that a fold meets tables cleared
+        partway through a walk."""
+        rng = random.Random(39)
+        hosts = [Graph.gnp(rng, n, p) for n, p in ((12, 0.85), (16, 0.5), (20, 0.15))]
+        patterns = [h for k in range(6) for h in classes_by_n[k]]
+        cases = [(h, hosts[i % 3]) for i, h in enumerate(patterns)]
+        cases += [(induced_subgraph(hosts[0], set(rng.sample(range(12), 6))), hosts[0]) for _ in range(2)]
+        forms: dict[tuple[Graph, int], dict] = {}
+        counts = []
+        for h, g in cases:
+            form = forms.get((g, h.n)) or forms.setdefault((g, h.n), brute_forms(g, h.n))
+            target = brute_form(h.n, frozenset(h.edges()))
+            copies = [set(verts) for verts, code in form.items() if code == target]
+            for f in range(h.n + 1):
+                forced = tuple(rng.sample(range(g.n), f))
+                counts.append((h, g, forced, sum(set(forced) <= verts for verts in copies)))
+        for limit in (density.JOIN_TABLE_LIMIT, 1):
+            monkeypatch.setattr(density, "JOIN_TABLE_LIMIT", limit)
+            for h, g, forced, expected in counts:
+                pattern = _Pattern(h)
+                for _ in range(2):
+                    assert _count_matches(pattern, g.adj, forced) == expected, (h, g, forced, limit)
 
     def test_dense_hosts_match_brute_force(self):
         for seed, h in enumerate((Graph.path(4), Graph.cycle(5), Graph.path(5))):
@@ -209,7 +240,7 @@ class TestMC:
         rng = random.Random(34)
         seen = set()
         for _ in range(2000):
-            seen.add(_sample(rng, 5, 2)[0])
+            seen.add(_sample(rng, _draws(5, 2))[0])
         assert len(seen) == 10
 
     def test_subset_sampler_draws_as_a_full_shuffle_does(self):
@@ -227,7 +258,7 @@ class TestMC:
             n = seed % 65
             ours, theirs = random.Random(seed), random.Random(seed)
             for k in range(n + 1):
-                assert _sample(ours, n, k)[0] == listed(theirs, n, k), (seed, n, k)
+                assert _sample(ours, _draws(n, k))[0] == listed(theirs, n, k), (seed, n, k)
             assert ours.getstate() == theirs.getstate()
 
     def test_convergence_over_seeds(self, p3):
