@@ -434,12 +434,21 @@ def _timed(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return parser
 
 
+def _row_named(argv: list[str]) -> Row | None:
+    """The row whose path is the first words of `argv`, --timing aside."""
+    words = [w for w in argv if w != "--timing"]
+    return COMMANDS.get(tuple(words[:1])) or COMMANDS.get(tuple(words[:2]))
+
+
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of COMMANDS: every group and leaf is a choice with its help,
-    and the parsers on the path the words of `argv` name (all of them when
-    `argv` is None) also get -h, --timing and their arguments.  No other
+    """The parser of COMMANDS.  When `argv` opens with a row's path, only the
+    parsers on that path are built.  Otherwise every group and leaf is a
+    choice with its help, so help text and "invalid choice" errors list them
+    all, and the parsers on the path the words of `argv` name (all of them
+    when `argv` is None) also get -h, --timing and their arguments.  No other
     parser reads `argv`, since the ones above a leaf take no flag values.  A
     parsed leaf's `row` is its row."""
+    row = None if argv is None else _row_named(argv)
     words = None if argv is None else [w for w in argv if not w.startswith("-")]
 
     def named(path: tuple[str, ...]) -> bool:
@@ -451,7 +460,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         " (graphs in and out as graph6; '-' reads one line from stdin).",
     ))
     levels = {(): parser.add_subparsers(dest="cmd", required=True)}
-    for row in COMMANDS.values():
+    for row in COMMANDS.values() if row is None else (row,):
         *group, name = row.path
         group = tuple(group)
         if group not in levels:

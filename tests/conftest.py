@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from inducibility.coloring import _ColorContext
 from inducibility.graphs import Graph, canonical_key, complement, to_graph6
 from inducibility.search import _classes, ind_exact
 from inducibility.verify import run_check
@@ -36,6 +37,20 @@ def _within(seconds):
 def within():
     """`with within(seconds):` bounds a block's wall time by SIGALRM."""
     return _within
+
+
+@pytest.fixture
+def every_edge_count(monkeypatch):
+    """`every_edge_count()` gives each `_ColorContext` made after it every edge
+    count, so that the colouring loop's edge-count test decides no step: each
+    one goes through `is_black`."""
+    init = _ColorContext.__init__
+
+    def every_count(ctx, *args, **kwargs):
+        init(ctx, *args, **kwargs)
+        ctx.edge_counts = range(1 << 20)
+
+    return lambda: monkeypatch.setattr(_ColorContext, "__init__", every_count)
 
 
 @pytest.fixture(scope="session")

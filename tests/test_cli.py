@@ -607,6 +607,27 @@ class TestCommandTable:
         for name in self.choices(group):
             assert f"'{name}'" in error, name
 
+    @staticmethod
+    def one_line(row):
+        """A command line of `row` that parses: its first mode and every
+        argument without a default, each at a value its type accepts."""
+        values = {int: "2", cli._positive_int: "2", cli._finite_float: "0.5",
+                  cli._int_list: "0,1", cli._suite: "coloring"}
+        argv = [*row.path, *row.modes[:1]]
+        for arg in row.args:
+            if not arg.flag.startswith("-"):
+                argv.append(values.get(arg.type, "Bg"))
+            elif arg.default is cli._REQUIRED:
+                argv += [arg.flag, values.get(arg.type, "1/3")]
+        return [*argv, "--timing"]
+
+    @pytest.mark.parametrize("path", list(cli.COMMANDS), ids=" ".join)
+    def test_parser_of_one_path_parses_as_the_full_parser(self, path):
+        argv = self.one_line(cli.COMMANDS[path])
+        args = cli.build_parser(argv).parse_args(argv)
+        assert args == cli.build_parser().parse_args(argv)
+        assert args.row is cli.COMMANDS[path]
+
     def test_readme_examples_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("\n## CLI\n", 1)[1].split("```")[1]

@@ -171,6 +171,20 @@ class TestRunTrial:
                 assert bare.getstate() == recorded.getstate(), seed
                 assert tr == run_trial(g, h, seed, max_steps), seed
 
+    def test_edge_count_test_is_only_a_shortcut(self, every_edge_count):
+        """With every count in `edge_counts`, the loop's edge-count test
+        never skips `is_black`; the TRACE_CASES traces and their tallies are
+        the same as with the pattern's counts."""
+        default = [(_ColorContext(g, h, max_steps), simulate(g, h, seeds, 31, max_steps))
+                   for g, h, seeds, max_steps in TRACE_CASES]
+        every_edge_count()
+        for (g, h, seeds, max_steps), (ctx, summary) in zip(TRACE_CASES, default):
+            every = _ColorContext(g, h, max_steps)
+            for seed in range(seeds):
+                tr = record_trace(every, random.Random(seed))
+                assert tr == record_trace(ctx, random.Random(seed)), seed
+            assert simulate(g, h, seeds, 31, max_steps) == summary
+
     def test_max_steps_too_small(self, host, pattern):
         with pytest.raises(InputError):
             run_trial(host, pattern, seed=0, max_steps=2)

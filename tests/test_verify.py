@@ -65,18 +65,25 @@ def test_aut_floor_fails_on_a_wrong_group_order(monkeypatch, wrong_order, counte
     )
 
 
-def test_match_trace_shape_fails_on_inverted_colouring(monkeypatch):
+@pytest.fixture
+def inverted_colouring(monkeypatch, every_edge_count):
+    """Invert `is_black`, and give every context every edge count, so that
+    each step of the colouring loop goes through the inverted `is_black`."""
     is_black = _ColorContext.is_black
     monkeypatch.setattr(_ColorContext, "is_black", lambda ctx, mask, v: not is_black(ctx, mask, v))
+    every_edge_count()
+
+
+@pytest.mark.usefixtures("inverted_colouring")
+def test_match_trace_shape_fails_on_inverted_colouring():
     result = verify._check_match_trace_shape()
     assert result.name == "match_trace_shape" and not result.ok, result.detail
 
 
-def test_signature_union_stops_on_inverted_colouring(monkeypatch):
+@pytest.mark.usefixtures("inverted_colouring")
+def test_signature_union_stops_on_inverted_colouring():
     """The inverted colouring stops no trace; the check's cap of 50 steps
     truncates all of them in seconds instead of running for minutes."""
-    is_black = _ColorContext.is_black
-    monkeypatch.setattr(_ColorContext, "is_black", lambda ctx, mask, v: not is_black(ctx, mask, v))
     result = verify._check_coloring_inclusions()
     assert result.name == "match_inside_signature_union" and not result.ok
     assert "seed=7:" in result.detail and "truncated=50000" in result.detail
