@@ -189,10 +189,7 @@ def dtame_blowup(h: Graph, v0, n: int) -> ConstructionReport:
     part) and one part for the rest, cliqued exactly when the rest is a
     clique in h; parts are joined following h's adjacency."""
     v0 = sorted(set(v0))
-    for v in v0:
-        if not 0 <= v < h.n:
-            raise InputError(f"vertex {v} out of range")
-    if not is_tamed_by(h, v0):
+    if not is_tamed_by(h, v0):  # which refuses a vertex out of range
         raise PreconditionError("v0 is not a taming set of h")
     k = h.n
     if k == 0:  # the empty set tames it, but there is no part to size

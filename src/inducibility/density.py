@@ -18,7 +18,7 @@ import math
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError, UnsupportedSizeError
@@ -79,7 +79,7 @@ class _Pattern:
         self.adj = h.adj
         self.tables: dict[tuple[int, ...], frozenset[int] | None] = {}
         self.sums: dict[int, tuple] = {}  # `search._through`'s byte-lane sums, per parent size
-        self.rooted = lru_cache(maxsize=None)(self._rooted)  # one entry per key of `deck` at most
+        self._roots: dict[int, dict] = {}  # `rooted`'s groups, one per key of `deck` at most
 
     @cached_property
     def deck(self) -> dict[int, list[int]]:
@@ -89,11 +89,13 @@ class _Pattern:
             deck.setdefault(_degrees(_delete(self.adj, u)), []).append(u)
         return deck
 
-    def _rooted(self, degrees: int) -> dict[bytes, tuple[tuple[int, ...], list[int]]]:
+    def rooted(self, degrees: int) -> dict[bytes, tuple[tuple[int, ...], list[int]]]:
         """h - u's canonical key -> its canonical rows and N_h(u) in that
         order, for the u of `deck[degrees]`: only an S of those degrees can
         meet them, so each is labelled when such an S first comes."""
-        rooted: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
+        if degrees in self._roots:
+            return self._roots[degrees]
+        rooted = self._roots[degrees] = {}
         for u in self.deck.get(degrees, ()):
             rows = _delete(self.adj, u)
             cols, order, _, _ = _canonical_search(self.k - 1, rows)

@@ -40,7 +40,7 @@ n-vertex classes.
 Two bounds prune the parents.  A copy through v is v plus a (k - 1)-subset
 of the parent inducing some h - u, and each such subset makes at most one
 copy, so a parent's deck, the number of those subsets, plus its own count
-bounds every child.  The deck is `_host_counts` summed over h's distinct
+bounds every child.  The deck is one `_host_counts` pass over h's distinct
 vertex-deleted subgraphs: a subset induces one class, so none is counted
 twice.  The second bound averages: a copy in an n-vertex child G misses
 n - k of its vertices, so (n - k) X(G) is the sum of X(G - w) over every
@@ -228,13 +228,14 @@ def _classes(n: int) -> tuple[Graph, ...]:
     return tuple(Graph(n, rows) for rows in _tree(n)[0])
 
 
-def enumerate_graphs(n: int):
-    """One representative per isomorphism class, in canonical-code order."""
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class, in canonical-code order;
+    the limits are checked on the call, not on the first `next`."""
     if n > ENUM_LIMIT:
         raise UnsupportedSizeError(f"enumerate_graphs supports n <= {ENUM_LIMIT}, got {n}")
     if n < 0:
         raise InputError("n must be nonnegative")
-    yield from _classes(n)
+    return iter(_classes(n))
 
 
 # one subset S of `_layout`: S, its pair bits, its lane shifts and its outside int
@@ -263,9 +264,9 @@ def _layout(m: int, j: int) -> tuple[tuple[int, ...], tuple[Lanes, ...]]:
     return tuple(offsets), tuple(layout)
 
 
-def _through(pattern: _Pattern, rows: tuple[int, ...]) -> list[int]:
+def _through(pattern: _Pattern, rows: tuple[int, ...]) -> int:
     """Copies of the pattern through a new vertex joined to the m-vertex
-    `rows` by each of the 2^m masks, indexed by mask.
+    `rows` by each of the 2^m masks: byte lane `mask` of the int returned.
 
     A copy through the new vertex is it plus one (k - 1)-subset S, and a
     mask makes one through S when it meets S in an entry t of S's join
@@ -277,7 +278,7 @@ def _through(pattern: _Pattern, rows: tuple[int, ...]) -> list[int]:
     under that key, per parent size, from the first parent that meets it."""
     m, j = len(rows), pattern.k - 1
     if j < 0:
-        return [0] * (1 << m)
+        return 0
     cached = pattern.sums.get(m)
     if cached is None:
         if math.comb(m, j) > 255:
@@ -297,31 +298,28 @@ def _through(pattern: _Pattern, rows: tuple[int, ...]) -> list[int]:
             table = pattern.joins(_induced_rows(rows, subset))
             sums[key] = added = sum(outside << shifts[t] for t in table)
             total += added
-    return list(total.to_bytes(1 << m, "little"))
+    return total
 
 
-def _host_counts(pattern: _Pattern, n: int) -> list[int]:
-    """Copies of the pattern in each `_tree(n)` class: its parent's plus those through v."""
-    counts = [int(pattern.k == 0)]  # the 0-vertex graph holds one empty copy
+def _host_counts(patterns: list[_Pattern], n: int) -> list[int]:
+    """Copies of the patterns, pairwise non-isomorphic and of one size, in
+    each `_tree(n)` class: its parent's plus those through v.  Every class on
+    m - 1 vertices is a parent, so each is passed to `_through` once; v plus
+    a subset induces one class, so the summed lanes stay within a byte."""
+    counts = [sum(pattern.k == 0 for pattern in patterns)]  # the 0-vertex graph holds one empty copy
     for m in range(1, n + 1):
         rows, (_, parents, masks) = _tree(m - 1)[0], _tree(m)
-        level = [0] * len(parents)
-        last = -1
-        for i in sorted(range(len(parents)), key=parents.__getitem__):
-            p = parents[i]
-            if p != last:
-                through, last = _through(pattern, rows[p]), p
-            level[i] = counts[p] + through[masks[i]]
-        counts = level
+        throughs = [sum(_through(pattern, r) for pattern in patterns).to_bytes(1 << (m - 1), "little")
+                    for r in rows]
+        counts = [counts[p] + throughs[p][mask] for p, mask in zip(parents, masks)]
     return counts
 
 
 def _deck_counts(pattern: _Pattern, n: int) -> list[int]:
-    """The (k - 1)-subsets of each `_tree(n)` class that induce some h - u,
-    summed over h's distinct vertex deletions: a subset induces one class."""
-    deletions = (Graph(pattern.k - 1, rows)
-                 for degrees in pattern.deck for rows, _ in pattern.rooted(degrees).values())
-    return [sum(c) for c in zip(*(_host_counts(_Pattern(g), n) for g in deletions))]
+    """The (k - 1)-subsets of each `_tree(n)` class that induce some h - u:
+    the host counts of h's distinct vertex deletions, in one pass."""
+    return _host_counts([_Pattern(Graph(pattern.k - 1, rows)) for degrees in pattern.deck
+                         for rows, _ in pattern.rooted(degrees).values()], n)
 
 
 def ind_exact(h: Graph, n: int) -> IndResult:
@@ -349,7 +347,7 @@ def ind_exact(h: Graph, n: int) -> IndResult:
         # h's class is the one host holding a copy
         return IndResult(Fraction(1), Graph(n, _induced_rows(h.adj, _canonical_search(n, h.adj)[1])), "exact")
     pattern = _Pattern(h)
-    counts = _host_counts(pattern, n - 1)
+    counts = _host_counts([pattern], n - 1)
     most = max(counts)
     tree = _tree(n - 1)[0]
     best, tied, deck = -1, [], None
@@ -362,7 +360,7 @@ def ind_exact(h: Graph, n: int) -> IndResult:
             if counts[p] + deck[p] < best:
                 continue
         rows = tree[p]
-        through = _through(pattern, rows)
+        through = _through(pattern, rows).to_bytes(1 << len(rows), "little")
         top = counts[p] + max(through)
         if top > best:
             best, tied = top, []

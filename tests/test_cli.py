@@ -156,6 +156,8 @@ REFUSED = {
     "test_input_error_exit_codes": {
         "tame-set-out-of-range": (("tame", "Bg", "--set", "9"), 2,
                                   "vertex 9 out of range for n=3", 5),
+        "blowup-v0-out-of-range": (("construct", "blowup", "Cr", "--v0", "0,9", "--n", "8"), 2,
+                                   "vertex 9 out of range for n=4", 5),
         "simulate-pattern-above-host": (("simulate-coloring", "Bg", "Cr", "--trials", "10"), 2,
                                         "pattern has 4 vertices but host only 3", 5),
         "solve-eps-c-0": (("bounds", "solve-eps", "--c", "0"), 2, "C must be positive", 5),

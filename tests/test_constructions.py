@@ -259,4 +259,4 @@ def test_sweep_pinned():
         except (InputError, PreconditionError) as exc:
             out = f"{type(exc).__name__}: {exc}"
         digest.update(f"{build.__name__}{_fmt(list(args))}: {out}\n".encode())
-    assert digest.hexdigest() == "013d47eef87f4328097e047ad9d731af966ae20377e59cc7165be40e9faa2e99"
+    assert digest.hexdigest() == "4f1a6386a237dfbb64f54cdd755d88bb045cd90fa9088f00fbc139eb477e3e09"

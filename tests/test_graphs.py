@@ -283,7 +283,7 @@ class TestCanonical:
 
     def test_search_outputs_pinned(self, classes_by_n):
         # golden digest of all the search returns but its generators: the
-        # columns, the order that `_rooted` and `_joins` read, the group
+        # columns, the order that `rooted` and `_joins` read, the group
         # order and the orbit partition
         rng = random.Random(29)
         graphs = [g for n in range(7) for g in classes_by_n[n]]

@@ -119,6 +119,13 @@ class TestEnumerate:
         with pytest.raises(InputError, match="n must be nonnegative"):
             list(enumerate_graphs(-1))
 
+    def test_limits_checked_on_call(self):
+        """The call itself refuses, before any `next`."""
+        with pytest.raises(UnsupportedSizeError):
+            enumerate_graphs(10)
+        with pytest.raises(InputError, match="n must be nonnegative"):
+            enumerate_graphs(-1)
+
     def test_matches_unpruned_enumeration(self):
         # the same representatives in the same order, not only as many
         for n in range(8):
@@ -169,7 +176,7 @@ class TestEnumerate:
         # golden digest of the copy counts of P4 and the bull in every host,
         # recorded with one unforced count per host
         bull = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
-        counts = [_host_counts(_Pattern(h), 8) for h in (Graph.path(4), bull)]
+        counts = [_host_counts([_Pattern(h)], 8) for h in (Graph.path(4), bull)]
         assert hashlib.sha256(repr(counts).encode()).hexdigest() == (
             "d7ca207b7d9e54c9b282dd2a1ba224a0873171f419dab21e283ede57629cd95b"
         )
@@ -267,7 +274,7 @@ class TestIndExact:
                 pattern, unforced = _Pattern(h), _Pattern(h)
                 for n in range(8):
                     expected = [_count_matches(unforced, g.adj) for g in classes_by_n[n]]
-                    assert _host_counts(pattern, n) == expected, (to_graph6(h), n)
+                    assert _host_counts([pattern], n) == expected, (to_graph6(h), n)
 
     def test_through_matches_forced_walk(self, classes_by_n):
         """The join tables count, for every mask, the copies through a new
@@ -277,7 +284,7 @@ class TestIndExact:
                 pattern = _Pattern(h)
                 for m in range(6):
                     for g in classes_by_n[m]:
-                        through = _through(pattern, g.adj)
+                        through = list(_through(pattern, g.adj).to_bytes(1 << m, "little"))
                         assert through == [
                             _count_matches(pattern, _child(g.adj, mask), (m,))
                             for mask in range(1 << m)
@@ -293,7 +300,7 @@ class TestIndExact:
         def agree(h, samples):
             pattern = _Pattern(h)
             for s in samples:
-                assert _through(pattern, s.adj) == [
+                assert list(_through(pattern, s.adj).to_bytes(1 << s.n, "little")) == [
                     _count_matches(pattern, _child(s.adj, t), range(h.n))
                     for t in range(1 << (h.n - 1))
                 ], (to_graph6(h), to_graph6(s))
@@ -320,7 +327,7 @@ class TestIndExact:
         for h in (Graph.path(4), parse_graph6("Cs"), Graph.cycle(5), bull, Graph.path(6)):
             pattern = _Pattern(h)
             for rows in parents:
-                assert _through(pattern, rows) == [
+                assert list(_through(pattern, rows).to_bytes(1 << len(rows), "little")) == [
                     _count_matches(pattern, _child(rows, mask), (len(rows),))
                     for mask in range(1 << len(rows))
                 ], (to_graph6(h), rows)
@@ -337,11 +344,12 @@ class TestIndExact:
                         for mask in range(1 << len(rows))]
             for h in (p4, c4) for rows in parents
         }
-        gc.collect()  # a pattern's `rooted` cache holds it in a cycle
+        gc.collect()  # a pattern holds no reference cycle, so `del` alone frees it
         for rows in parents:
             for h in (p4, c4, p4):
                 pattern = _Pattern(h)
-                assert _through(pattern, rows) == expected[h, rows], (to_graph6(h), rows)
+                assert list(_through(pattern, rows).to_bytes(1 << len(rows), "little")) == expected[h, rows], (
+                    to_graph6(h), rows)
                 del pattern
                 gc.collect()
 
@@ -364,13 +372,28 @@ class TestIndExact:
         for h in (Graph.path(4), Graph.cycle(5), bull, paw, Graph.star(3)):
             pattern = _Pattern(h)
             for n in range(h.n + 1, 9):
-                counts = _host_counts(pattern, n - 1)
+                counts = _host_counts([pattern], n - 1)
                 deck, most = search._deck_counts(pattern, n - 1), max(counts)
                 for rows, count, d in zip(search._tree(n - 1)[0], counts, deck):
-                    child = count + max(_through(pattern, rows))
+                    child = count + max(_through(pattern, rows).to_bytes(1 << len(rows), "little"))
                     assert count + d >= child, ("deck", to_graph6(h), n, rows)
                     assert (count + (n - 1) * most) // (n - h.n) >= child, (
                         "averaging", to_graph6(h), n, rows)
+
+    def test_host_counts_of_a_deck_add_up(self, classes_by_n):
+        """One pass over the distinct deletions of every class on 2 to 5
+        vertices counts, at every n <= 7, the sum of one pass per deletion,
+        and so does `_deck_counts`: the per-deletion sum is the oracle."""
+        for k in range(2, 6):
+            for h in classes_by_n[k]:
+                deletions = {canonical_key(g): g for g in (
+                    induced_subgraph(h, [w for w in range(k) if w != u]) for u in range(k))}
+                patterns = [_Pattern(g) for g in deletions.values()]
+                for n in range(8):
+                    oracle = [sum(c) for c in zip(*(_host_counts([_Pattern(g)], n)
+                                                    for g in deletions.values()))]
+                    assert _host_counts(patterns, n) == oracle, (to_graph6(h), n)
+                    assert search._deck_counts(_Pattern(h), n) == oracle, (to_graph6(h), n)
 
     def test_c4_at_8_computes_no_deck(self, exact_table, monkeypatch):
         """The averaging bound stops C4's scan at n = 8 after its first
